@@ -22,6 +22,7 @@ from .lattice import (
     datum_to_json,
     dominant_below,
     dominant_representative,
+    dominant_window,
     dual_root_datum,
     is_dominant,
     leq_dominance,

@@ -27,6 +27,7 @@ from .lattice import (
     cartan_type,
     coroot_height,
     datum_from_json,
+    dominant_window,
     dual_root_datum,
     is_dominant,
     leq_dominance,
@@ -190,7 +191,7 @@ def orbits(datum: str, bound: int, fmt: str, out: str | None) -> None:
     if bound < 0:
         raise DomainError("bound must be nonnegative")
     ctx = SatakeContext.for_group(rd)
-    dom = _window(ctx.rd_dual, bound)
+    dom = dominant_window(ctx.rd_dual, bound)
     rows = []
     for mu in dom:
         below = [lam for lam in dom if lam != mu and leq_dominance(ctx.rd_dual, lam, mu)]
@@ -211,18 +212,6 @@ def orbits(datum: str, bound: int, fmt: str, out: str | None) -> None:
         summary={"orbits": len(rows)},
     )
     report.emit(fmt, out)
-
-
-def _window(rd: RootDatum, bound: int) -> list[Weight]:
-    """Dominant weights with coroot height and coordinates up to the bound."""
-    import itertools as it
-
-    found = []
-    for coords in it.product(range(-bound, bound + 1), repeat=rd.rank):
-        w = tuple(coords)
-        if is_dominant(rd, w) and coroot_height(rd, w) <= bound:
-            found.append(w)
-    return sorted(found)
 
 
 @main.command()
@@ -372,14 +361,14 @@ def sample_pool(rd: RootDatum) -> list[Weight]:
     """Small dominant weights for randomized trials: the nonzero dominants of
     at most twice the minimal positive height, plus zero."""
     for bound in (2, 4, 6, 8, 12, 16, 24, 32):
-        window = _window(rd, bound)
+        window = dominant_window(rd, bound)
         positive = [coroot_height(rd, w) for w in window if any(w)]
         if len(positive) >= 2 and any(positive):
             floor = min(h for h in positive if h > 0) if any(h > 0 for h in positive) else 0
             pool = [w for w in window if coroot_height(rd, w) <= max(2 * floor, 2)]
             if len(pool) >= 3:
                 return pool
-    return _window(rd, 2)
+    return list(dominant_window(rd, 2))
 
 
 def run() -> None:

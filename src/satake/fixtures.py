@@ -44,10 +44,6 @@ _add("Sp4", RootDatum(2, ((1, -1), (0, 2)), ((1, -1), (0, 1)), name="Sp4"), dump
 _add("G2", RootDatum(2, ((2, -3), (-1, 2)), ((1, 0), (0, 1)), name="G2"), dump_bound=32)
 
 
-def fixture_names() -> tuple[str, ...]:
-    return tuple(FIXTURES)
-
-
 def get_fixture(name: str) -> Fixture:
     for candidate in FIXTURES.values():
         if candidate.name.upper() == name.upper():

@@ -5,6 +5,10 @@ Weights and coweights are plain integer tuples in a fixed lattice basis; a
 coweight of one datum is a weight of its dual, so every operation here takes
 the datum it should act through.  All functions are pure and safe for
 concurrent use.
+
+Per-datum facts (positive roots and coroots, 2rho, 2rho^vee, the inverse
+Cartan rows) come from the one cached ``datum_tables``; windows of dominant
+weights up to a coroot-height bound come from ``dominant_window``.
 """
 from __future__ import annotations
 
@@ -13,6 +17,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Sequence
 
 from .errors import DomainError, InvalidDatumError, ParseError
@@ -303,10 +308,25 @@ def class_mod_root_lattice(rd: RootDatum, lam: Weight) -> tuple[int, ...]:
     return tuple(out)
 
 
+@dataclass(frozen=True)
+class DatumTables:
+    """The facts of one root datum that every layer reads, derived once.
+    ``fundamental_coweights[j]`` holds the coefficients of the fundamental
+    coweight w_j in the simple coroots times ``denominator``: the rows of the
+    inverse Cartan matrix, kept integral."""
+
+    positive_roots_with_coroots: tuple[tuple[Weight, Weight], ...]
+    two_rho: Weight
+    two_rho_check: Weight
+    fundamental_coweights: tuple[tuple[int, ...], ...]
+    denominator: int
+
+
 @lru_cache(maxsize=1024)
-def positive_roots_with_coroots(rd: RootDatum) -> tuple[tuple[Weight, Weight], ...]:
-    """All positive roots paired with their coroots, by orbit saturation of
-    the simple pairs."""
+def datum_tables(rd: RootDatum) -> DatumTables:
+    """Positive roots with coroots by orbit saturation of the simple pairs,
+    their sums 2rho and 2rho^vee, and the inverse Cartan rows.  Needs a
+    finite-type datum: saturation does not end otherwise."""
     dual = dual_root_datum(rd)
     seen: set[tuple[Weight, Weight]] = set()
     frontier = list(zip(rd.simple_roots, rd.simple_coroots))
@@ -326,31 +346,50 @@ def positive_roots_with_coroots(rd: RootDatum) -> tuple[tuple[Weight, Weight], .
         assert coeffs is not None
         if all(c >= 0 for c in coeffs):
             positive.append((root, cov))
-    return tuple(positive)
+    # w_j = sum_k m_k alpha_k^vee solves sum_k m_k A[k][i] = delta_ij; the
+    # m_k are nonnegative for finite type
+    s = rd.semisimple_rank
+    a = cartan_matrix(rd)
+    inverse = [solve_rational(a, [int(i == j) for i in range(s)]) for j in range(s)]
+    assert all(row is not None and all(c >= 0 for c in row) for row in inverse), \
+        "inverse Cartan must be nonnegative"
+    denominator = lcm(*(c.denominator for row in inverse for c in row))
+    zero = (0,) * rd.rank
+    return DatumTables(
+        positive_roots_with_coroots=tuple(positive),
+        two_rho=tuple(map(sum, zip(zero, *(root for root, _ in positive)))),
+        two_rho_check=tuple(map(sum, zip(zero, *(cov for _, cov in positive)))),
+        fundamental_coweights=tuple(tuple(int(c * denominator) for c in row) for row in inverse),
+        denominator=denominator,
+    )
+
+
+def positive_roots_with_coroots(rd: RootDatum) -> tuple[tuple[Weight, Weight], ...]:
+    """All positive roots paired with their coroots, sorted."""
+    return datum_tables(rd).positive_roots_with_coroots
 
 
 def positive_roots(rd: RootDatum) -> tuple[Weight, ...]:
     return tuple(root for root, _ in positive_roots_with_coroots(rd))
 
 
-@lru_cache(maxsize=1024)
 def two_rho(rd: RootDatum) -> Weight:
     """The sum of all positive roots (twice the Weyl vector, kept integral)."""
-    total = [0] * rd.rank
-    for root in positive_roots(rd):
-        for i, c in enumerate(root):
-            total[i] += c
-    return tuple(total)
+    return datum_tables(rd).two_rho
 
 
 def coroot_height(rd: RootDatum, lam: Weight) -> int:
     """Pairing of lam with the sum of all positive coroots.  Nonnegative on
-    dominant weights; the natural size measure for enumeration bounds."""
-    total = [0] * rd.rank
-    for _, cov in positive_roots_with_coroots(rd):
-        for i, c in enumerate(cov):
-            total[i] += c
-    return pairing(lam, tuple(total))
+    dominant weights; the natural size measure for enumeration bounds.  On
+    the root lattice it is twice the height, since <alpha_i, rho^vee> = 1."""
+    return pairing(lam, datum_tables(rd).two_rho_check)
+
+
+def dominant_window(rd: RootDatum, bound: int) -> tuple[Weight, ...]:
+    """Dominant weights with coordinates in [-bound, bound] and coroot height
+    at most bound, sorted: the box is enumerated in lexicographic order."""
+    return tuple(w for w in itertools.product(range(-bound, bound + 1), repeat=rd.rank)
+                 if is_dominant(rd, w) and coroot_height(rd, w) <= bound)
 
 
 def _fundamental_covector_bounds(rd: RootDatum, mu: Weight) -> list[int]:
@@ -361,19 +400,9 @@ def _fundamental_covector_bounds(rd: RootDatum, mu: Weight) -> list[int]:
     the simple coroots; those coefficients are nonnegative for finite type,
     which is what makes the box search provably complete.
     """
-    s = rd.semisimple_rank
-    a = cartan_matrix(rd)
-    bounds = []
-    for j in range(s):
-        # fundamental coweight w_j = sum_k m_k alpha_k^vee solves
-        # sum_k m_k A[k][i] = delta_ij, i.e. columns are the rows of A
-        target = [int(i == j) for i in range(s)]
-        coeffs = solve_rational([list(a[k]) for k in range(s)], target)
-        assert coeffs is not None
-        assert all(c >= 0 for c in coeffs), "inverse Cartan must be nonnegative"
-        bound = sum(c * pairing(mu, rd.simple_coroots[k]) for k, c in enumerate(coeffs))
-        bounds.append(int(bound))  # floor of a nonnegative Fraction
-    return bounds
+    tables = datum_tables(rd)
+    labels = [pairing(mu, cov) for cov in rd.simple_coroots]
+    return [pairing(row, labels) // tables.denominator for row in tables.fundamental_coweights]
 
 
 @lru_cache(maxsize=65536)

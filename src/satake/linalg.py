@@ -14,13 +14,6 @@ def identity_matrix(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    if a and b:
-        assert len(a[0]) == len(b)
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]) if b else 0)]
-            for i in range(len(a))]
-
-
 def mat_vec(a: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
     return [sum(r[k] * x[k] for k in range(len(x))) for r in a]
 

@@ -23,7 +23,8 @@ from .errors import DomainError, InconclusiveError, InconsistencyError, ParseErr
 from .lattice import (
     RootDatum,
     Weight,
-    coroot_height,
+    cartan_matrix,
+    dominant_window,
     is_dominant,
     validate_datum,
 )
@@ -74,6 +75,8 @@ class AbstractSemiring:
             raise ParseError("semiring unit is not among the ids")
         self._products: dict[tuple[str, str], tuple[tuple[tuple[str, int], ...], bool]] = {}
         for (a, b), (terms, complete) in products.items():
+            if a not in self.id_set or b not in self.id_set:
+                raise ParseError(f"product ({a},{b}) names an id outside the id set")
             key = (a, b) if a <= b else (b, a)
             canon = tuple(sorted(terms.items()))
             if any(t not in self.id_set for t, _ in canon) or any(m < 1 for _, m in canon):
@@ -150,12 +153,7 @@ def dump_semiring(rd: RootDatum, height_bound: int, seed: int) -> tuple[Abstract
     """
     if height_bound < 0:
         raise DomainError("height bound must be nonnegative")
-    window: list[Weight] = []
-    for coords in itertools.product(range(-height_bound, height_bound + 1), repeat=rd.rank):
-        w = tuple(coords)
-        if is_dominant(rd, w) and coroot_height(rd, w) <= height_bound:
-            window.append(w)
-    window.sort()
+    window = dominant_window(rd, height_bound)
     tokens = [f"x{i:03d}" for i in range(len(window))]
     random.Random(seed).shuffle(tokens)
     label = dict(zip(window, tokens))
@@ -714,11 +712,6 @@ def reconstruct_root_datum(sr: AbstractSemiring, cfg: ReconstructionConfig) -> R
     raise first_error
 
 
-def _cartan_of(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(sum(a * b for a, b in zip(root, cov)) for root in rd.simple_roots)
-                 for cov in rd.simple_coroots)
-
-
 def based_iso(rd1: RootDatum, rd2: RootDatum) -> tuple[tuple[int, ...], ...] | None:
     """A lattice isomorphism carrying the based datum rd1 onto rd2, or None.
 
@@ -736,8 +729,8 @@ def based_iso(rd1: RootDatum, rd2: RootDatum) -> tuple[tuple[int, ...], ...] | N
     if s == 0:
         # no based data to match: any lattice isomorphism works
         return tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
-    a1 = _cartan_of(rd1)
-    a2 = _cartan_of(rd2)
+    a1 = cartan_matrix(rd1)
+    a2 = cartan_matrix(rd2)
     for sigma in itertools.permutations(range(s)):
         if any(a2[sigma[i]][sigma[j]] != a1[i][j] for i in range(s) for j in range(s)):
             continue

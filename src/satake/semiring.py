@@ -16,13 +16,13 @@ from .lattice import (
     Weight,
     WeylWord,
     apply_word,
+    coroot_height,
     dominant_below,
     dominant_representative,
     is_dominant,
     leq_dominance,
     pairing,
     positive_roots_with_coroots,
-    root_coefficients,
     two_rho,
     weyl_orbit,
 )
@@ -47,15 +47,6 @@ def _invariant_form(rd: RootDatum):
     return form
 
 
-def _height_of_difference(rd: RootDatum, mu: Weight, lam: Weight) -> int:
-    """Sum of simple-root coefficients of mu - lam; both comparable weights."""
-    coeffs = root_coefficients(rd, tuple(m - l for l, m in zip(lam, mu)))
-    assert coeffs is not None
-    total = sum(coeffs)
-    assert total.denominator == 1
-    return int(total)
-
-
 @lru_cache(maxsize=4096)
 def _weight_table(rd: RootDatum, lam: Weight) -> tuple[tuple[Weight, int], ...]:
     doms = dominant_below(rd, lam)
@@ -63,9 +54,12 @@ def _weight_table(rd: RootDatum, lam: Weight) -> tuple[tuple[Weight, int], ...]:
         return ((tuple(lam), 1),)
     form = _invariant_form(rd)
     roots = positive_roots_with_coroots(rd)
-    root_heights = [_height_of_difference(rd, root, (0,) * rd.rank) for root, _ in roots]
+    # heights doubled: coroot_height is twice the height on the root lattice
+    root_heights = [coroot_height(rd, root) for root, _ in roots]
     rho2 = two_rho(rd)
-    heights = {nu: _height_of_difference(rd, lam, nu) for nu in doms}
+    lam_height = coroot_height(rd, lam)
+    heights = {nu: lam_height - coroot_height(rd, nu) for nu in doms}
+    assert all(h % 2 == 0 for h in heights.values())
     by_height = sorted(doms, key=lambda nu: (heights[nu], nu))
     mult: dict[Weight, int] = {}
     lam_vec = tuple(2 * x + r for x, r in zip(lam, rho2))

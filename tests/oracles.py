@@ -3,11 +3,23 @@
 The character oracle computes weight multiplicities through the alternating
 orbit-sum quotient (full Weyl group enumeration plus exact Laurent-polynomial
 division), sharing no code path with the Freudenthal recursion or the
-shift-reflect product it checks.
+shift-reflect product it checks.  The box oracle filters a whole coordinate
+box, the reference for ``dominant_window``.
 """
 from __future__ import annotations
 
-from satake.lattice import RootDatum, Weight, two_rho
+import itertools
+
+from satake.lattice import RootDatum, Weight, dual_root_datum, is_dominant, pairing, two_rho
+
+
+def dominant_box(rd: RootDatum, cap: int, height: int | None = None) -> list[Weight]:
+    """Dominant weights with coordinates in [-cap, cap] and, when height is
+    given, coroot height at most height, sorted.  The coroot height pairs
+    with 2rho of the dual datum, the sum of the positive coroots."""
+    rho2_check = two_rho(dual_root_datum(rd))
+    return sorted(w for w in itertools.product(range(-cap, cap + 1), repeat=rd.rank)
+                  if is_dominant(rd, w) and (height is None or pairing(w, rho2_check) <= height))
 
 
 def weyl_elements(rd: RootDatum) -> list[tuple[tuple[tuple[int, ...], ...], int]]:

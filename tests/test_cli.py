@@ -117,6 +117,16 @@ def test_exit_code_corruption(tmp_path: Path):
     run_cli("reconstruct", "--dump", str(dump_file), expect=5)
 
 
+def test_exit_code_stray_product_key(tmp_path: Path):
+    dump_file = tmp_path / "sl2.json"
+    run_cli("dump", "--datum", "SL2", "--bound", "4", "--out", str(dump_file))
+    doc = json.loads(dump_file.read_text())
+    doc["products"].append({"a": "ghost", "b": doc["unit"], "complete": True,
+                            "terms": [{"id": doc["unit"], "mult": 1}]})
+    dump_file.write_text(json.dumps(doc))
+    run_cli("reconstruct", "--dump", str(dump_file), expect=2)
+
+
 def test_datum_file_round_trip(tmp_path: Path):
     from satake.fixtures import FIXTURES
     from satake.lattice import datum_to_json

@@ -1,13 +1,13 @@
 from __future__ import annotations
 
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import datum
+from conftest import SL4, datum
+from oracles import dominant_box
 from satake.errors import DomainError, InvalidDatumError
+from satake.fixtures import FIXTURES
 from satake.lattice import (
     RootDatum,
     apply_word,
@@ -15,8 +15,11 @@ from satake.lattice import (
     cartan_type,
     class_mod_root_lattice,
     conv_hull_leq,
+    coroot_height,
+    datum_tables,
     dominant_below,
     dominant_representative,
+    dominant_window,
     dual_root_datum,
     is_dominant,
     leq_dominance,
@@ -24,21 +27,13 @@ from satake.lattice import (
     positive_roots,
     positive_roots_with_coroots,
     preceq,
+    root_coefficients,
     saturation_set,
     two_rho,
     validate_datum,
     weyl_group_order,
     weyl_orbit,
 )
-
-
-def box(rd, bound):
-    """All dominant weights with coordinates in [-bound, bound]."""
-    out = []
-    for coords in itertools.product(range(-bound, bound + 1), repeat=rd.rank):
-        if is_dominant(rd, coords):
-            out.append(tuple(coords))
-    return out
 
 
 class TestValidation:
@@ -90,6 +85,15 @@ class TestCartan:
         a = cartan_matrix(fixture_datum)
         b = cartan_matrix(dual_root_datum(fixture_datum))
         assert b == tuple(tuple(a[j][i] for j in range(len(a))) for i in range(len(a)))
+
+    def test_fundamental_rows_invert_cartan(self, fixture_datum):
+        tables = datum_tables(fixture_datum)
+        a = cartan_matrix(fixture_datum)
+        s = fixture_datum.semisimple_rank
+        for j, row in enumerate(tables.fundamental_coweights):
+            assert min(row) >= 0
+            assert [sum(row[k] * a[k][i] for k in range(s)) for i in range(s)] == \
+                [tables.denominator * (i == j) for i in range(s)]
 
     def test_pairing(self):
         assert pairing((2,), (1,)) == 2
@@ -150,7 +154,7 @@ class TestOrders:
 
     def test_leq_implies_preceq(self, fixture_datum):
         rd = fixture_datum
-        weights = box(rd, 2)
+        weights = dominant_box(rd, 2)
         for lam in weights:
             for mu in weights:
                 if leq_dominance(rd, lam, mu):
@@ -167,7 +171,7 @@ class TestOrders:
         # leq <=> preceq + equal classes, on a small box for every fixture
         for name in ("SL2", "PGL2", "GL2", "SL3"):
             rd = datum(name)
-            weights = box(rd, 2)
+            weights = dominant_box(rd, 2)
             for lam in weights:
                 for mu in weights:
                     lhs = leq_dominance(rd, lam, mu)
@@ -192,10 +196,22 @@ class TestRoots:
         rho2 = two_rho(fixture_datum)
         for cov in fixture_datum.simple_coroots:
             assert pairing(rho2, cov) == 2
+        rho2_check = datum_tables(fixture_datum).two_rho_check
+        for root in fixture_datum.simple_roots:
+            assert pairing(root, rho2_check) == 2
 
     def test_coroot_pairing_is_two(self, fixture_datum):
         for root, cov in positive_roots_with_coroots(fixture_datum):
             assert pairing(root, cov) == 2
+            assert coroot_height(fixture_datum, root) == 2 * sum(root_coefficients(fixture_datum, root))
+
+
+@pytest.mark.parametrize("rd", [fx.datum for fx in FIXTURES.values()]
+                         + [dual_root_datum(fx.datum) for fx in FIXTURES.values()] + [SL4],
+                         ids=lambda rd: rd.name)
+def test_dominant_window_matches_box(rd):
+    for bound in range(11):
+        assert list(dominant_window(rd, bound)) == dominant_box(rd, bound, height=bound), bound
 
 
 class TestSaturation:
@@ -232,7 +248,7 @@ class TestConvexHull:
     def test_matches_preceq_small(self):
         for name in ("SL2", "PGL2", "SL3", "Sp4"):
             rd = datum(name)
-            weights = [w for w in box(rd, 2)]
+            weights = [w for w in dominant_box(rd, 2)]
             for lam in weights:
                 for mu in weights:
                     assert conv_hull_leq(rd, lam, mu) == preceq(rd, lam, mu), (name, lam, mu)

@@ -11,10 +11,14 @@ from satake.linalg import (
     in_lattice_span,
     integer_solutions,
     lp_feasible_point,
-    mat_mul,
     smith_normal_form,
     solve_rational,
 )
+
+
+def mat_mul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
 
 
 def test_det_small():

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
 
-from conftest import datum
+from conftest import SL4, datum
 from satake.errors import InconclusiveError, InconsistencyError, ParseError
 from satake.fixtures import FIXTURES
 from satake.lattice import RootDatum, cartan_matrix, cartan_type, dual_root_datum, leq_dominance, preceq
@@ -76,6 +77,20 @@ class TestDump:
     def test_malformed_json(self):
         with pytest.raises(ParseError):
             semiring_from_json("{\"unit\": \"a\"}")
+
+    def test_stray_product_key_rejected(self):
+        products = {("e", "e"): ({"e": 1}, True), ("e", "ghost"): ({"e": 1}, True)}
+        with pytest.raises(ParseError, match="outside the id set"):
+            AbstractSemiring(ids=["e"], unit="e", products=products)
+
+    @pytest.mark.parametrize("rd, bound, digest", [
+        (dual_root_datum(FIXTURES["SL3"].datum), 30, "acd7dca1fb6e4efc"),
+        (dual_root_datum(FIXTURES["G2"].datum), 32, "cf7971c7ce75ca83"),
+        (SL4, 16, "42ce87e693e27c4f"),
+    ], ids=["SL3^-30", "G2^-32", "SL4-16"])
+    def test_pinned_dump_digests(self, rd, bound, digest):
+        sr, _ = dump_semiring(rd, bound, seed=0)
+        assert hashlib.sha256(semiring_to_json(sr).encode()).hexdigest()[:16] == digest
 
 
 class TestOrderRecovery:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest
@@ -8,7 +7,7 @@ import pytest
 from conftest import datum
 from oracles import character_by_weyl_formula
 from satake.errors import DomainError
-from satake.lattice import coroot_height, is_dominant, leq_dominance, saturation_set, weyl_orbit
+from satake.lattice import dominant_window, leq_dominance, saturation_set, weyl_orbit
 from satake.semiring import (
     character_product_bruteforce,
     power_decompose,
@@ -18,15 +17,6 @@ from satake.semiring import (
     weight_multiplicities,
     weyl_dim,
 )
-
-
-def small_dominant(rd, height):
-    out = []
-    for coords in itertools.product(range(-height, height + 1), repeat=rd.rank):
-        w = tuple(coords)
-        if is_dominant(rd, w) and coroot_height(rd, w) <= height:
-            out.append(w)
-    return sorted(out)
 
 
 class TestWeightMultiplicities:
@@ -61,7 +51,7 @@ class TestWeightMultiplicities:
     def test_support_is_saturation_set(self):
         for name in ("SL3", "Sp4", "G2"):
             rd = datum(name)
-            for lam in small_dominant(rd, 8):
+            for lam in dominant_window(rd, 8):
                 assert tuple(sorted(weight_multiplicities(rd, lam))) == saturation_set(rd, lam)
 
     def test_w_invariance(self):
@@ -92,7 +82,7 @@ class TestWeylDim:
     def test_equals_table_total(self):
         for name in ("SL2", "SL3", "Sp4", "G2"):
             rd = datum(name)
-            for lam in small_dominant(rd, 8):
+            for lam in dominant_window(rd, 8):
                 assert weyl_dim(rd, lam) == sum(weight_multiplicities(rd, lam).values())
 
 
@@ -105,13 +95,13 @@ class TestTensor:
     def test_unit(self, fixture_datum):
         rd = fixture_datum
         zero = (0,) * rd.rank
-        lam = max(small_dominant(rd, 4))
+        lam = max(dominant_window(rd, 4))
         assert tensor_decompose(rd, lam, zero) == {lam: 1}
 
     def test_matches_bruteforce(self):
         for name in ("SL2", "PGL2", "GL2", "SL3", "Sp4"):
             rd = datum(name)
-            weights = [w for w in small_dominant(rd, 5) if abs(max(w, default=0)) <= 4]
+            weights = [w for w in dominant_window(rd, 5) if abs(max(w, default=0)) <= 4]
             for lam in weights:
                 for mu in weights:
                     assert tensor_decompose(rd, lam, mu) == character_product_bruteforce(rd, lam, mu), (name, lam, mu)
@@ -152,7 +142,7 @@ class TestTensor:
 class TestPower:
     def test_k0(self, fixture_datum):
         zero = (0,) * fixture_datum.rank
-        lam = max(small_dominant(fixture_datum, 4))
+        lam = max(dominant_window(fixture_datum, 4))
         assert power_decompose(fixture_datum, lam, 0) == {zero: 1}
 
     def test_sl2(self):
@@ -179,7 +169,7 @@ class TestPRV:
     def test_randomized_positive(self, name):
         rd = datum(name)
         rng = random.Random(7)
-        pool = [w for w in small_dominant(rd, 6) if any(w)] or [(0,) * rd.rank]
+        pool = [w for w in dominant_window(rd, 6) if any(w)] or [(0,) * rd.rank]
         for _ in range(25):
             k = rng.randint(1, 3)
             mus = [pool[rng.randrange(len(pool))] for _ in range(k)]

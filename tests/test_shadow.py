@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest
@@ -9,8 +8,8 @@ from conftest import datum
 from satake.errors import DomainError
 from satake.lattice import (
     dominant_representative,
+    dominant_window,
     dual_root_datum,
-    is_dominant,
     leq_dominance,
     pairing,
     saturation_set,
@@ -31,16 +30,6 @@ from satake.shadow import (
 
 def ctx(name):
     return SatakeContext.for_group(datum(name))
-
-
-def dominant_coweights(context, height):
-    rd = context.rd_dual
-    out = []
-    for coords in itertools.product(range(-height, height + 1), repeat=rd.rank):
-        w = tuple(coords)
-        if is_dominant(rd, w) and 0 <= orbit_dim(context, w) <= height:
-            out.append(w)
-    return sorted(out)
 
 
 class TestOrbitDim:
@@ -69,7 +58,7 @@ class TestStratum:
     def test_open_stratum(self):
         for name in ("SL2", "PGL2", "Sp4", "G2"):
             c = ctx(name)
-            for mu in dominant_coweights(c, 6):
+            for mu in dominant_window(c.rd_dual, 6):
                 report = stratum(c, mu, mu)
                 assert report.nonempty and report.dim == orbit_dim(c, mu)
 
@@ -83,7 +72,7 @@ class TestStratum:
 
     def test_nonempty_iff_weight_of_dual_irreducible(self):
         c = ctx("Sp4")
-        for mu in dominant_coweights(c, 6):
+        for mu in dominant_window(c.rd_dual, 6):
             support = set(weight_multiplicities(c.rd_dual, mu))
             for nu in saturation_set(c.rd_dual, mu):
                 assert stratum(c, mu, nu).nonempty
@@ -119,7 +108,7 @@ class TestConvolution:
     def test_constituents_coherent(self):
         for name in ("SL2", "PGL2", "SL3", "Sp4"):
             c = ctx(name)
-            weights = dominant_coweights(c, 4)
+            weights = dominant_window(c.rd_dual, 4)
             for mu1 in weights:
                 for mu2 in weights:
                     total = tuple(a + b for a, b in zip(mu1, mu2))
@@ -132,7 +121,7 @@ class TestConvolution:
     def test_prv_component_present(self):
         c = ctx("PGL3")
         rng = random.Random(3)
-        weights = [w for w in dominant_coweights(c, 6) if any(w)]
+        weights = [w for w in dominant_window(c.rd_dual, 6) if any(w)]
         for _ in range(20):
             mus = [weights[rng.randrange(len(weights))] for _ in range(2)]
             words = [tuple(rng.randrange(2) for _ in range(rng.randint(0, 4))) for _ in range(2)]
