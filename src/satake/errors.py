@@ -2,7 +2,8 @@
 
 The CLI maps these onto process exit codes: parse failures exit 2, domain
 precondition violations exit 3, inconclusive verdicts exit 4, and
-mathematical inconsistencies exit 5.
+mathematical inconsistencies exit 5.  ``json_value`` is the type check the
+json file codecs share.
 """
 from __future__ import annotations
 
@@ -45,3 +46,11 @@ class InconsistencyError(SatakeError):
     """Data contradicts a theorem or itself; signals corruption or a bug."""
 
     exit_code = EXIT_INCONSISTENT
+
+
+def json_value(value, kind: type):
+    """value itself when its json type is kind; a json boolean never passes
+    for an integer.  Raises ParseError otherwise."""
+    if type(value) is not kind:
+        raise ParseError(f"expected a json {kind.__name__}, got {value!r}")
+    return value

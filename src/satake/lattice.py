@@ -7,8 +7,10 @@ the datum it should act through.  All functions are pure and safe for
 concurrent use.
 
 Per-datum facts (positive roots and coroots, 2rho, 2rho^vee, the inverse
-Cartan rows) come from the one cached ``datum_tables``; windows of dominant
-weights up to a coroot-height bound come from ``dominant_window``.
+Cartan rows, the Smith form of the root lattice) come from the one cached
+``datum_tables``; simple-root coordinates and X/Q classes are integer
+pairings with its rows.  Windows of dominant weights up to a coroot-height
+bound come from ``dominant_window``.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Sequence
 
-from .errors import DomainError, InvalidDatumError, ParseError
+from .errors import DomainError, InvalidDatumError, ParseError, json_value
 from .linalg import lp_feasible_point, smith_normal_form, solve_rational
 
 Weight = tuple[int, ...]
@@ -272,7 +274,12 @@ def weyl_group_order(rd: RootDatum) -> int:
 def root_coefficients(rd: RootDatum, v: Sequence[int]) -> tuple[Fraction, ...] | None:
     """Coordinates of v in the simple-root basis, or None if v is outside
     their rational span."""
-    return solve_rational(rd.simple_roots, v)
+    tables = datum_tables(rd)
+    scaled = _scaled_root_coordinates(rd, tables.fundamental_coweights, v)
+    for i, x in enumerate(v):
+        if sum(n * alpha[i] for n, alpha in zip(scaled, rd.simple_roots)) != tables.denominator * x:
+            return None
+    return tuple(Fraction(n, tables.denominator) for n in scaled)
 
 
 def leq_dominance(rd: RootDatum, lam: Weight, mu: Weight) -> bool:
@@ -295,17 +302,9 @@ def class_mod_root_lattice(rd: RootDatum, lam: Weight) -> tuple[int, ...]:
     """Canonical representative of lam in X/Q, via Smith normal form of the
     simple-root lattice.  Two weights get equal tuples iff they differ by an
     integral root-lattice element."""
-    s = rd.semisimple_rank
-    if s == 0:
-        return tuple(lam)
-    cols = [[rd.simple_roots[j][i] for j in range(s)] for i in range(rd.rank)]
-    d, u, _ = smith_normal_form(cols)
-    t = [sum(u[i][k] * lam[k] for k in range(rd.rank)) for i in range(rd.rank)]
-    out = []
-    for i in range(rd.rank):
-        di = d[i][i] if i < s else 0
-        out.append(t[i] % di if di != 0 else t[i])
-    return tuple(out)
+    tables = datum_tables(rd)
+    classes = (pairing(row, lam) for row in tables.root_lattice_rows)
+    return tuple(t % d if d else t for t, d in zip(classes, tables.root_lattice_divisors))
 
 
 @dataclass(frozen=True)
@@ -313,39 +312,32 @@ class DatumTables:
     """The facts of one root datum that every layer reads, derived once.
     ``fundamental_coweights[j]`` holds the coefficients of the fundamental
     coweight w_j in the simple coroots times ``denominator``: the rows of the
-    inverse Cartan matrix, kept integral."""
+    inverse Cartan matrix, kept integral.  ``root_lattice_rows`` and
+    ``root_lattice_divisors`` are u and the diagonal of d (0 past the
+    semisimple rank) in the Smith form d = u A v of the simple roots."""
 
     positive_roots_with_coroots: tuple[tuple[Weight, Weight], ...]
     two_rho: Weight
     two_rho_check: Weight
     fundamental_coweights: tuple[tuple[int, ...], ...]
     denominator: int
+    root_lattice_rows: tuple[tuple[int, ...], ...]
+    root_lattice_divisors: tuple[int, ...]
+
+
+def _scaled_root_coordinates(rd: RootDatum, rows: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
+    """Denominator times the simple-root coordinates of v's projection onto
+    the root span: v's pairings with the simple coroots, paired with rows."""
+    labels = [pairing(v, cov) for cov in rd.simple_coroots]
+    return [pairing(row, labels) for row in rows]
 
 
 @lru_cache(maxsize=1024)
 def datum_tables(rd: RootDatum) -> DatumTables:
-    """Positive roots with coroots by orbit saturation of the simple pairs,
-    their sums 2rho and 2rho^vee, and the inverse Cartan rows.  Needs a
-    finite-type datum: saturation does not end otherwise."""
-    dual = dual_root_datum(rd)
-    seen: set[tuple[Weight, Weight]] = set()
-    frontier = list(zip(rd.simple_roots, rd.simple_coroots))
-    seen.update(frontier)
-    while frontier:
-        nxt = []
-        for root, cov in frontier:
-            for i in range(rd.semisimple_rank):
-                pair = (reflect(rd, i, root), reflect(dual, i, cov))
-                if pair not in seen:
-                    seen.add(pair)
-                    nxt.append(pair)
-        frontier = nxt
-    positive = []
-    for root, cov in sorted(seen):
-        coeffs = root_coefficients(rd, root)
-        assert coeffs is not None
-        if all(c >= 0 for c in coeffs):
-            positive.append((root, cov))
+    """Inverse Cartan rows, positive roots with coroots by orbit saturation,
+    2rho, 2rho^vee and the Smith form of the root lattice.  Raises
+    InvalidDatumError unless of finite type (saturation needs it to end)."""
+    cartan_type(rd)
     # w_j = sum_k m_k alpha_k^vee solves sum_k m_k A[k][i] = delta_ij; the
     # m_k are nonnegative for finite type
     s = rd.semisimple_rank
@@ -354,13 +346,32 @@ def datum_tables(rd: RootDatum) -> DatumTables:
     assert all(row is not None and all(c >= 0 for c in row) for row in inverse), \
         "inverse Cartan must be nonnegative"
     denominator = lcm(*(c.denominator for row in inverse for c in row))
+    rows = tuple(tuple(int(c * denominator) for c in row) for row in inverse)
+    dual = dual_root_datum(rd)
+    seen: set[tuple[Weight, Weight]] = set()
+    frontier = list(zip(rd.simple_roots, rd.simple_coroots))
+    seen.update(frontier)
+    while frontier:
+        nxt = []
+        for root, cov in frontier:
+            for i in range(s):
+                pair = (reflect(rd, i, root), reflect(dual, i, cov))
+                if pair not in seen:
+                    seen.add(pair)
+                    nxt.append(pair)
+        frontier = nxt
+    positive = [(root, cov) for root, cov in sorted(seen)
+                if all(n >= 0 for n in _scaled_root_coordinates(rd, rows, root))]
+    d, u, _ = smith_normal_form([[alpha[i] for alpha in rd.simple_roots] for i in range(rd.rank)])
     zero = (0,) * rd.rank
     return DatumTables(
         positive_roots_with_coroots=tuple(positive),
         two_rho=tuple(map(sum, zip(zero, *(root for root, _ in positive)))),
         two_rho_check=tuple(map(sum, zip(zero, *(cov for _, cov in positive)))),
-        fundamental_coweights=tuple(tuple(int(c * denominator) for c in row) for row in inverse),
+        fundamental_coweights=rows,
         denominator=denominator,
+        root_lattice_rows=tuple(map(tuple, u)),
+        root_lattice_divisors=tuple(d[i][i] if i < s else 0 for i in range(rd.rank)),
     )
 
 
@@ -401,8 +412,8 @@ def _fundamental_covector_bounds(rd: RootDatum, mu: Weight) -> list[int]:
     which is what makes the box search provably complete.
     """
     tables = datum_tables(rd)
-    labels = [pairing(mu, cov) for cov in rd.simple_coroots]
-    return [pairing(row, labels) // tables.denominator for row in tables.fundamental_coweights]
+    return [n // tables.denominator
+            for n in _scaled_root_coordinates(rd, tables.fundamental_coweights, mu)]
 
 
 @lru_cache(maxsize=65536)
@@ -477,9 +488,9 @@ def datum_from_json(text: str) -> RootDatum:
     try:
         doc = json.loads(text)
         rd = RootDatum(
-            rank=int(doc["rank"]),
-            simple_roots=tuple(tuple(int(c) for c in v) for v in doc["simple_roots"]),
-            simple_coroots=tuple(tuple(int(c) for c in v) for v in doc["simple_coroots"]),
+            rank=json_value(doc["rank"], int),
+            simple_roots=tuple(tuple(json_value(c, int) for c in v) for v in doc["simple_roots"]),
+            simple_coroots=tuple(tuple(json_value(c, int) for c in v) for v in doc["simple_coroots"]),
             name=doc.get("name"),
         )
     except InvalidDatumError:

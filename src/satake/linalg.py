@@ -53,7 +53,6 @@ def solve_rational(columns: Sequence[Sequence[int]],
     n = len(target)
     rows = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])]
             for i in range(n)]
-    piv_rows: list[int] = []
     r = 0
     for c in range(k):
         piv = next((i for i in range(r, n) if rows[i][c] != 0), None)
@@ -66,7 +65,6 @@ def solve_rational(columns: Sequence[Sequence[int]],
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        piv_rows.append(r)
         r += 1
     for i in range(r, n):
         if rows[i][k] != 0:

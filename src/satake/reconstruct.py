@@ -16,16 +16,16 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 
-from .errors import DomainError, InconclusiveError, InconsistencyError, ParseError
+from .errors import DomainError, InconclusiveError, InconsistencyError, ParseError, json_value
 from .lattice import (
     RootDatum,
     Weight,
     cartan_matrix,
     dominant_window,
     is_dominant,
+    pairing,
     validate_datum,
 )
 from .linalg import (
@@ -477,41 +477,28 @@ def recover_leq(sr: AbstractSemiring, cfg: ReconstructionConfig, a: str, b: str,
     return recover_preceq(sr, cfg, a, b)
 
 
-def _positive_functional(gens: tuple[tuple[int, ...], ...]) -> list[Fraction]:
-    """An exact rational functional phi with phi(g) >= 1 on every generator.
+def _positive_functional(gens: tuple[tuple[int, ...], ...]) -> list[int]:
+    """An integer functional phi, positive on every generator.
 
-    Positivity on the primitive point of each ray gives positivity on the
-    whole ray, so only one representative per direction matters.  The
-    feasible set {phi : phi(g) >= 1}, taken inside the span of the rays, is
-    a pointed polyhedron, so when nonempty it has a vertex where dim-many
-    independent constraints are tight; exact vertex enumeration finds one.
+    Only one primitive point per ray matters.  Inside the span of the rays,
+    {phi : phi(g) >= 1} is a pointed polyhedron; when nonempty it has a
+    vertex where rank-many independent rays are tight.  For each such subset
+    with Gram matrix G, Cramer's rule in integers gives det(G) times that
+    vertex as a combination of the subset; it is kept when it reaches det(G)
+    on every ray.
     """
     r = len(gens[0])
     rays = sorted({tuple(c // gcd(*(abs(x) for x in g)) for c in g) for g in gens})
-
-    def matrix_rank(columns: list[int]) -> int:
-        mat = [[g[t] for t in columns] for g in rays]
-        d, _, _ = smith_normal_form(mat)
-        return sum(1 for i in range(min(len(mat), len(columns))) if d[i][i] != 0)
-
-    # coordinate positions carrying the span of the rays; a functional
-    # supported there reaches every functional on the span
-    positions: list[int] = []
-    for j in range(r):
-        if matrix_rank(positions + [j]) == len(positions) + 1:
-            positions.append(j)
-    for combo in itertools.combinations(range(len(rays)), len(positions)):
-        cols_m = [[rays[i][t] for i in combo] for t in positions]
-        try:
-            sol = solve_rational(cols_m, [1] * len(combo))
-        except ValueError:
+    d, _, _ = smith_normal_form([list(g) for g in rays])
+    k = sum(1 for i in range(min(len(rays), r)) if d[i][i] != 0)
+    for combo in itertools.combinations(rays, k):
+        gram = [[pairing(x, y) for y in combo] for x in combo]
+        det = det_int(gram)
+        if det == 0:
             continue
-        if sol is None:
-            continue
-        phi = [Fraction(0)] * r
-        for t, value in zip(positions, sol):
-            phi[t] = value
-        if all(sum(p * c for p, c in zip(phi, g)) >= 1 for g in rays):
+        mu = [det_int([row[:t] + [1] + row[t + 1:] for row in gram]) for t in range(k)]
+        phi = [sum(m * ray[i] for m, ray in zip(mu, combo)) for i in range(r)]
+        if all(pairing(phi, g) >= det for g in rays):
             return phi
     raise InconsistencyError("harvested root cone is not pointed")
 
@@ -524,7 +511,7 @@ def extract_simple_roots(q_generators: tuple[tuple[int, ...], ...]) -> tuple[tup
         return ()
     phi = _positive_functional(tuple(gens))
 
-    def phi_val(v: tuple[int, ...]) -> Fraction:
+    def phi_val(v: tuple[int, ...]) -> int:
         return sum(p * c for p, c in zip(phi, v))
 
     min_phi = min(phi_val(g) for g in gens)
@@ -787,8 +774,8 @@ def semiring_from_json(text: str) -> AbstractSemiring:
         products = {}
         for entry in doc["products"]:
             key = (str(entry["a"]), str(entry["b"]))
-            terms = {str(t["id"]): int(t["mult"]) for t in entry["terms"]}
-            products[key] = (terms, bool(entry["complete"]))
+            terms = {str(t["id"]): json_value(t["mult"], int) for t in entry["terms"]}
+            products[key] = (terms, json_value(entry["complete"], bool))
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ParseError(f"malformed semiring dump: {exc}") from exc
     return AbstractSemiring(ids=ids, unit=unit, products=products)

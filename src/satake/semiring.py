@@ -217,11 +217,7 @@ def power_decompose(rd: RootDatum, lam: Weight, k: int) -> Decomposition:
     if k < 0:
         raise DomainError("tensor power needs k >= 0")
     _check_dominant(rd, lam)
-    acc = unit_decomposition(rd)
-    single = {tuple(lam): 1}
-    for _ in range(k):
-        acc = multiply_decompositions(rd, acc, single)
-    return acc
+    return tensor_decompose_list(rd, [tuple(lam)] * k)
 
 
 def tensor_decompose_list(rd: RootDatum, weights: Sequence[Weight]) -> Decomposition:

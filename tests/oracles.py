@@ -4,13 +4,17 @@ The character oracle computes weight multiplicities through the alternating
 orbit-sum quotient (full Weyl group enumeration plus exact Laurent-polynomial
 division), sharing no code path with the Freudenthal recursion or the
 shift-reflect product it checks.  The box oracle filters a whole coordinate
-box, the reference for ``dominant_window``.
+box, the reference for ``dominant_window``.  The root-coordinate and X/Q
+oracles solve each query from scratch (an exact rational solve, a Smith
+normal form), the references for the per-datum tables in ``lattice``.
 """
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from satake.lattice import RootDatum, Weight, dual_root_datum, is_dominant, pairing, two_rho
+from satake.linalg import smith_normal_form, solve_rational
 
 
 def dominant_box(rd: RootDatum, cap: int, height: int | None = None) -> list[Weight]:
@@ -20,6 +24,27 @@ def dominant_box(rd: RootDatum, cap: int, height: int | None = None) -> list[Wei
     rho2_check = two_rho(dual_root_datum(rd))
     return sorted(w for w in itertools.product(range(-cap, cap + 1), repeat=rd.rank)
                   if is_dominant(rd, w) and (height is None or pairing(w, rho2_check) <= height))
+
+
+def root_coefficients_by_solve(rd: RootDatum, v: Weight) -> tuple[Fraction, ...] | None:
+    """Simple-root coordinates of v by one exact solve, or None off their span."""
+    return solve_rational(rd.simple_roots, v)
+
+
+def class_by_smith_form(rd: RootDatum, lam: Weight) -> tuple[int, ...]:
+    """Class of lam in X/Q from a fresh Smith normal form of the simple-root
+    lattice: u * lam, reduced modulo each nonzero divisor."""
+    s = rd.semisimple_rank
+    if s == 0:
+        return tuple(lam)
+    cols = [[rd.simple_roots[j][i] for j in range(s)] for i in range(rd.rank)]
+    d, u, _ = smith_normal_form(cols)
+    t = [sum(u[i][k] * lam[k] for k in range(rd.rank)) for i in range(rd.rank)]
+    out = []
+    for i in range(rd.rank):
+        di = d[i][i] if i < s else 0
+        out.append(t[i] % di if di != 0 else t[i])
+    return tuple(out)
 
 
 def weyl_elements(rd: RootDatum) -> list[tuple[tuple[tuple[int, ...], ...], int]]:

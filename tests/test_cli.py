@@ -127,6 +127,35 @@ def test_exit_code_stray_product_key(tmp_path: Path):
     run_cli("reconstruct", "--dump", str(dump_file), expect=2)
 
 
+def _first_mult_one(doc):
+    return next(t for entry in doc["products"] for t in entry["terms"] if t["mult"] == 1)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: next(e for e in doc["products"] if not e["complete"]).update(complete="false"),
+    lambda doc: _first_mult_one(doc).update(mult=1.5),
+    lambda doc: _first_mult_one(doc).update(mult=True),
+], ids=["complete-string", "mult-float", "mult-bool"])
+def test_exit_code_mistyped_dump(tmp_path: Path, edit):
+    dump_file = tmp_path / "sl2.json"
+    run_cli("dump", "--datum", "SL2", "--bound", "4", "--out", str(dump_file))
+    doc = json.loads(dump_file.read_text())
+    edit(doc)
+    dump_file.write_text(json.dumps(doc))
+    run_cli("reconstruct", "--dump", str(dump_file), expect=2)
+
+
+@pytest.mark.parametrize("rank, roots, coroots", [
+    (1, [[2.5]], [[1]]),
+    (1, [[2]], [[True]]),
+    (True, [[2]], [[1]]),
+], ids=["root-float", "coroot-bool", "rank-bool"])
+def test_mistyped_datum_file(tmp_path: Path, rank, roots, coroots):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"rank": rank, "simple_roots": roots, "simple_coroots": coroots}))
+    run_cli("orbits", "--datum", str(path), "--bound", "2", expect=2)
+
+
 def test_datum_file_round_trip(tmp_path: Path):
     from satake.fixtures import FIXTURES
     from satake.lattice import datum_to_json

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SL4, datum
-from oracles import dominant_box
+from oracles import class_by_smith_form, dominant_box, root_coefficients_by_solve
 from satake.errors import DomainError, InvalidDatumError
 from satake.fixtures import FIXTURES
 from satake.lattice import (
@@ -55,6 +55,21 @@ class TestValidation:
         rd = RootDatum(3, ((1, 0, 0), (0, 1, 0)), ((2, -2, 0), (-2, 2, 1)))
         with pytest.raises(InvalidDatumError, match="not finite type"):
             validate_datum(rd)
+
+    def test_tables_reject_affine(self):
+        # orbit saturation never ends off finite type: the tables must refuse
+        rd = RootDatum(2, ((2, -2), (-2, 2)), ((1, 0), (0, 1)))
+        with pytest.raises(InvalidDatumError, match="not finite type"):
+            coroot_height(rd, (1, 1))
+
+    def test_validation_does_not_build_tables(self):
+        rd = RootDatum(3, ((2, 0, 0), (0, 0, 2)), ((1, 0, 0), (0, 0, 1)))
+        info = datum_tables.cache_info()
+        cartan_matrix(rd)
+        cartan_type(rd)
+        validate_datum(rd)
+        after = datum_tables.cache_info()
+        assert after.hits + after.misses == info.hits + info.misses
 
     def test_positive_offdiagonal(self):
         rd = RootDatum(2, ((2, 1), (1, 2)), ((1, 0), (0, 1)))
@@ -206,12 +221,32 @@ class TestRoots:
             assert coroot_height(fixture_datum, root) == 2 * sum(root_coefficients(fixture_datum, root))
 
 
-@pytest.mark.parametrize("rd", [fx.datum for fx in FIXTURES.values()]
-                         + [dual_root_datum(fx.datum) for fx in FIXTURES.values()] + [SL4],
-                         ids=lambda rd: rd.name)
+ALL_DATA = ([fx.datum for fx in FIXTURES.values()]
+            + [dual_root_datum(fx.datum) for fx in FIXTURES.values()] + [SL4])
+
+
+@pytest.mark.parametrize("rd", ALL_DATA, ids=lambda rd: rd.name)
 def test_dominant_window_matches_box(rd):
     for bound in range(11):
         assert list(dominant_window(rd, bound)) == dominant_box(rd, bound, height=bound), bound
+
+
+@pytest.mark.parametrize("rd", ALL_DATA, ids=lambda rd: rd.name)
+@settings(max_examples=50, deadline=None)
+@given(vec=st.lists(st.integers(-20, 20), min_size=3, max_size=3))
+def test_root_coordinates_match_oracles(rd, vec):
+    v = tuple(vec[:rd.rank])
+    assert root_coefficients(rd, v) == root_coefficients_by_solve(rd, v)
+    assert class_mod_root_lattice(rd, v) == class_by_smith_form(rd, v)
+
+
+def test_root_coefficients_off_span():
+    # GL2's one root spans a line in Z^2: off it both sides return None
+    gl2 = datum("GL2")
+    for v in [(1, 0), (0, 1), (1, 1), (3, -2)]:
+        assert root_coefficients(gl2, v) is None
+        assert root_coefficients_by_solve(gl2, v) is None
+    assert root_coefficients(gl2, (3, -3)) == root_coefficients_by_solve(gl2, (3, -3)) == (3,)
 
 
 class TestSaturation:

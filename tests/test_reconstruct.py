@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -91,6 +92,18 @@ class TestDump:
     def test_pinned_dump_digests(self, rd, bound, digest):
         sr, _ = dump_semiring(rd, bound, seed=0)
         assert hashlib.sha256(semiring_to_json(sr).encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("rd, bound, digest", [
+        (dual_root_datum(FIXTURES["G2"].datum), 32, "1283eb81af763c6c"),
+        (dual_root_datum(FIXTURES["GL2"].datum), 8, "24dccc3c85034fc0"),
+        (SL4, 16, "7807983c9c4d8f07"),
+    ], ids=["G2^-32", "GL2^-8", "SL4-16"])
+    def test_pinned_reconstruction_digests(self, rd, bound, digest):
+        sr, _ = dump_semiring(rd, bound, seed=0)
+        rec = reconstruct_root_datum(sr, CFG)
+        doc = {"roots": rec.datum.simple_roots, "coroots": rec.datum.simple_coroots,
+               "labeling": sorted(rec.labeling.items()), "log": rec.log, "warnings": rec.warnings}
+        assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16] == digest
 
 
 class TestOrderRecovery:
@@ -307,6 +320,9 @@ class TestExtraction:
         assert extract_simple_roots(((2,), (4,), (6,))) == ((2,),)
         assert set(extract_simple_roots(((1, 0), (0, 1), (1, 1), (2, 1)))) == {(1, 0), (0, 1)}
         assert extract_simple_roots(()) == ()
+        # rays spanning a proper subspace of Z^3
+        assert extract_simple_roots(((1, -1, 0), (0, 1, -1), (1, 0, -1), (2, -1, -1))) == \
+            ((0, 1, -1), (1, -1, 0))
 
     def test_simple_roots_reject_unpointed(self):
         from satake.reconstruct import extract_simple_roots
