@@ -10,7 +10,15 @@ Per-datum facts (positive roots and coroots, 2rho, 2rho^vee, the inverse
 Cartan rows, the Smith form of the root lattice) come from the one cached
 ``datum_tables``; simple-root coordinates and X/Q classes are integer
 pairings with its rows.  Windows of dominant weights up to a coroot-height
-bound come from ``dominant_window``.
+bound come from ``dominant_window``, which solves the last coordinate's
+integer interval for each head of the box instead of filtering the box.
+
+Weights stay vectors at the API.  Internally the dominant chamber fold runs
+on Dynkin labels (the pairings with the simple coroots, as in LiE and
+Stembridge's "Computational aspects of root systems"): a weight is dominant
+when all its labels are >= 0, and the reflection s_i subtracts labels[i]
+times column i of the Cartan matrix.  ``dominant_representative`` and the
+Klimyk product in ``semiring`` share that fold.
 """
 from __future__ import annotations
 
@@ -69,6 +77,7 @@ def pairing(weight: Sequence[int], coweight: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(weight, coweight))
 
 
+@lru_cache(maxsize=1024)
 def cartan_matrix(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
     """A[i][j] = <simple_roots[j], simple_coroots[i]>."""
     return tuple(
@@ -231,20 +240,52 @@ def apply_word(rd: RootDatum, word: Sequence[int], lam: Weight) -> Weight:
     return v
 
 
+def _fold_labels(cartan: Sequence[Sequence[int]], labels: Sequence[int]
+                 ) -> tuple[list[int], list[int], WeylWord]:
+    """Fold Dynkin labels into the dominant chamber.
+
+    Reflects at the smallest negative label i until none is left: s_i sends
+    label j to labels[j] - c * A[j][i] with c = labels[i], and moves the
+    weight by -c alpha_i.  Returns the final labels, the coefficients c_i
+    with folded weight = weight - sum(c_i alpha_i), and the word (rightmost
+    letter applied first).
+    """
+    labels = list(labels)
+    coeffs = [0] * len(labels)
+    applied: list[int] = []
+    while True:
+        for i, c in enumerate(labels):
+            if c < 0:
+                break
+        else:
+            return labels, coeffs, tuple(reversed(applied))
+        for j, row in enumerate(cartan):
+            labels[j] -= c * row[i]
+        coeffs[i] += c
+        applied.append(i)
+
+
 def dominant_representative(rd: RootDatum, lam: Weight) -> tuple[Weight, WeylWord]:
     """The dominant W-orbit representative and a word carrying lam onto it.
 
-    Always reflects at the smallest violating index, so the word is
-    deterministic.  apply_word(rd, word, lam) equals the returned weight.
+    The fold runs on Dynkin labels (one pairing per simple coroot, then one
+    Cartan column per reflection) and always reflects at the smallest
+    violating index, so the word is deterministic.  apply_word(rd, word, lam)
+    equals the returned weight.
     """
-    v = tuple(lam)
-    applied: list[int] = []
-    while True:
-        i = next((i for i, cov in enumerate(rd.simple_coroots) if pairing(v, cov) < 0), None)
-        if i is None:
-            return v, tuple(reversed(applied))
-        v = reflect(rd, i, v)
-        applied.append(i)
+    labels = [pairing(lam, cov) for cov in rd.simple_coroots]
+    _, coeffs, word = _fold_labels(cartan_matrix(rd), labels)
+    return _subtract_roots(rd, lam, coeffs), word
+
+
+def _subtract_roots(rd: RootDatum, v: Sequence[int], coeffs: Sequence[int]) -> Weight:
+    """v - sum(c_i alpha_i) over the simple roots."""
+    out = list(v)
+    for c, alpha in zip(coeffs, rd.simple_roots):
+        if c:
+            for k, a in enumerate(alpha):
+                out[k] -= c * a
+    return tuple(out)
 
 
 @lru_cache(maxsize=65536)
@@ -398,9 +439,37 @@ def coroot_height(rd: RootDatum, lam: Weight) -> int:
 
 def dominant_window(rd: RootDatum, bound: int) -> tuple[Weight, ...]:
     """Dominant weights with coordinates in [-bound, bound] and coroot height
-    at most bound, sorted: the box is enumerated in lexicographic order."""
-    return tuple(w for w in itertools.product(range(-bound, bound + 1), repeat=rd.rank)
-                 if is_dominant(rd, w) and coroot_height(rd, w) <= bound)
+    at most bound, in lexicographic order.
+
+    Enumerated directly: for each head in the box over the first rank - 1
+    coordinates, every constraint <w, alpha_i^vee> >= 0, <w, 2rho^vee> <=
+    bound is linear in the last coordinate x, so together with |x| <= bound
+    they cut out one integer interval for x.
+    """
+    if bound < 0:
+        return ()
+    if rd.rank == 0:
+        return ((),)
+    # each (a, offset) requires offset + <head, a[:-1]> + a[-1] * x >= 0 of
+    # the last coordinate x: the simple coroots, then bound - <w, 2rho^vee>
+    height = datum_tables(rd).two_rho_check
+    functionals = [(cov, 0) for cov in rd.simple_coroots]
+    functionals.append((tuple(-h for h in height), bound))
+    window = []
+    for head in itertools.product(range(-bound, bound + 1), repeat=rd.rank - 1):
+        lo, hi = -bound, bound
+        for a, offset in functionals:
+            p = offset + sum(x * y for x, y in zip(head, a))
+            q = a[-1]
+            if q > 0:
+                lo = max(lo, -(p // q))
+            elif q < 0:
+                hi = min(hi, p // -q)
+            elif p < 0:
+                hi = lo - 1
+                break
+        window.extend(head + (x,) for x in range(lo, hi + 1))
+    return tuple(window)
 
 
 def _fundamental_covector_bounds(rd: RootDatum, mu: Weight) -> list[int]:

@@ -518,21 +518,29 @@ def extract_simple_roots(q_generators: tuple[tuple[int, ...], ...]) -> tuple[tup
     memo: dict[tuple[int, ...], bool] = {}
 
     def in_semigroup(v: tuple[int, ...]) -> bool:
-        """Nonempty nonnegative-integer combination reaching v."""
+        """Nonempty nonnegative-integer combination reaching v.  Depth-first
+        on an explicit stack of [vector, next generator index] frames, so a
+        long chain of subtractions cannot exhaust the interpreter stack."""
         if v in memo:
             return memo[v]
         memo[v] = False  # cycle guard; phi strictly decreases so cycles are vacuous
-        hit = False
-        for g in gens:
-            w = tuple(x - y for x, y in zip(v, g))
-            if not any(w):
-                hit = True
-                break
-            if phi_val(w) >= min_phi and in_semigroup(w):
-                hit = True
-                break
-        memo[v] = hit
-        return hit
+        stack = [[v, 0]]
+        while stack:
+            frame = stack[-1]
+            u, k = frame
+            if k == len(gens):
+                stack.pop()  # no generator reaches u: memo[u] stays False
+                continue
+            w = tuple(x - y for x, y in zip(u, gens[k]))
+            if not any(w) or (memo.get(w) and phi_val(w) >= min_phi):
+                memo[u] = True
+                stack.pop()
+            elif w not in memo and phi_val(w) >= min_phi:
+                memo[w] = False
+                stack.append([w, 0])  # frame u retries gens[k] once w is decided
+            else:
+                frame[1] += 1
+        return memo[v]
 
     simples = []
     for g in gens:
@@ -769,12 +777,12 @@ def semiring_to_json(sr: AbstractSemiring) -> str:
 def semiring_from_json(text: str) -> AbstractSemiring:
     try:
         doc = json.loads(text)
-        ids = [str(x) for x in doc["ids"]]
-        unit = str(doc["unit"])
+        ids = [json_value(x, str) for x in doc["ids"]]
+        unit = json_value(doc["unit"], str)
         products = {}
         for entry in doc["products"]:
-            key = (str(entry["a"]), str(entry["b"]))
-            terms = {str(t["id"]): json_value(t["mult"], int) for t in entry["terms"]}
+            key = (json_value(entry["a"], str), json_value(entry["b"], str))
+            terms = {json_value(t["id"], str): json_value(t["mult"], int) for t in entry["terms"]}
             products[key] = (terms, json_value(entry["complete"], bool))
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ParseError(f"malformed semiring dump: {exc}") from exc

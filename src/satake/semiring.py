@@ -15,7 +15,10 @@ from .lattice import (
     RootDatum,
     Weight,
     WeylWord,
+    _fold_labels,
+    _subtract_roots,
     apply_word,
+    cartan_matrix,
     coroot_height,
     dominant_below,
     dominant_representative,
@@ -48,10 +51,11 @@ def _invariant_form(rd: RootDatum):
 
 
 @lru_cache(maxsize=4096)
-def _weight_table(rd: RootDatum, lam: Weight) -> tuple[tuple[Weight, int], ...]:
+def _weight_table(rd: RootDatum, lam: Weight) -> tuple[tuple[Weight, tuple[int, ...], int], ...]:
+    """The weight diagram of V_lam as sorted (weight, Dynkin labels, mult)."""
     doms = dominant_below(rd, lam)
     if rd.semisimple_rank == 0:
-        return ((tuple(lam), 1),)
+        return ((tuple(lam), (), 1),)
     form = _invariant_form(rd)
     roots = positive_roots_with_coroots(rd)
     # heights doubled: coroot_height is twice the height on the root lattice
@@ -91,14 +95,15 @@ def _weight_table(rd: RootDatum, lam: Weight) -> tuple[tuple[Weight, int], ...]:
     for nu, m in mult.items():
         for w in weyl_orbit(rd, nu):
             table[w] = m
-    return tuple(sorted(table.items()))
+    return tuple((w, tuple(pairing(w, cov) for cov in rd.simple_coroots), m)
+                 for w, m in sorted(table.items()))
 
 
 def weight_multiplicities(rd: RootDatum, lam: Weight) -> WeightTable:
     """Full weight diagram of the irreducible with highest weight lam, by
     Freudenthal recursion over the dominant weights below lam."""
     _check_dominant(rd, lam)
-    return dict(_weight_table(rd, tuple(lam)))
+    return {w: m for w, _, m in _weight_table(rd, tuple(lam))}
 
 
 @lru_cache(maxsize=65536)
@@ -133,16 +138,18 @@ def _half(vec: tuple[int, ...]) -> Weight:
 def _tensor_cached(rd: RootDatum, lam: Weight, mu: Weight) -> tuple[tuple[Weight, int], ...]:
     if weyl_dim(rd, mu) > weyl_dim(rd, lam):
         lam, mu = mu, lam
-    table = _weight_table(rd, mu)
-    rho2 = two_rho(rd)
+    cartan = cartan_matrix(rd)
+    lam_labels = [2 * pairing(lam, cov) + 2 for cov in rd.simple_coroots]
+    lam2 = [2 * x for x in lam]
     acc: dict[Weight, int] = {}
-    for nu, m in table:
-        shifted = tuple(2 * a + 2 * b + r for a, b, r in zip(lam, nu, rho2))
-        rep, word = dominant_representative(rd, shifted)
-        if any(pairing(rep, cov) == 0 for cov in rd.simple_coroots):
+    for nu, nu_labels, m in _weight_table(rd, mu):
+        # 2(lam + nu) + 2rho has labels 2 lam_i + 2 nu_i + 2; its fold minus
+        # 2rho is 2(lam + nu) - sum(c_i alpha_i), twice the target
+        labels, coeffs, word = _fold_labels(cartan, [a + 2 * b for a, b in zip(lam_labels, nu_labels)])
+        if 0 in labels:
             continue  # on a wall: cancels
+        target = _half(_subtract_roots(rd, [a + 2 * b for a, b in zip(lam2, nu)], coeffs))
         sign = -1 if len(word) % 2 else 1
-        target = _half(tuple(x - r for x, r in zip(rep, rho2)))
         acc[target] = acc.get(target, 0) + sign * m
     for m in acc.values():
         if m < 0:

@@ -4,7 +4,9 @@ The character oracle computes weight multiplicities through the alternating
 orbit-sum quotient (full Weyl group enumeration plus exact Laurent-polynomial
 division), sharing no code path with the Freudenthal recursion or the
 shift-reflect product it checks.  The box oracle filters a whole coordinate
-box, the reference for ``dominant_window``.  The root-coordinate and X/Q
+box, the reference for ``dominant_window``; the reflection oracle folds a
+weight vector one reflection at a time, the reference for the Dynkin-label
+fold behind ``dominant_representative``.  The root-coordinate and X/Q
 oracles solve each query from scratch (an exact rational solve, a Smith
 normal form), the references for the per-datum tables in ``lattice``.
 """
@@ -13,7 +15,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from satake.lattice import RootDatum, Weight, dual_root_datum, is_dominant, pairing, two_rho
+from satake.lattice import RootDatum, Weight, WeylWord, dual_root_datum, is_dominant, pairing, reflect, two_rho
 from satake.linalg import smith_normal_form, solve_rational
 
 
@@ -24,6 +26,20 @@ def dominant_box(rd: RootDatum, cap: int, height: int | None = None) -> list[Wei
     rho2_check = two_rho(dual_root_datum(rd))
     return sorted(w for w in itertools.product(range(-cap, cap + 1), repeat=rd.rank)
                   if is_dominant(rd, w) and (height is None or pairing(w, rho2_check) <= height))
+
+
+def dominant_representative_by_reflection(rd: RootDatum, lam: Weight) -> tuple[Weight, WeylWord]:
+    """The dominant W-orbit representative and a word carrying lam onto it,
+    reflecting the weight vector at the smallest violating index until it is
+    dominant and pairing it with every simple coroot at each step."""
+    v = tuple(lam)
+    applied: list[int] = []
+    while True:
+        i = next((i for i, cov in enumerate(rd.simple_coroots) if pairing(v, cov) < 0), None)
+        if i is None:
+            return v, tuple(reversed(applied))
+        v = reflect(rd, i, v)
+        applied.append(i)
 
 
 def root_coefficients_by_solve(rd: RootDatum, v: Weight) -> tuple[Fraction, ...] | None:

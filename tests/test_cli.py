@@ -127,6 +127,16 @@ def test_exit_code_stray_product_key(tmp_path: Path):
     run_cli("reconstruct", "--dump", str(dump_file), expect=2)
 
 
+def test_exit_code_numeric_token(tmp_path: Path):
+    dump_file = tmp_path / "sl2.json"
+    run_cli("dump", "--datum", "SL2", "--bound", "4", "--out", str(dump_file))
+    # the unit token becomes the json number 7 everywhere it occurs
+    text = dump_file.read_text().replace(json.dumps(json.loads(dump_file.read_text())["unit"]), "7")
+    assert json.loads(text)["unit"] == 7
+    dump_file.write_text(text)
+    run_cli("reconstruct", "--dump", str(dump_file), expect=2)
+
+
 def _first_mult_one(doc):
     return next(t for entry in doc["products"] for t in entry["terms"] if t["mult"] == 1)
 

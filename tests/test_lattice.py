@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SL4, datum
-from oracles import class_by_smith_form, dominant_box, root_coefficients_by_solve
+from oracles import (
+    class_by_smith_form,
+    dominant_box,
+    dominant_representative_by_reflection,
+    root_coefficients_by_solve,
+)
 from satake.errors import DomainError, InvalidDatumError
 from satake.fixtures import FIXTURES
 from satake.lattice import (
@@ -225,10 +230,27 @@ ALL_DATA = ([fx.datum for fx in FIXTURES.values()]
             + [dual_root_datum(fx.datum) for fx in FIXTURES.values()] + [SL4])
 
 
-@pytest.mark.parametrize("rd", ALL_DATA, ids=lambda rd: rd.name)
+# edge cases of the window: a central torus in rank 3 (labels do not
+# determine the weight), a pure torus (2rho^vee = 0) and the rank-0 datum
+GL3 = RootDatum(3, ((1, -1, 0), (0, 1, -1)), ((1, -1, 0), (0, 1, -1)), name="GL3")
+TORUS2 = RootDatum(2, (), (), name="T2")
+TORUS0 = RootDatum(0, (), (), name="T0")
+
+
+@pytest.mark.parametrize("rd", ALL_DATA + [GL3, TORUS2, TORUS0], ids=lambda rd: rd.name)
 def test_dominant_window_matches_box(rd):
-    for bound in range(11):
+    for bound in range(-3, 11):
         assert list(dominant_window(rd, bound)) == dominant_box(rd, bound, height=bound), bound
+
+
+@pytest.mark.parametrize("rd", ALL_DATA + [GL3], ids=lambda rd: rd.name)
+@settings(max_examples=60, deadline=None)
+@given(vec=st.lists(st.integers(-12, 12), min_size=3, max_size=3))
+def test_dominant_representative_matches_reflection(rd, vec):
+    lam = tuple(vec[:rd.rank])
+    rep, word = dominant_representative(rd, lam)
+    assert (rep, word) == dominant_representative_by_reflection(rd, lam)
+    assert apply_word(rd, word, lam) == rep
 
 
 @pytest.mark.parametrize("rd", ALL_DATA, ids=lambda rd: rd.name)

@@ -324,6 +324,12 @@ class TestExtraction:
         assert extract_simple_roots(((1, -1, 0), (0, 1, -1), (1, 0, -1), (2, -1, -1))) == \
             ((0, 1, -1), (1, -1, 0))
 
+    def test_simple_roots_long_chain(self):
+        from satake.reconstruct import extract_simple_roots
+
+        # (1500,) is 1500 copies of (1,): the semigroup search goes that deep
+        assert extract_simple_roots(((1,), (1500,))) == ((1,),)
+
     def test_simple_roots_reject_unpointed(self):
         from satake.reconstruct import extract_simple_roots
 

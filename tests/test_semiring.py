@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import datum
+from conftest import SL4, datum
 from oracles import character_by_weyl_formula
 from satake.errors import DomainError
 from satake.lattice import dominant_window, leq_dominance, saturation_set, weyl_orbit
@@ -99,12 +99,16 @@ class TestTensor:
         assert tensor_decompose(rd, lam, zero) == {lam: 1}
 
     def test_matches_bruteforce(self):
-        for name in ("SL2", "PGL2", "GL2", "SL3", "Sp4"):
-            rd = datum(name)
-            weights = [w for w in dominant_window(rd, 5) if abs(max(w, default=0)) <= 4]
+        cases = [(datum(name), [w for w in dominant_window(datum(name), 5) if abs(max(w, default=0)) <= 4])
+                 for name in ("SL2", "PGL2", "GL2", "SL3", "Sp4")]
+        # the rank-3 SL4 folds three Dynkin labels at once
+        cases += [(datum("PGL3"), dominant_window(datum("PGL3"), 10)),
+                  (datum("G2"), dominant_window(datum("G2"), 20)),
+                  (SL4, dominant_window(SL4, 10))]
+        for rd, weights in cases:
             for lam in weights:
                 for mu in weights:
-                    assert tensor_decompose(rd, lam, mu) == character_product_bruteforce(rd, lam, mu), (name, lam, mu)
+                    assert tensor_decompose(rd, lam, mu) == character_product_bruteforce(rd, lam, mu), (rd.name, lam, mu)
 
     def test_commutative(self):
         rd = datum("G2")
