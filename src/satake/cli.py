@@ -100,6 +100,15 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
+def _read_text(path: Path) -> str:
+    """The UTF-8 text of an input file; a file that cannot be read or decoded
+    is a parse failure, not a crash."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {str(path)!r}: {exc}") from exc
+
+
 def _load_datum(spec: str) -> tuple[RootDatum, dict]:
     """--datum accepts a shipped fixture name or a JSON file path."""
     try:
@@ -112,7 +121,7 @@ def _load_datum(spec: str) -> tuple[RootDatum, dict]:
     path = Path(spec)
     if not path.exists():
         raise ParseError(f"no fixture or file named {spec!r}")
-    text = path.read_text(encoding="utf-8")
+    text = _read_text(path)
     return datum_from_json(text), {"datum": str(path), "datum_sha256": _digest(text)}
 
 
@@ -252,7 +261,7 @@ def reconstruct(dump_file: str, kmax: int, strict: bool, fmt: str, out: str | No
     path = Path(dump_file)
     if not path.exists():
         raise ParseError(f"no such dump file: {dump_file}")
-    text = path.read_text(encoding="utf-8")
+    text = _read_text(path)
     sr = semiring_from_json(text)
     cfg = ReconstructionConfig(k_max=kmax, strict=strict)
     recovered = reconstruct_root_datum(sr, cfg)

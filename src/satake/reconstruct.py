@@ -15,8 +15,10 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from math import gcd
+from types import MappingProxyType
 
 from .errors import DomainError, InconclusiveError, InconsistencyError, ParseError, json_value
 from .lattice import (
@@ -38,7 +40,8 @@ from .linalg import (
 from .semiring import tensor_decompose
 
 Verdict = bool | None
-Expansion = tuple[dict[str, int], bool]  # id -> multiplicity, fully-expanded flag
+Support = tuple[int, bool]  # id bitmask (bit i is ids[i]), fully-expanded flag
+ProductEntry = tuple[tuple[tuple[str, int], ...], bool]  # sorted (id, multiplicity) terms, complete
 
 
 @dataclass(frozen=True)
@@ -63,8 +66,16 @@ class AbstractSemiring:
     product table.  ``complete=False`` marks products whose constituents may
     fall outside the id window.
 
-    Product, power, and evidence caches are filled lazily and only ever
-    grow; entries are immutable once written.
+    Order evidence reads only which ids occur in a product, never with what
+    multiplicity, so powers and their products with a witness are kept as
+    supports: an int whose bit i marks ``ids[i]``, with the fully-expanded
+    flag.  Every dump multiplicity is at least 1, so the support of a product
+    of sums is the union of the supports of its term products.  One row per
+    right factor x holds the supports of ``ids[i] * x``.
+
+    The row, power, witness-product and evidence caches are owned by this
+    class, filled lazily, and only ever grow; entries are immutable once
+    written.
     """
 
     def __init__(self, ids, unit: str, products) -> None:
@@ -73,7 +84,7 @@ class AbstractSemiring:
         self.unit = unit
         if unit not in self.id_set:
             raise ParseError("semiring unit is not among the ids")
-        self._products: dict[tuple[str, str], tuple[tuple[tuple[str, int], ...], bool]] = {}
+        self._products: dict[tuple[str, str], ProductEntry] = {}
         for (a, b), (terms, complete) in products.items():
             if a not in self.id_set or b not in self.id_set:
                 raise ParseError(f"product ({a},{b}) names an id outside the id set")
@@ -89,10 +100,18 @@ class AbstractSemiring:
             entry = self._products.get((a, unit) if a <= unit else (unit, a))
             if entry is None or dict(entry[0]) != {a: 1} or not entry[1]:
                 raise ParseError(f"unit product for {a} is missing or wrong")
-        self._powers: dict[tuple[str, int], Expansion] = {}
-        self._times: dict[tuple[str, int, str], Expansion] = {}
+        self._bit = {x: 1 << i for i, x in enumerate(self.ids)}
+        self._rows: dict[str, list[Support]] = {}
+        self._powers: dict[tuple[str, int], Support] = {}
+        self._times: dict[tuple[str, int, str], Support] = {}
         self._evidence: dict[tuple[str, str, int], tuple[str, int]] = {}
         self._expandable: dict[int, tuple[str, ...]] = {}
+
+    @property
+    def product_table(self) -> Mapping[tuple[str, str], ProductEntry]:
+        """Read-only view of the canonical entries: (a, b) with a <= b maps
+        to the sorted (id, multiplicity) terms and the completeness flag."""
+        return MappingProxyType(self._products)
 
     def product(self, a: str, b: str) -> tuple[dict[str, int], bool]:
         key = (a, b) if a <= b else (b, a)
@@ -105,28 +124,44 @@ class AbstractSemiring:
         key = (a, b) if a <= b else (b, a)
         return key in self._products
 
-    def _multiply(self, expansion: Expansion, x: str) -> Expansion:
-        terms, complete = expansion
-        out: dict[str, int] = {}
-        for y, m in terms.items():
-            pterms, pcomplete = self.product(y, x)
-            if not pcomplete:
-                complete = False
-            for z, mz in pterms.items():
-                out[z] = out.get(z, 0) + m * mz
+    def _row(self, x: str) -> list[Support]:
+        """Supports of ids[i] * x; a product missing from the dump is (0, False)."""
+        row = self._rows.get(x)
+        if row is None:
+            bit = self._bit
+            row = []
+            for y in self.ids:
+                entry = self._products.get((y, x) if y <= x else (x, y))
+                if entry is None:
+                    row.append((0, False))
+                else:
+                    row.append((sum(bit[t] for t, _ in entry[0]), entry[1]))
+            self._rows[x] = row
+        return row
+
+    def _multiply(self, support: Support, x: str) -> Support:
+        mask, complete = support
+        row = self._row(x)
+        out = 0
+        while mask:
+            low = mask & -mask
+            pmask, pcomplete = row[low.bit_length() - 1]
+            out |= pmask
+            complete = complete and pcomplete
+            mask ^= low
         return out, complete
 
-    def power(self, a: str, k: int) -> Expansion:
+    def power(self, a: str, k: int) -> Support:
         if k < 1:
-            return {self.unit: 1}, True
+            return self._bit[self.unit], True
         key = (a, k)
         cached = self._powers.get(key)
         if cached is None:
-            cached = ({a: 1}, True) if k == 1 else self._multiply(self.power(a, k - 1), a)
+            cached = (self._bit[a], True) if k == 1 else self._multiply(self.power(a, k - 1), a)
             self._powers[key] = cached
         return cached
 
-    def power_times(self, b: str, k: int, u: str) -> Expansion:
+    def power_times(self, b: str, k: int, u: str) -> Support:
         key = (b, k, u)
         cached = self._times.get(key)
         if cached is None:
@@ -142,6 +177,58 @@ class AbstractSemiring:
             cached = tuple(x for x in self.ids if self.power(x, k_max)[1])
             self._expandable[k_max] = cached
         return cached
+
+    def evidence(self, a: str, b: str, k_max: int) -> tuple[str, int]:
+        """One-directional evidence for a ⪯ b up to exponent k_max.
+
+        Returns ('T'|'F'|'?', n) where n counts the fully expandable
+        exponents of a.  'T': some witness u contains every power's
+        constituents, found explicitly.  'F': every candidate witness fails
+        on complete data.  Containment is a test on id bitmasks: the support
+        of a^k must lie inside the support of b^k * u.
+        """
+        key = (a, b, k_max)
+        cached = self._evidence.get(key)
+        if cached is not None:
+            return cached
+        powers_a: dict[int, int] = {}
+        for k in range(1, k_max + 1):
+            mask, complete = self.power(a, k)
+            if complete:
+                powers_a[k] = mask
+        checkable = sorted(powers_a)
+        small = set(self.expandable_ids(k_max))
+        witness_found = False
+        any_unknown = False
+        for u in self.ids:
+            failed = False
+            unknown = False
+            for k in checkable:
+                prod_mask, prod_complete = self.power_times(b, k, u)
+                if powers_a[k] & ~prod_mask:
+                    if prod_complete:
+                        failed = True
+                        break
+                    unknown = True
+            if failed:
+                continue
+            # when the window clips the checkable exponents, only small
+            # witnesses certify a True: a window-sized u makes many pairs
+            # look comparable at the few exponents that remain visible
+            if unknown or (u not in small and len(checkable) < k_max):
+                any_unknown = True
+                continue
+            witness_found = True
+            break
+        # a single checkable exponent cannot separate the two sides of a
+        # pair, so strength-1 positives stay inconclusive
+        if witness_found and len(checkable) < 2:
+            witness_found = False
+            any_unknown = True
+        verdict = "T" if witness_found else ("?" if any_unknown else "F")
+        result = (verdict, len(checkable))
+        self._evidence[key] = result
+        return result
 
 
 def dump_semiring(rd: RootDatum, height_bound: int, seed: int) -> tuple[AbstractSemiring, dict[str, Weight]]:
@@ -168,61 +255,6 @@ def dump_semiring(rd: RootDatum, height_bound: int, seed: int) -> tuple[Abstract
     return semiring, {token: w for w, token in label.items()}
 
 
-def _evidence(sr: AbstractSemiring, cfg: ReconstructionConfig, a: str, b: str) -> tuple[str, int]:
-    """One-directional evidence for a ⪯ b.
-
-    Returns ('T'|'F'|'?', n) where n counts the fully expandable exponents
-    of a.  'T': some witness u contains every power's constituents, found
-    explicitly.  'F': every candidate witness fails on complete data.
-    """
-    key = (a, b, cfg.k_max)
-    cached = sr._evidence.get(key)
-    if cached is not None:
-        return cached
-    powers_a: dict[int, dict[str, int]] = {}
-    for k in range(1, cfg.k_max + 1):
-        terms, complete = sr.power(a, k)
-        if complete:
-            powers_a[k] = terms
-    checkable = sorted(powers_a)
-    small = set(sr.expandable_ids(cfg.k_max))
-    witness_found = False
-    any_unknown = False
-    for u in sr.ids:
-        failed = False
-        unknown = False
-        for k in checkable:
-            prod_terms, prod_complete = sr.power_times(b, k, u)
-            for nu in powers_a[k]:
-                if nu not in prod_terms:
-                    if prod_complete:
-                        failed = True
-                    else:
-                        unknown = True
-                    break
-            if failed:
-                break
-        if failed:
-            continue
-        # when the window clips the checkable exponents, only small witnesses
-        # certify a True: a window-sized u makes many pairs look comparable
-        # at the few exponents that remain visible
-        if unknown or (u not in small and len(checkable) < cfg.k_max):
-            any_unknown = True
-            continue
-        witness_found = True
-        break
-    # a single checkable exponent cannot separate the two sides of a pair,
-    # so strength-1 positives stay inconclusive
-    if witness_found and len(checkable) < 2:
-        witness_found = False
-        any_unknown = True
-    verdict = "T" if witness_found else ("?" if any_unknown else "F")
-    result = (verdict, len(checkable))
-    sr._evidence[key] = result
-    return result
-
-
 def _directed_verdict(sr: AbstractSemiring, cfg: ReconstructionConfig,
                       a: str, b: str) -> tuple[Verdict, int]:
     """Suppression-resolved verdict for a ⪯ b with the evidence strength.
@@ -230,8 +262,8 @@ def _directed_verdict(sr: AbstractSemiring, cfg: ReconstructionConfig,
     Opposing witness claims are ranked by how many exponents each side could
     actually check; ties suppress both claims to inconclusive.
     """
-    va, sa = _evidence(sr, cfg, a, b)
-    vb, sb = _evidence(sr, cfg, b, a)
+    va, sa = sr.evidence(a, b, cfg.k_max)
+    vb, sb = sr.evidence(b, a, cfg.k_max)
     if va == "T":
         if vb == "T" and sb >= sa:
             return None, sa
@@ -486,12 +518,23 @@ def _positive_functional(gens: tuple[tuple[int, ...], ...]) -> list[int]:
     with Gram matrix G, Cramer's rule in integers gives det(G) times that
     vertex as a combination of the subset; it is kept when it reaches det(G)
     on every ray.
+
+    Only irreducible rays are tried as tight ones.  A ray g with g - h also a
+    ray h is a sum of two rays; an accepted phi has phi(g) >= 2 det(G), while
+    each ray of the accepted subset has phi = det(G) > 0, so g is never in
+    it.  Dropping such rays keeps the order of the remaining subsets, so the
+    first accepted one, and phi, are unchanged.  The rank and the acceptance
+    test still use every ray, so a cone that is not pointed is still
+    rejected.
     """
     r = len(gens[0])
     rays = sorted({tuple(c // gcd(*(abs(x) for x in g)) for c in g) for g in gens})
     d, _, _ = smith_normal_form([list(g) for g in rays])
     k = sum(1 for i in range(min(len(rays), r)) if d[i][i] != 0)
-    for combo in itertools.combinations(rays, k):
+    ray_set = set(rays)
+    candidates = [g for g in rays
+                  if not any(tuple(x - y for x, y in zip(g, h)) in ray_set for h in rays)]
+    for combo in itertools.combinations(candidates, k):
         gram = [[pairing(x, y) for y in combo] for x in combo]
         det = det_int(gram)
         if det == 0:
@@ -763,7 +806,7 @@ def based_iso(rd1: RootDatum, rd2: RootDatum) -> tuple[tuple[int, ...], ...] | N
 
 def semiring_to_json(sr: AbstractSemiring) -> str:
     products = []
-    for (a, b), (terms, complete) in sorted(sr._products.items()):
+    for (a, b), (terms, complete) in sorted(sr.product_table.items()):
         products.append({
             "a": a,
             "b": b,

@@ -8,15 +8,23 @@ box, the reference for ``dominant_window``; the reflection oracle folds a
 weight vector one reflection at a time, the reference for the Dynkin-label
 fold behind ``dominant_representative``.  The root-coordinate and X/Q
 oracles solve each query from scratch (an exact rational solve, a Smith
-normal form), the references for the per-datum tables in ``lattice``.
+normal form), the references for the per-datum tables in ``lattice``.  The
+expansion oracle recomputes order evidence from multiplicity dicts built on
+the public ``product``, the reference for the id-bitmask supports of
+``AbstractSemiring.evidence``; the all-subsets oracle tries every rank-sized
+subset of the rays, the reference for the pruned vertex search of
+``reconstruct._positive_functional``.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
+from satake.errors import InconsistencyError
 from satake.lattice import RootDatum, Weight, WeylWord, dual_root_datum, is_dominant, pairing, reflect, two_rho
-from satake.linalg import smith_normal_form, solve_rational
+from satake.linalg import det_int, smith_normal_form, solve_rational
+from satake.reconstruct import AbstractSemiring
 
 
 def dominant_box(rd: RootDatum, cap: int, height: int | None = None) -> list[Weight]:
@@ -153,3 +161,102 @@ def character_product(rd: RootDatum, lam: Weight, mu: Weight) -> dict[Weight, in
             key = tuple(x + y for x, y in zip(a, b))
             out[key] = out.get(key, 0) + ma * mb
     return out
+
+
+Expansion = tuple[dict[str, int], bool]  # id -> multiplicity, fully-expanded flag
+
+
+def evidence_by_expansion(sr: AbstractSemiring, k_max: int) -> dict[tuple[str, str], tuple[str, int]]:
+    """Evidence ('T'|'F'|'?', checkable exponents) for a ⪯ b on every ordered
+    pair of ids, multiplying out powers with integer multiplicities."""
+    powers: dict[tuple[str, int], Expansion] = {}
+    times: dict[tuple[str, int, str], Expansion] = {}
+
+    def multiply(expansion: Expansion, x: str) -> Expansion:
+        terms, complete = expansion
+        out: dict[str, int] = {}
+        for y, m in terms.items():
+            pterms, pcomplete = sr.product(y, x)
+            if not pcomplete:
+                complete = False
+            for z, mz in pterms.items():
+                out[z] = out.get(z, 0) + m * mz
+        return out, complete
+
+    def power(a: str, k: int) -> Expansion:
+        if k < 1:
+            return {sr.unit: 1}, True
+        key = (a, k)
+        cached = powers.get(key)
+        if cached is None:
+            cached = ({a: 1}, True) if k == 1 else multiply(power(a, k - 1), a)
+            powers[key] = cached
+        return cached
+
+    def power_times(b: str, k: int, u: str) -> Expansion:
+        key = (b, k, u)
+        cached = times.get(key)
+        if cached is None:
+            cached = multiply(power(b, k), u)
+            times[key] = cached
+        return cached
+
+    small = {x for x in sr.ids if power(x, k_max)[1]}
+
+    def evidence(a: str, b: str) -> tuple[str, int]:
+        powers_a: dict[int, dict[str, int]] = {}
+        for k in range(1, k_max + 1):
+            terms, complete = power(a, k)
+            if complete:
+                powers_a[k] = terms
+        checkable = sorted(powers_a)
+        witness_found = False
+        any_unknown = False
+        for u in sr.ids:
+            failed = False
+            unknown = False
+            for k in checkable:
+                prod_terms, prod_complete = power_times(b, k, u)
+                for nu in powers_a[k]:
+                    if nu not in prod_terms:
+                        if prod_complete:
+                            failed = True
+                        else:
+                            unknown = True
+                        break
+                if failed:
+                    break
+            if failed:
+                continue
+            if unknown or (u not in small and len(checkable) < k_max):
+                any_unknown = True
+                continue
+            witness_found = True
+            break
+        if witness_found and len(checkable) < 2:
+            witness_found = False
+            any_unknown = True
+        verdict = "T" if witness_found else ("?" if any_unknown else "F")
+        return verdict, len(checkable)
+
+    return {(a, b): evidence(a, b) for a in sr.ids for b in sr.ids}
+
+
+def positive_functional_by_all_subsets(gens: tuple[tuple[int, ...], ...]) -> list[int]:
+    """An integer functional positive on every generator: the first
+    rank-sized subset of primitive rays, in lexicographic order, whose
+    Cramer vertex reaches det(G) on every ray."""
+    r = len(gens[0])
+    rays = sorted({tuple(c // gcd(*(abs(x) for x in g)) for c in g) for g in gens})
+    d, _, _ = smith_normal_form([list(g) for g in rays])
+    k = sum(1 for i in range(min(len(rays), r)) if d[i][i] != 0)
+    for combo in itertools.combinations(rays, k):
+        gram = [[pairing(x, y) for y in combo] for x in combo]
+        det = det_int(gram)
+        if det == 0:
+            continue
+        mu = [det_int([row[:t] + [1] + row[t + 1:] for row in gram]) for t in range(k)]
+        phi = [sum(m * ray[i] for m, ray in zip(mu, combo)) for i in range(r)]
+        if all(pairing(phi, g) >= det for g in rays):
+            return phi
+    raise InconsistencyError("harvested root cone is not pointed")

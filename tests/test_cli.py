@@ -198,3 +198,23 @@ def test_json_reports_deterministic():
     runs = [run_cli("prv", "--datum", "SL2", "--trials", "10", "--seed", "11", "--format", "json")
             for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+def _unreadable_input(tmp_path: Path, kind: str) -> Path:
+    if kind == "directory":
+        return tmp_path
+    path = tmp_path / "bytes.json"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    return path
+
+
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+@pytest.mark.parametrize("command", [
+    lambda path: ["reconstruct", "--dump", str(path)],
+    lambda path: ["orbits", "--datum", str(path), "--bound", "2"],
+], ids=["dump", "datum"])
+def test_unreadable_input_file(tmp_path: Path, command, kind):
+    proc = subprocess.run(SATAKE + command(_unreadable_input(tmp_path, kind)),
+                          capture_output=True, text=True)
+    assert proc.returncode == 2, (proc.returncode, proc.stderr)
+    assert "Traceback" not in proc.stderr

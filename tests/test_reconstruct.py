@@ -5,11 +5,15 @@ import itertools
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import SL4, datum
+from oracles import evidence_by_expansion, positive_functional_by_all_subsets
 from satake.errors import InconclusiveError, InconsistencyError, ParseError
 from satake.fixtures import FIXTURES
 from satake.lattice import RootDatum, cartan_matrix, cartan_type, dual_root_datum, leq_dominance, preceq
+from satake.linalg import smith_normal_form
 from satake.reconstruct import (
     AbstractSemiring,
     ReconstructionConfig,
@@ -21,6 +25,7 @@ from satake.reconstruct import (
     recover_leq,
     recover_sum,
     reconstruct_root_datum,
+    _positive_functional,
     semiring_from_json,
     semiring_to_json,
     verify_reconstruction,
@@ -32,6 +37,19 @@ CFG = ReconstructionConfig()
 def sl2_dump(bound=4, seed=0):
     sr, truth = dump_semiring(datum("SL2"), bound, seed)
     return sr, truth, {w: t for t, w in truth.items()}
+
+
+def sl2_with_edited_multiplicity():
+    """The SL2 bound-4 dump with the multiplicity of (0) in (1)x(1) set to 2:
+    every support is unchanged, the product table now lies."""
+    sr, truth = dump_semiring(datum("SL2"), 4, seed=0)
+    inv = {w: t for t, w in truth.items()}
+    key = tuple(sorted((inv[(1,)], inv[(1,)])))
+    terms, complete = sr.product(*key)
+    terms[inv[(0,)]] = 2  # single multiplicity edit
+    products = {k: (dict(v[0]), v[1]) for k, v in sr.product_table.items()}
+    products[key] = (terms, complete)
+    return AbstractSemiring(ids=sr.ids, unit=sr.unit, products=products)
 
 
 class TestDump:
@@ -97,13 +115,15 @@ class TestDump:
         (dual_root_datum(FIXTURES["G2"].datum), 32, "1283eb81af763c6c"),
         (dual_root_datum(FIXTURES["GL2"].datum), 8, "24dccc3c85034fc0"),
         (SL4, 16, "7807983c9c4d8f07"),
-    ], ids=["G2^-32", "GL2^-8", "SL4-16"])
+        (SL4, 20, "a3b4723b22406831"),
+    ], ids=["G2^-32", "GL2^-8", "SL4-16", "SL4-20"])
     def test_pinned_reconstruction_digests(self, rd, bound, digest):
         sr, _ = dump_semiring(rd, bound, seed=0)
         rec = reconstruct_root_datum(sr, CFG)
         doc = {"roots": rec.datum.simple_roots, "coroots": rec.datum.simple_coroots,
                "labeling": sorted(rec.labeling.items()), "log": rec.log, "warnings": rec.warnings}
         assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16] == digest
+        assert based_iso(rec.datum, rd) is not None
 
 
 class TestOrderRecovery:
@@ -147,6 +167,25 @@ class TestOrderRecovery:
                 if verdict is None:
                     continue
                 assert verdict == leq_dominance(rd, truth[a], truth[b]), (truth[a], truth[b])
+
+
+class TestEvidence:
+    @pytest.mark.parametrize("make", [
+        lambda: dump_semiring(dual_root_datum(datum("GL2")), 8, seed=0)[0],
+        lambda: dump_semiring(dual_root_datum(datum("Sp4")), FIXTURES["Sp4"].dump_bound, seed=0)[0],
+        lambda: dump_semiring(datum("SL3"), 8, seed=0)[0],
+        sl2_with_edited_multiplicity,
+    ], ids=["GL2^-8", "Sp4^", "SL3-8", "SL2-edited"])
+    def test_matches_expansion_oracle(self, make):
+        sr = make()
+        for k_max in (2, 3, 4):
+            evidence = {(a, b): sr.evidence(a, b, k_max) for a in sr.ids for b in sr.ids}
+            assert evidence == evidence_by_expansion(sr, k_max), k_max
+
+    def test_truncated_window_is_unknown_somewhere(self):
+        sr, _ = dump_semiring(datum("SL3"), 8, seed=0)
+        verdicts = {sr.evidence(a, b, 4)[0] for a in sr.ids for b in sr.ids}
+        assert verdicts == {"T", "F", "?"}
 
 
 class TestSum:
@@ -281,16 +320,8 @@ class TestNegativeControls:
         assert based_iso(fixture_datum, fixture_datum) is not None
 
     def test_corrupted_multiplicity_detected(self):
-        sr, truth = dump_semiring(datum("SL2"), 4, seed=0)
-        inv = {w: t for t, w in truth.items()}
-        key = tuple(sorted((inv[(1,)], inv[(1,)])))
-        terms, complete = sr.product(*key)
-        terms[inv[(0,)]] = 2  # single multiplicity edit
-        products = {k: (dict(v[0]), v[1]) for k, v in sr._products.items()}
-        products[key] = (terms, complete)
-        corrupted = AbstractSemiring(ids=sr.ids, unit=sr.unit, products=products)
         with pytest.raises(InconsistencyError):
-            reconstruct_root_datum(corrupted, CFG)
+            reconstruct_root_datum(sl2_with_edited_multiplicity(), CFG)
 
     def test_shrunken_dump_inconclusive(self):
         sr, _ = dump_semiring(datum("SL3"), 4, seed=0)
@@ -335,6 +366,31 @@ class TestExtraction:
 
         with pytest.raises(InconsistencyError):
             extract_simple_roots(((1,), (-1,)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from([2, 3]))
+    def test_functional_matches_all_subsets(self, data, dim):
+        # a pointed cone: nonnegative combinations of an independent set
+        size = data.draw(st.integers(1, dim))
+        vector = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+        basis = data.draw(st.lists(vector, min_size=size, max_size=size))
+        d, _, _ = smith_normal_form(basis)
+        assume(all(d[i][i] != 0 for i in range(size)))
+        coeffs = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=size, max_size=size)
+                                    .filter(any), min_size=1, max_size=6))
+        rays = [tuple(sum(c * v[i] for c, v in zip(cs, basis)) for i in range(dim)) for cs in coeffs]
+        rays += [tuple(x + y for x, y in zip(g, h)) for g, h in itertools.combinations(rays, 2)]
+        gens = tuple(sorted(set(rays)))
+        assert _positive_functional(gens) == positive_functional_by_all_subsets(gens)
+
+    def test_functional_rejects_unpointed_after_pruning(self):
+        # (1,1) = (1,0) + (0,1), (-1,1) = (-1,0) + (0,1) and (0,1) = (1,0) + (-1,1)
+        # are pruned, leaving the line through (1,0) and (-1,0)
+        gens = ((1, 0), (-1, 0), (0, 1), (1, 1), (-1, 1))
+        with pytest.raises(InconsistencyError):
+            positive_functional_by_all_subsets(gens)
+        with pytest.raises(InconsistencyError):
+            _positive_functional(gens)
 
     def test_coroot_functional_sl2(self):
         from satake.reconstruct import extract_simple_coroots, recover_Qplus, recover_monoid
