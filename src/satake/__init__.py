@@ -40,6 +40,7 @@ from .semiring import (
     Decomposition,
     character_product_bruteforce,
     power_decompose,
+    product_table,
     prv_multiplicity,
     tensor_decompose,
     tensor_decompose_list,

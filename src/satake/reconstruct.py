@@ -17,6 +17,7 @@ import json
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from math import gcd
 from types import MappingProxyType
 
@@ -37,7 +38,7 @@ from .linalg import (
     smith_normal_form,
     solve_rational,
 )
-from .semiring import tensor_decompose
+from .semiring import product_table
 
 Verdict = bool | None
 Support = tuple[int, bool]  # id bitmask (bit i is ids[i]), fully-expanded flag
@@ -245,12 +246,9 @@ def dump_semiring(rd: RootDatum, height_bound: int, seed: int) -> tuple[Abstract
     random.Random(seed).shuffle(tokens)
     label = dict(zip(window, tokens))
     products = {}
-    for i, wa in enumerate(window):
-        for wb in window[i:]:
-            dec = tensor_decompose(rd, wa, wb)
-            terms = {label[nu]: m for nu, m in dec.items() if nu in label}
-            complete = len(terms) == len(dec)
-            products[(label[wa], label[wb])] = (terms, complete)
+    for (i, j), dec in product_table(rd, window).items():
+        terms = {label[nu]: m for nu, m in dec if nu in label}
+        products[(tokens[i], tokens[j])] = (terms, len(terms) == len(dec))
     semiring = AbstractSemiring(ids=tokens, unit=label[(0,) * rd.rank], products=products)
     return semiring, {token: w for w, token in label.items()}
 
@@ -450,7 +448,6 @@ def recover_monoid(sr: AbstractSemiring, cfg: ReconstructionConfig,
                 changed = True
 
     core = sorted(x for x in embedding if x != sr.unit)
-    unrelated = [x for x in nonunit if x not in embedding]
     generators: list[str] = []
     chosen: list[tuple[int, ...]] = []
     for x in sorted(core, key=lambda x: (sum(abs(c) for c in embedding[x]), embedding[x])):
@@ -460,7 +457,6 @@ def recover_monoid(sr: AbstractSemiring, cfg: ReconstructionConfig,
     resolved = {(a, b) for a, b, _ in seen}
     skipped = [f"seed sum({a},{b}) ambiguous under truncation"
                for a, b in unresolved if (a, b) not in resolved]
-    skipped.extend(f"id {x} left unlabeled" for x in unrelated)
     return MonoidRecovery(
         generators=tuple(generators),
         embedding=embedding,
@@ -676,25 +672,25 @@ def verify_reconstruction(sr: AbstractSemiring, recovered: RecoveredDatum) -> li
     labeled = set(labeling)
     core = sorted(labeled)
     by_weight = {w: x for x, w in labeling.items()}
-    for i, a in enumerate(core):
-        for b in core[i:]:
-            if not sr.has_product(a, b):
-                continue
-            terms, complete = sr.product(a, b)
-            expected = tensor_decompose(recovered.datum, weight_of[a], weight_of[b])
-            visible = {by_weight[nu]: m for nu, m in expected.items() if nu in by_weight}
-            for t, m in terms.items():
-                if t in labeled and visible.get(t) != m:
-                    mism.append(f"product ({a},{b}): term {t} has multiplicity {m}, expected {visible.get(t, 0)}")
-            for t, m in visible.items():
-                if t not in terms:
-                    mism.append(f"product ({a},{b}): expected term {t} (multiplicity {m}) missing")
-            dump_total = sum(terms.values())
-            true_total = sum(expected.values())
-            if complete and dump_total != true_total:
-                mism.append(f"product ({a},{b}): complete but totals {dump_total} != {true_total}")
-            if not complete and dump_total >= true_total:
-                mism.append(f"product ({a},{b}): marked incomplete but already full")
+    table = product_table(recovered.datum, [weight_of[x] for x in core])
+    for (i, j), expected in table.items():
+        a, b = core[i], core[j]
+        if not sr.has_product(a, b):
+            continue
+        terms, complete = sr.product(a, b)
+        visible = {by_weight[nu]: m for nu, m in expected if nu in by_weight}
+        for t, m in terms.items():
+            if t in labeled and visible.get(t) != m:
+                mism.append(f"product ({a},{b}): term {t} has multiplicity {m}, expected {visible.get(t, 0)}")
+        for t, m in visible.items():
+            if t not in terms:
+                mism.append(f"product ({a},{b}): expected term {t} (multiplicity {m}) missing")
+        dump_total = sum(terms.values())
+        true_total = sum(m for _, m in expected)
+        if complete and dump_total != true_total:
+            mism.append(f"product ({a},{b}): complete but totals {dump_total} != {true_total}")
+        if not complete and dump_total >= true_total:
+            mism.append(f"product ({a},{b}): marked incomplete but already full")
     return mism
 
 
@@ -719,6 +715,12 @@ def _reconstruct_at_grade(sr: AbstractSemiring, cfg: ReconstructionConfig,
     if mismatches:
         detail = "; ".join(mismatches[:5])
         raise InconsistencyError(f"dump does not match the recovered datum: {detail}")
+    # the self-check compares labeled products only, so a labeled subring
+    # (the even weights of PGL2^, say) passes it as a different datum
+    unlabeled = [x for x in sr.ids if x not in labeling]
+    if unlabeled:
+        raise InconclusiveError(f"{len(unlabeled)} ids left unlabeled at grade {grade}: "
+                                + ", ".join(unlabeled[:5]))
     return recovered
 
 
@@ -804,17 +806,32 @@ def based_iso(rd1: RootDatum, rd2: RootDatum) -> tuple[tuple[int, ...], ...] | N
     return None
 
 
+def _json_array(items: list[str], indent: str) -> str:
+    """Encoded items as a json array in the ``indent=2`` layout, opened at
+    the given indentation."""
+    if not items:
+        return "[]"
+    inner = ",\n".join(f"{indent}  {item}" for item in items)
+    return f"[\n{inner}\n{indent}]"
+
+
 def semiring_to_json(sr: AbstractSemiring) -> str:
+    """The dump file: the bytes ``json.dumps(doc, indent=2, sort_keys=True)``
+    gives for {"ids", "products": [{"a", "b", "complete", "terms": [{"id",
+    "mult"}]}], "unit"}, written directly because with ``indent`` the stdlib
+    falls back to its pure-Python encoder."""
+    quote = encode_basestring_ascii
     products = []
     for (a, b), (terms, complete) in sorted(sr.product_table.items()):
-        products.append({
-            "a": a,
-            "b": b,
-            "terms": [{"id": t, "mult": m} for t, m in terms],
-            "complete": complete,
-        })
-    doc = {"unit": sr.unit, "ids": list(sr.ids), "products": products}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        term_items = [f'{{\n          "id": {quote(t)},\n          "mult": {m}\n        }}'
+                      for t, m in terms]
+        products.append(
+            f'{{\n      "a": {quote(a)},\n      "b": {quote(b)},\n'
+            f'      "complete": {"true" if complete else "false"},\n'
+            f'      "terms": {_json_array(term_items, "      ")}\n    }}')
+    ids = _json_array([quote(x) for x in sr.ids], "  ")
+    return (f'{{\n  "ids": {ids},\n  "products": {_json_array(products, "  ")},\n'
+            f'  "unit": {quote(sr.unit)}\n}}\n')
 
 
 def semiring_from_json(text: str) -> AbstractSemiring:

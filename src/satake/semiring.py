@@ -4,10 +4,18 @@ multiplicities, dimensions, tensor decomposition, and PRV components.
 A decomposition is a plain dict mapping dominant highest weights to positive
 integer multiplicities.  Multiplicities are Python ints, so arbitrary
 precision comes for free.
+
+Products follow Brauer-Klimyk on Dynkin labels (Stembridge, MSJ Memoirs 11;
+LiE's ``tensor``): the rho-shift adds 1 to each label, terms whose labels
+are already positive need no fold, and a weight is computed once per
+distinct folded constituent.  ``product_table`` builds the all-pairs table
+of a weight list, which both the forward dump and the reconstruction
+self-check read.
 """
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 from typing import Sequence
 
 from .errors import DomainError, InconsistencyError
@@ -127,43 +135,62 @@ def weyl_dim(rd: RootDatum, lam: Weight) -> int:
     return _weyl_dim_cached(rd, tuple(lam))
 
 
-def _half(vec: tuple[int, ...]) -> Weight:
-    for c in vec:
-        if c % 2:
-            raise InconsistencyError(f"vector {vec} is not even")
-    return tuple(c // 2 for c in vec)
-
-
 @lru_cache(maxsize=65536)
 def _tensor_cached(rd: RootDatum, lam: Weight, mu: Weight) -> tuple[tuple[Weight, int], ...]:
-    if weyl_dim(rd, mu) > weyl_dim(rd, lam):
+    if _weyl_dim_cached(rd, mu) > _weyl_dim_cached(rd, lam):
         lam, mu = mu, lam
     cartan = cartan_matrix(rd)
-    lam_labels = [2 * pairing(lam, cov) + 2 for cov in rd.simple_coroots]
-    lam2 = [2 * x for x in lam]
-    acc: dict[Weight, int] = {}
+    # lam + nu + rho has labels lam_i + nu_i + 1: rho's labels are all 1
+    shift = tuple(pairing(lam, cov) + 1 for cov in rd.simple_coroots)
+    # keyed by folded labels: every target lies in lam + mu + Q, and no
+    # nonzero element of Q has all labels 0, so the labels fix the target
+    acc: dict[tuple[int, ...], list] = {}
     for nu, nu_labels, m in _weight_table(rd, mu):
-        # 2(lam + nu) + 2rho has labels 2 lam_i + 2 nu_i + 2; its fold minus
-        # 2rho is 2(lam + nu) - sum(c_i alpha_i), twice the target
-        labels, coeffs, word = _fold_labels(cartan, [a + 2 * b for a, b in zip(lam_labels, nu_labels)])
-        if 0 in labels:
-            continue  # on a wall: cancels
-        target = _half(_subtract_roots(rd, [a + 2 * b for a, b in zip(lam2, nu)], coeffs))
-        sign = -1 if len(word) % 2 else 1
-        acc[target] = acc.get(target, 0) + sign * m
-    for m in acc.values():
-        if m < 0:
-            raise InconsistencyError("negative multiplicity from shift-reflect fold")
-    return tuple(sorted((k, m) for k, m in acc.items() if m))
+        labels = tuple(map(add, shift, nu_labels))
+        coeffs = None
+        if min(labels, default=1) <= 0:
+            folded, coeffs, word = _fold_labels(cartan, labels)
+            if 0 in folded:
+                continue  # on a wall: cancels
+            labels = tuple(folded)
+            if len(word) % 2:
+                m = -m
+        entry = acc.get(labels)
+        if entry is None:
+            # w(lam + nu + rho) - rho = lam + nu - sum(c_i alpha_i)
+            target = tuple(map(add, lam, nu))
+            if coeffs is not None:
+                target = _subtract_roots(rd, target, coeffs)
+            acc[labels] = [target, m]
+        else:
+            entry[1] += m
+    if any(m < 0 for _, m in acc.values()):
+        raise InconsistencyError("negative multiplicity from shift-reflect fold")
+    return tuple(sorted((target, m) for target, m in acc.values() if m))
 
 
 def tensor_decompose(rd: RootDatum, lam: Weight, mu: Weight) -> Decomposition:
     """Decompose V_lam ⊗ V_mu by the shift-reflect (Klimyk) rule: walk the
-    weight diagram of the smaller factor, rho-shift, and fold signed terms
-    into the dominant chamber."""
+    weight diagram of the smaller factor, add 1 to each Dynkin label of
+    lam + nu (the rho-shift), and fold the signed terms into the dominant
+    chamber, where they cancel or add up by their folded labels."""
     _check_dominant(rd, lam)
     _check_dominant(rd, mu)
     return dict(_tensor_cached(rd, tuple(lam), tuple(mu)))
+
+
+def product_table(rd: RootDatum, weights: Sequence[Weight]
+                  ) -> dict[tuple[int, int], tuple[tuple[Weight, int], ...]]:
+    """All pairwise products of a weight list, the table behind a dump and
+    its self-check: (i, j) with i <= j maps to V_{weights[i]} ⊗
+    V_{weights[j]} as sorted (highest weight, multiplicity) pairs.  Each
+    weight is checked for dominance once, and each product comes from the
+    cache tensor_decompose reads."""
+    weights = [tuple(w) for w in weights]
+    for w in weights:
+        _check_dominant(rd, w)
+    return {(i, j): _tensor_cached(rd, lam, weights[j])
+            for i, lam in enumerate(weights) for j in range(i, len(weights))}
 
 
 def character_product_bruteforce(rd: RootDatum, lam: Weight, mu: Weight) -> Decomposition:

@@ -8,11 +8,20 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from satake.fixtures import FIXTURES
-from satake.lattice import RootDatum
+from satake.lattice import RootDatum, dual_root_datum
 
 # rank-3 stretch case in the fundamental-weight basis
 SL4 = RootDatum(3, ((2, -1, 0), (-1, 2, -1), (0, -1, 2)),
                 ((1, 0, 0), (0, 1, 0), (0, 0, 1)), name="SL4")
+
+ALL_DATA = ([fx.datum for fx in FIXTURES.values()]
+            + [dual_root_datum(fx.datum) for fx in FIXTURES.values()] + [SL4])
+
+# edge cases: a central torus in rank 3 (labels do not determine the
+# weight), a pure torus (2rho^vee = 0) and the rank-0 datum
+GL3 = RootDatum(3, ((1, -1, 0), (0, 1, -1)), ((1, -1, 0), (0, 1, -1)), name="GL3")
+TORUS2 = RootDatum(2, (), (), name="T2")
+TORUS0 = RootDatum(0, (), (), name="T0")
 
 
 @pytest.fixture(params=list(FIXTURES))

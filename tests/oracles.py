@@ -13,18 +13,35 @@ expansion oracle recomputes order evidence from multiplicity dicts built on
 the public ``product``, the reference for the id-bitmask supports of
 ``AbstractSemiring.evidence``; the all-subsets oracle tries every rank-sized
 subset of the rays, the reference for the pruned vertex search of
-``reconstruct._positive_functional``.
+``reconstruct._positive_functional``.  The doubled-fold oracle is the
+Klimyk product keyed by weights, folding twice the rho-shifted labels and
+halving each target, the reference for the label-keyed ``_tensor_cached``;
+the ``json.dumps`` writer is the reference for the dump writer.
 """
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 from math import gcd
 
 from satake.errors import InconsistencyError
-from satake.lattice import RootDatum, Weight, WeylWord, dual_root_datum, is_dominant, pairing, reflect, two_rho
+from satake.lattice import (
+    RootDatum,
+    Weight,
+    WeylWord,
+    _fold_labels,
+    _subtract_roots,
+    cartan_matrix,
+    dual_root_datum,
+    is_dominant,
+    pairing,
+    reflect,
+    two_rho,
+)
 from satake.linalg import det_int, smith_normal_form, solve_rational
 from satake.reconstruct import AbstractSemiring
+from satake.semiring import _weight_table, weyl_dim
 
 
 def dominant_box(rd: RootDatum, cap: int, height: int | None = None) -> list[Weight]:
@@ -260,3 +277,50 @@ def positive_functional_by_all_subsets(gens: tuple[tuple[int, ...], ...]) -> lis
         if all(pairing(phi, g) >= det for g in rays):
             return phi
     raise InconsistencyError("harvested root cone is not pointed")
+
+
+def _half(vec: tuple[int, ...]) -> Weight:
+    for c in vec:
+        if c % 2:
+            raise InconsistencyError(f"vector {vec} is not even")
+    return tuple(c // 2 for c in vec)
+
+
+def tensor_by_doubled_fold(rd: RootDatum, lam: Weight, mu: Weight) -> tuple[tuple[Weight, int], ...]:
+    """V_lam ⊗ V_mu as sorted (highest weight, multiplicity) pairs: fold
+    2(lam + nu) + 2rho on labels for every weight nu of the smaller factor,
+    accumulate on the halved target weight."""
+    if weyl_dim(rd, mu) > weyl_dim(rd, lam):
+        lam, mu = mu, lam
+    cartan = cartan_matrix(rd)
+    lam_labels = [2 * pairing(lam, cov) + 2 for cov in rd.simple_coroots]
+    lam2 = [2 * x for x in lam]
+    acc: dict[Weight, int] = {}
+    for nu, nu_labels, m in _weight_table(rd, mu):
+        # 2(lam + nu) + 2rho has labels 2 lam_i + 2 nu_i + 2; its fold minus
+        # 2rho is 2(lam + nu) - sum(c_i alpha_i), twice the target
+        labels, coeffs, word = _fold_labels(cartan, [a + 2 * b for a, b in zip(lam_labels, nu_labels)])
+        if 0 in labels:
+            continue  # on a wall: cancels
+        target = _half(_subtract_roots(rd, [a + 2 * b for a, b in zip(lam2, nu)], coeffs))
+        sign = -1 if len(word) % 2 else 1
+        acc[target] = acc.get(target, 0) + sign * m
+    for m in acc.values():
+        if m < 0:
+            raise InconsistencyError("negative multiplicity from shift-reflect fold")
+    return tuple(sorted((k, m) for k, m in acc.items() if m))
+
+
+def semiring_to_json_by_dumps(sr: AbstractSemiring) -> str:
+    """The dump file through the stdlib encoder: ``json.dumps`` of the
+    document with ``indent=2`` and sorted keys."""
+    products = []
+    for (a, b), (terms, complete) in sorted(sr.product_table.items()):
+        products.append({
+            "a": a,
+            "b": b,
+            "terms": [{"id": t, "mult": m} for t, m in terms],
+            "complete": complete,
+        })
+    doc = {"unit": sr.unit, "ids": list(sr.ids), "products": products}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -117,6 +117,21 @@ def test_exit_code_corruption(tmp_path: Path):
     run_cli("reconstruct", "--dump", str(dump_file), expect=5)
 
 
+def test_exit_code_flipped_completeness_flag(tmp_path: Path):
+    # PGL2^ has roots (2,); x005 (weight 1) squares to x001 + x007
+    dump_file = tmp_path / "pgl2_dual.json"
+    datum_file = tmp_path / "pgl2_dual_datum.json"
+    datum_file.write_text(json.dumps({"name": "PGL2^", "rank": 1, "simple_roots": [[2]],
+                                      "simple_coroots": [[1]]}))
+    run_cli("dump", "--datum", str(datum_file), "--bound", "8", "--seed", "0", "--out", str(dump_file))
+    doc = json.loads(dump_file.read_text())
+    entry = next(e for e in doc["products"] if e["a"] == e["b"] == "x005")
+    assert [t["id"] for t in entry["terms"]] == ["x001", "x007"] and entry["complete"]
+    entry["complete"] = False
+    dump_file.write_text(json.dumps(doc))
+    run_cli("reconstruct", "--dump", str(dump_file), expect=4)
+
+
 def test_exit_code_stray_product_key(tmp_path: Path):
     dump_file = tmp_path / "sl2.json"
     run_cli("dump", "--datum", "SL2", "--bound", "4", "--out", str(dump_file))

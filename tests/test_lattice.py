@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SL4, datum
+from conftest import ALL_DATA, GL3, TORUS0, TORUS2, datum
 from oracles import (
     class_by_smith_form,
     dominant_box,
@@ -224,17 +224,6 @@ class TestRoots:
         for root, cov in positive_roots_with_coroots(fixture_datum):
             assert pairing(root, cov) == 2
             assert coroot_height(fixture_datum, root) == 2 * sum(root_coefficients(fixture_datum, root))
-
-
-ALL_DATA = ([fx.datum for fx in FIXTURES.values()]
-            + [dual_root_datum(fx.datum) for fx in FIXTURES.values()] + [SL4])
-
-
-# edge cases of the window: a central torus in rank 3 (labels do not
-# determine the weight), a pure torus (2rho^vee = 0) and the rank-0 datum
-GL3 = RootDatum(3, ((1, -1, 0), (0, 1, -1)), ((1, -1, 0), (0, 1, -1)), name="GL3")
-TORUS2 = RootDatum(2, (), (), name="T2")
-TORUS0 = RootDatum(0, (), (), name="T0")
 
 
 @pytest.mark.parametrize("rd", ALL_DATA + [GL3, TORUS2, TORUS0], ids=lambda rd: rd.name)

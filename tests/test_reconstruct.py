@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import SL4, datum
-from oracles import evidence_by_expansion, positive_functional_by_all_subsets
+from oracles import evidence_by_expansion, positive_functional_by_all_subsets, semiring_to_json_by_dumps
 from satake.errors import InconclusiveError, InconsistencyError, ParseError
 from satake.fixtures import FIXTURES
 from satake.lattice import RootDatum, cartan_matrix, cartan_type, dual_root_datum, leq_dominance, preceq
@@ -37,6 +37,16 @@ CFG = ReconstructionConfig()
 def sl2_dump(bound=4, seed=0):
     sr, truth = dump_semiring(datum("SL2"), bound, seed)
     return sr, truth, {w: t for t, w in truth.items()}
+
+
+def assert_same_text(new: str, old: str) -> None:
+    """Equal texts; a mismatch names its first differing line, since a
+    full diff of two dumps takes pytest minutes to render."""
+    if new == old:
+        return
+    lines = itertools.zip_longest(new.splitlines(keepends=True), old.splitlines(keepends=True))
+    k, (a, b) = next((k, pair) for k, pair in enumerate(lines) if pair[0] != pair[1])
+    pytest.fail(f"line {k + 1}: {a!r} != {b!r}")
 
 
 def sl2_with_edited_multiplicity():
@@ -92,6 +102,24 @@ class TestDump:
         text = semiring_to_json(sr)
         again = semiring_from_json(text)
         assert semiring_to_json(again) == text
+
+    @pytest.mark.parametrize("rd, bound", [(fx.datum, fx.dump_bound) for fx in FIXTURES.values()]
+                             + [(dual_root_datum(fx.datum), fx.dump_bound) for fx in FIXTURES.values()]
+                             + [(SL4, 16)], ids=lambda v: getattr(v, "name", str(v)))
+    def test_writer_matches_json_dumps(self, rd, bound):
+        sr, _ = dump_semiring(rd, bound, seed=0)
+        assert_same_text(semiring_to_json(sr), semiring_to_json_by_dumps(sr))
+
+    def test_writer_escapes_tokens(self):
+        ids = ["e", 'quo"te', "back\\slash", "caf\u00e9\u2603"]
+        products = {("e", x): ({x: 1}, True) for x in ids}
+        products[('quo"te', "back\\slash")] = ({}, False)
+        products[("caf\u00e9\u2603", "caf\u00e9\u2603")] = ({'quo"te': 2, "e": 1}, True)
+        sr = AbstractSemiring(ids=ids, unit="e", products=products)
+        text = semiring_to_json(sr)
+        assert_same_text(text, semiring_to_json_by_dumps(sr))
+        assert '"terms": []' in text and text.isascii()
+        assert semiring_from_json(text).product_table == sr.product_table
 
     def test_malformed_json(self):
         with pytest.raises(ParseError):
@@ -322,6 +350,43 @@ class TestNegativeControls:
     def test_corrupted_multiplicity_detected(self):
         with pytest.raises(InconsistencyError):
             reconstruct_root_datum(sl2_with_edited_multiplicity(), CFG)
+
+    def test_flipped_completeness_flag_inconclusive(self):
+        # x005 has weight 1 and x005 * x005 = x001 + x007; marked incomplete,
+        # the even weights alone pass the self-check as PGL2 with four ids
+        # left unlabeled
+        dual = dual_root_datum(FIXTURES["PGL2"].datum)
+        sr, truth = dump_semiring(dual, 8, seed=0)
+        assert truth["x005"] == (1,)
+        products = {k: (dict(terms), complete) for k, (terms, complete) in sr.product_table.items()}
+        products[("x005", "x005")] = (products[("x005", "x005")][0], False)
+        flipped = AbstractSemiring(ids=sr.ids, unit=sr.unit, products=products)
+        with pytest.raises(InconclusiveError, match="unlabeled"):
+            reconstruct_root_datum(flipped, CFG)
+
+    def test_hidden_top_id_inconclusive(self):
+        # drop weight 8 from every product whose maximum it is and mark those
+        # products incomplete: the rest still gives SL2, but nothing labels
+        # x006, so the window does not prove the datum
+        sr, truth = dump_semiring(datum("SL2"), 8, seed=0)
+        assert truth["x006"] == (8,)
+        products = {k: (dict(terms), complete) for k, (terms, complete) in sr.product_table.items()}
+        for (a, b), (terms, _) in products.items():
+            if sr.unit not in (a, b) and truth[a][0] + truth[b][0] == 8:
+                del terms["x006"]
+                products[(a, b)] = (terms, False)
+        hidden = AbstractSemiring(ids=sr.ids, unit=sr.unit, products=products)
+        with pytest.raises(InconclusiveError, match="1 ids left unlabeled at grade 4: x006"):
+            reconstruct_root_datum(hidden, CFG)
+
+    def test_clean_factor_subring_inconclusive(self):
+        # the bound-4 window of A1 x A2 labels only the A1 weights, which
+        # pass the self-check as SL2
+        a1a2 = RootDatum(3, ((2, 0, 0), (0, 2, -1), (0, -1, 2)),
+                         ((1, 0, 0), (0, 1, 0), (0, 0, 1)), name="A1xA2")
+        sr, _ = dump_semiring(a1a2, 4, seed=0)
+        with pytest.raises(InconclusiveError, match="9 ids left unlabeled"):
+            reconstruct_root_datum(sr, CFG)
 
     def test_shrunken_dump_inconclusive(self):
         sr, _ = dump_semiring(datum("SL3"), 4, seed=0)

@@ -3,14 +3,19 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import SL4, datum
-from oracles import character_by_weyl_formula
+from conftest import ALL_DATA, GL3, SL4, TORUS0, TORUS2, datum
+from oracles import character_by_weyl_formula, tensor_by_doubled_fold
 from satake.errors import DomainError
 from satake.lattice import dominant_window, leq_dominance, saturation_set, weyl_orbit
+from satake.reconstruct import dump_semiring
 from satake.semiring import (
+    _tensor_cached,
     character_product_bruteforce,
     power_decompose,
+    product_table,
     prv_multiplicity,
     tensor_decompose,
     tensor_decompose_list,
@@ -141,6 +146,37 @@ class TestTensor:
         rd = datum("SL3")
         zero = (0, 0)
         assert character_product_bruteforce(rd, zero, zero) == {zero: 1}
+
+
+@pytest.mark.parametrize("rd", ALL_DATA + [GL3, TORUS2, TORUS0], ids=lambda rd: rd.name)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_product_matches_doubled_fold(rd, data):
+    window = dominant_window(rd, 10)
+    weights = data.draw(st.lists(st.sampled_from(window), min_size=1, max_size=4))
+    table = product_table(rd, weights)
+    assert list(table) == [(i, j) for i in range(len(weights)) for j in range(i, len(weights))]
+    for (i, j), terms in table.items():
+        dec = tensor_decompose(rd, weights[i], weights[j])
+        assert dec == dict(tensor_by_doubled_fold(rd, weights[i], weights[j]))
+        assert terms == tuple(sorted(dec.items()))
+
+
+class TestProductTable:
+    def test_non_dominant_rejected(self):
+        with pytest.raises(DomainError):
+            product_table(datum("SL3"), [(1, 0), (1, -1)])
+
+    def test_repeated_dump_hits_cache(self):
+        rd = datum("Sp4")
+        first, _ = dump_semiring(rd, 10, seed=3)
+        before = _tensor_cached.cache_info()
+        second, _ = dump_semiring(rd, 10, seed=3)
+        after = _tensor_cached.cache_info()
+        n = len(first.ids)
+        assert after.misses == before.misses
+        assert after.hits - before.hits == n * (n + 1) // 2
+        assert second.product_table == first.product_table
 
 
 class TestPower:
