@@ -312,31 +312,37 @@ def weyl_group_order(rd: RootDatum) -> int:
     return len(weyl_orbit(rd, reg))
 
 
-def root_coefficients(rd: RootDatum, v: Sequence[int]) -> tuple[Fraction, ...] | None:
-    """Coordinates of v in the simple-root basis, or None if v is outside
-    their rational span."""
+def _root_span_coordinates(rd: RootDatum, v: Sequence[int]) -> tuple[list[int], int] | None:
+    """The simple-root coordinates of v scaled by the tables' denominator,
+    with that denominator, or None if v is outside the roots' rational
+    span."""
     tables = datum_tables(rd)
     scaled = _scaled_root_coordinates(rd, tables.fundamental_coweights, v)
     for i, x in enumerate(v):
         if sum(n * alpha[i] for n, alpha in zip(scaled, rd.simple_roots)) != tables.denominator * x:
             return None
-    return tuple(Fraction(n, tables.denominator) for n in scaled)
+    return scaled, tables.denominator
+
+
+def root_coefficients(rd: RootDatum, v: Sequence[int]) -> tuple[Fraction, ...] | None:
+    """Coordinates of v in the simple-root basis, or None if v is outside
+    their rational span."""
+    coords = _root_span_coordinates(rd, v)
+    return None if coords is None else tuple(Fraction(n, coords[1]) for n in coords[0])
 
 
 def leq_dominance(rd: RootDatum, lam: Weight, mu: Weight) -> bool:
     """lam <= mu: mu - lam is a nonnegative *integer* combination of simple
     roots."""
-    diff = tuple(m - l for l, m in zip(lam, mu))
-    coeffs = root_coefficients(rd, diff)
-    return coeffs is not None and all(c >= 0 and c.denominator == 1 for c in coeffs)
+    coords = _root_span_coordinates(rd, [m - l for l, m in zip(lam, mu)])
+    return coords is not None and all(n >= 0 and n % coords[1] == 0 for n in coords[0])
 
 
 def preceq(rd: RootDatum, lam: Weight, mu: Weight) -> bool:
     """lam ⪯ mu: mu - lam is a nonnegative *rational* combination of simple
     roots (the real-cone weakening of dominance order)."""
-    diff = tuple(m - l for l, m in zip(lam, mu))
-    coeffs = root_coefficients(rd, diff)
-    return coeffs is not None and all(c >= 0 for c in coeffs)
+    coords = _root_span_coordinates(rd, [m - l for l, m in zip(lam, mu)])
+    return coords is not None and all(n >= 0 for n in coords[0])
 
 
 def class_mod_root_lattice(rd: RootDatum, lam: Weight) -> tuple[int, ...]:

@@ -335,12 +335,12 @@ def recover_sum(sr: AbstractSemiring, cfg: ReconstructionConfig, a: str, b: str)
 
 @dataclass(frozen=True)
 class MonoidRecovery:
-    """Group completion of the certified part of the id monoid."""
+    """Group completion of the certified part of the id monoid: the
+    embedding of every id it labels (the unit at 0) into Z^rank, the
+    relations a + b = c behind it, and the seed sums left ambiguous."""
 
-    generators: tuple[str, ...]
     embedding: dict[str, tuple[int, ...]]
     rank: int
-    core: tuple[str, ...]
     relations: tuple[tuple[str, str, str], ...]
     skipped: tuple[str, ...]
 
@@ -370,7 +370,7 @@ def recover_monoid(sr: AbstractSemiring, cfg: ReconstructionConfig,
     unresolved: list[tuple[str, str]] = []
     for i, a in enumerate(small):
         for b in small[i:]:
-            if not (sr.has_product(a, b) and sr.product(a, b)[1]):
+            if not sr.product(a, b)[1]:
                 continue
             try:
                 c = _certified_sum(sr, cfg, a, b, min_grade=min_grade)
@@ -383,7 +383,7 @@ def recover_monoid(sr: AbstractSemiring, cfg: ReconstructionConfig,
                 # for the bootstrap stage instead
                 continue
             relations.append((a, b, c))
-    if nonunit and not relations:
+    if not relations:
         raise InconclusiveError("no certified sums: dump too small to complete the monoid")
     related = sorted({x for rel in relations for x in rel if x != sr.unit})
     index = {x: i for i, x in enumerate(related)}
@@ -415,7 +415,7 @@ def recover_monoid(sr: AbstractSemiring, cfg: ReconstructionConfig,
         raise InconsistencyError("seed embedding is not injective")
     complete_products = [
         (a, b) for i, a in enumerate(nonunit) for b in nonunit[i:]
-        if sr.has_product(a, b) and sr.product(a, b)[1]
+        if sr.product(a, b)[1]
     ]
     seen = set(relations)
     changed = True
@@ -447,40 +447,30 @@ def recover_monoid(sr: AbstractSemiring, cfg: ReconstructionConfig,
                 seen.add((a, b, t))
                 changed = True
 
-    core = sorted(x for x in embedding if x != sr.unit)
-    generators: list[str] = []
-    chosen: list[tuple[int, ...]] = []
-    for x in sorted(core, key=lambda x: (sum(abs(c) for c in embedding[x]), embedding[x])):
-        if not in_lattice_span(chosen, embedding[x]):
-            generators.append(x)
-            chosen.append(embedding[x])
     resolved = {(a, b) for a, b, _ in seen}
     skipped = [f"seed sum({a},{b}) ambiguous under truncation"
                for a, b in unresolved if (a, b) not in resolved]
     return MonoidRecovery(
-        generators=tuple(generators),
         embedding=embedding,
         rank=rank,
-        core=tuple([sr.unit] + core),
         relations=tuple(relations),
         skipped=tuple(skipped),
     )
 
 
-def recover_Qplus(sr: AbstractSemiring, cfg: ReconstructionConfig,
-                  monoid: MonoidRecovery) -> tuple[tuple[int, ...], ...]:
+def recover_Qplus(sr: AbstractSemiring, monoid: MonoidRecovery) -> tuple[tuple[int, ...], ...]:
     """Generating vectors of the positive root cone: differences 2a - c over
     the visible constituents c of each certified square v_a^2.  Visible
     constituents of truncated squares are still genuine, so harvesting them
     is sound."""
     gens: set[tuple[int, ...]] = set()
-    core = set(monoid.core)
-    for a in monoid.core:
+    embedding = monoid.embedding
+    for a in embedding:
         terms, _ = sr.product(a, a)
         for c in terms:
-            if c not in core:
+            if c not in embedding:
                 continue
-            delta = tuple(2 * p - q for p, q in zip(monoid.embedding[a], monoid.embedding[c]))
+            delta = tuple(2 * p - q for p, q in zip(embedding[a], embedding[c]))
             if any(delta):
                 gens.add(delta)
     return tuple(sorted(gens))
@@ -494,7 +484,7 @@ def recover_leq(sr: AbstractSemiring, cfg: ReconstructionConfig, a: str, b: str,
     if monoid is None:
         monoid = recover_monoid(sr, cfg)
     if q_generators is None:
-        q_generators = recover_Qplus(sr, cfg, monoid)
+        q_generators = recover_Qplus(sr, monoid)
     emb_a = monoid.embedding.get(a)
     emb_b = monoid.embedding.get(b)
     if emb_a is None or emb_b is None:
@@ -594,9 +584,7 @@ def extract_simple_roots(q_generators: tuple[tuple[int, ...], ...]) -> tuple[tup
     return tuple(simples)
 
 
-def extract_simple_coroots(sr: AbstractSemiring, cfg: ReconstructionConfig,
-                           monoid: MonoidRecovery,
-                           alpha: tuple[int, ...]) -> tuple[int, ...]:
+def extract_simple_coroots(monoid: MonoidRecovery, alpha: tuple[int, ...]) -> tuple[int, ...]:
     """The coroot functional of a recovered simple root: fit the pairing
     values m(mu) = largest m with 2*mu - m*alpha still dominant, read off
     inside the window, then verify the fit on every sample."""
@@ -628,8 +616,8 @@ def extract_simple_coroots(sr: AbstractSemiring, cfg: ReconstructionConfig,
 
 @dataclass(frozen=True)
 class RecoveredDatum:
-    """Result of a reconstruction: the datum, the id labeling over the
-    certified core, and the derivation log."""
+    """Result of a reconstruction: the datum, the weight of every id, and
+    the derivation log."""
 
     datum: RootDatum
     labeling: dict[str, Weight]
@@ -656,7 +644,7 @@ def assemble_root_datum(roots: tuple[tuple[int, ...], ...],
         validate_datum(datum)
     except Exception as exc:
         raise InconsistencyError(f"recovered datum is invalid: {exc}") from exc
-    for x, w in labeling.items():
+    for x, w in sorted(labeling.items()):
         if not is_dominant(datum, w):
             raise InconsistencyError(f"labeled id {x} embeds to a non-dominant weight")
     return RecoveredDatum(datum=datum, labeling=dict(labeling), log=log, warnings=warnings)
@@ -668,11 +656,9 @@ def verify_reconstruction(sr: AbstractSemiring, recovered: RecoveredDatum) -> li
     is reported."""
     mism: list[str] = []
     labeling = recovered.labeling
-    weight_of = dict(labeling)
-    labeled = set(labeling)
-    core = sorted(labeled)
+    core = sorted(labeling)
     by_weight = {w: x for x, w in labeling.items()}
-    table = product_table(recovered.datum, [weight_of[x] for x in core])
+    table = product_table(recovered.datum, [labeling[x] for x in core])
     for (i, j), expected in table.items():
         a, b = core[i], core[j]
         if not sr.has_product(a, b):
@@ -680,7 +666,7 @@ def verify_reconstruction(sr: AbstractSemiring, recovered: RecoveredDatum) -> li
         terms, complete = sr.product(a, b)
         visible = {by_weight[nu]: m for nu, m in expected if nu in by_weight}
         for t, m in terms.items():
-            if t in labeled and visible.get(t) != m:
+            if t in labeling and visible.get(t) != m:
                 mism.append(f"product ({a},{b}): term {t} has multiplicity {m}, expected {visible.get(t, 0)}")
         for t, m in visible.items():
             if t not in terms:
@@ -698,18 +684,17 @@ def _reconstruct_at_grade(sr: AbstractSemiring, cfg: ReconstructionConfig,
                           grade: int) -> RecoveredDatum:
     log: list[str] = [f"certification grade {grade}"]
     monoid = recover_monoid(sr, cfg, min_grade=grade)
-    log.append(f"monoid: {len(monoid.core)} certified ids, {len(monoid.relations)} relations, "
+    log.append(f"monoid: {len(monoid.embedding)} certified ids, {len(monoid.relations)} relations, "
                f"free rank {monoid.rank}")
-    q_gens = recover_Qplus(sr, cfg, monoid)
+    q_gens = recover_Qplus(sr, monoid)
     log.append(f"positive cone: {len(q_gens)} harvested generators")
     roots = extract_simple_roots(q_gens)
     log.append(f"simple roots: {len(roots)}")
     if q_gens and not roots:
         raise InconsistencyError("positive cone has no minimal elements")
-    coroots = tuple(extract_simple_coroots(sr, cfg, monoid, alpha) for alpha in roots)
+    coroots = tuple(extract_simple_coroots(monoid, alpha) for alpha in roots)
     log.append("coroot functionals fitted and verified")
-    labeling = {x: monoid.embedding[x] for x in monoid.core}
-    recovered = assemble_root_datum(roots, coroots, monoid.rank, labeling,
+    recovered = assemble_root_datum(roots, coroots, monoid.rank, monoid.embedding,
                                     log=tuple(log), warnings=monoid.skipped)
     mismatches = verify_reconstruction(sr, recovered)
     if mismatches:
@@ -717,7 +702,7 @@ def _reconstruct_at_grade(sr: AbstractSemiring, cfg: ReconstructionConfig,
         raise InconsistencyError(f"dump does not match the recovered datum: {detail}")
     # the self-check compares labeled products only, so a labeled subring
     # (the even weights of PGL2^, say) passes it as a different datum
-    unlabeled = [x for x in sr.ids if x not in labeling]
+    unlabeled = [x for x in sr.ids if x not in monoid.embedding]
     if unlabeled:
         raise InconclusiveError(f"{len(unlabeled)} ids left unlabeled at grade {grade}: "
                                 + ", ".join(unlabeled[:5]))
@@ -734,9 +719,6 @@ def reconstruct_root_datum(sr: AbstractSemiring, cfg: ReconstructionConfig) -> R
     datum.  The error of the most conservative attempt is reported when all
     grades fail.
     """
-    if tuple(sr.ids) == (sr.unit,):
-        trivial = RootDatum(rank=0, simple_roots=(), simple_coroots=(), name="recovered")
-        return RecoveredDatum(datum=trivial, labeling={sr.unit: ()}, log=("trivial semiring: rank-0 datum",))
     first_error: Exception | None = None
     for grade in range(cfg.k_max, 1, -1):
         try:

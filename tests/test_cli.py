@@ -7,6 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from satake.fixtures import FIXTURES
+from satake.lattice import datum_to_json, dual_root_datum
+
 SATAKE = [sys.executable, "-m", "satake.cli"]
 
 
@@ -129,6 +132,16 @@ def test_exit_code_flipped_completeness_flag(tmp_path: Path):
     assert [t["id"] for t in entry["terms"]] == ["x001", "x007"] and entry["complete"]
     entry["complete"] = False
     dump_file.write_text(json.dumps(doc))
+    run_cli("reconstruct", "--dump", str(dump_file), expect=4)
+
+
+def test_exit_code_one_id_dump(tmp_path: Path):
+    # SL3^ at bound 2 holds only the unit, the same bytes as the rank-0 dump
+    dump_file = tmp_path / "sl3_dual.json"
+    datum_file = tmp_path / "sl3_dual_datum.json"
+    datum_file.write_text(datum_to_json(dual_root_datum(FIXTURES["SL3"].datum)))
+    run_cli("dump", "--datum", str(datum_file), "--bound", "2", "--seed", "0", "--out", str(dump_file))
+    assert len(json.loads(dump_file.read_text())["ids"]) == 1
     run_cli("reconstruct", "--dump", str(dump_file), expect=4)
 
 

@@ -251,6 +251,18 @@ def test_root_coordinates_match_oracles(rd, vec):
     assert class_mod_root_lattice(rd, v) == class_by_smith_form(rd, v)
 
 
+@pytest.mark.parametrize("rd", ALL_DATA + [GL3, TORUS2, TORUS0], ids=lambda rd: rd.name)
+@settings(max_examples=50, deadline=None)
+@given(lam=st.lists(st.integers(-12, 12), min_size=3, max_size=3),
+       mu=st.lists(st.integers(-12, 12), min_size=3, max_size=3))
+def test_orders_match_solve_oracle(rd, lam, mu):
+    lam, mu = tuple(lam[:rd.rank]), tuple(mu[:rd.rank])
+    coeffs = root_coefficients_by_solve(rd, tuple(m - l for l, m in zip(lam, mu)))
+    cone = coeffs is not None and all(c >= 0 for c in coeffs)
+    assert preceq(rd, lam, mu) == cone
+    assert leq_dominance(rd, lam, mu) == (cone and all(c.denominator == 1 for c in coeffs))
+
+
 def test_root_coefficients_off_span():
     # GL2's one root spans a line in Z^2: off it both sides return None
     gl2 = datum("GL2")

@@ -39,6 +39,13 @@ def sl2_dump(bound=4, seed=0):
     return sr, truth, {w: t for t, w in truth.items()}
 
 
+def span_divisors(vectors) -> list[int]:
+    """Nonzero Smith invariants of the lattice the vectors span: [1] * r
+    exactly when they span all of Z^r."""
+    d, _, _ = smith_normal_form([list(v) for v in vectors])
+    return [abs(d[i][i]) for i in range(min(len(d), len(d[0]))) if d[i][i]]
+
+
 def assert_same_text(new: str, old: str) -> None:
     """Equal texts; a mismatch names its first differing line, since a
     full diff of two dumps takes pytest minutes to render."""
@@ -82,8 +89,17 @@ class TestDump:
         trivial = RootDatum(0, (), ())
         sr, truth = dump_semiring(trivial, 3, seed=0)
         assert sr.ids == (sr.unit,)
-        rec = reconstruct_root_datum(sr, CFG)
-        assert rec.datum.rank == 0
+        with pytest.raises(InconclusiveError):
+            reconstruct_root_datum(sr, CFG)
+
+    @pytest.mark.parametrize("name, bound", [("SL3", 2), ("Sp4", 3), ("G2", 5), ("PGL3", 1), ("SL2", 1)])
+    def test_one_id_dumps_match_rank0(self, name, bound):
+        # a one-id window cannot tell the trivial group from any other, so
+        # reconstruction must not answer for it
+        sr, _ = dump_semiring(dual_root_datum(datum(name)), bound, seed=0)
+        trivial, _ = dump_semiring(RootDatum(0, (), ()), bound, seed=0)
+        assert sr.ids == (sr.unit,)
+        assert semiring_to_json(sr) == semiring_to_json(trivial)
 
     def test_boundary_flags(self):
         sr, truth, inv = sl2_dump()
@@ -176,7 +192,7 @@ class TestOrderRecovery:
     def test_leq_examples(self):
         sr, truth, inv = sl2_dump()
         monoid = recover_monoid(sr, CFG, min_grade=2)
-        qgens = recover_Qplus(sr, CFG, monoid)
+        qgens = recover_Qplus(sr, monoid)
         assert recover_leq(sr, CFG, inv[(1,)], inv[(2,)], monoid, qgens) is False
         assert recover_leq(sr, CFG, inv[(0,)], inv[(2,)], monoid, qgens) is True
         assert recover_leq(sr, CFG, inv[(3,)], inv[(3,)], monoid, qgens) is True
@@ -188,7 +204,7 @@ class TestOrderRecovery:
         rd = dual_root_datum(datum(name))
         sr, truth = dump_semiring(rd, FIXTURES[name].dump_bound, seed=0)
         monoid = recover_monoid(sr, CFG, min_grade=2)
-        qgens = recover_Qplus(sr, CFG, monoid)
+        qgens = recover_Qplus(sr, monoid)
         for a in sr.ids:
             for b in sr.ids:
                 verdict = recover_leq(sr, CFG, a, b, monoid, qgens)
@@ -252,14 +268,14 @@ class TestMonoid:
         sr, truth, inv = sl2_dump()
         monoid = recover_monoid(sr, CFG, min_grade=2)
         assert monoid.rank == 1
-        assert [truth[g] for g in monoid.generators] == [(1,)]
+        assert span_divisors(monoid.embedding.values()) == [1]
         assert abs(monoid.embedding[inv[(1,)]][0]) == 1
 
     def test_sl3_rank(self):
         sr, truth = dump_semiring(datum("SL3"), 8, seed=0)
         monoid = recover_monoid(sr, CFG, min_grade=2)
         assert monoid.rank == 2
-        assert len(monoid.generators) == 2
+        assert span_divisors(monoid.embedding.values()) == [1, 1]
 
     def test_additivity_on_labels(self):
         sr, truth = dump_semiring(dual_root_datum(datum("Sp4")), 20, seed=0)
@@ -274,7 +290,7 @@ class TestQplus:
     def test_sl2(self):
         sr, truth, inv = sl2_dump()
         monoid = recover_monoid(sr, CFG, min_grade=2)
-        gens = recover_Qplus(sr, CFG, monoid)
+        gens = recover_Qplus(sr, monoid)
         scale = monoid.embedding[inv[(1,)]][0]  # +-1
         in_truth = sorted(abs(g[0] * scale) for g in gens)
         assert 2 in in_truth  # the root alpha = (2)
@@ -283,7 +299,7 @@ class TestQplus:
     def test_pgl2(self):
         sr, truth = dump_semiring(datum("PGL2"), 8, seed=0)
         monoid = recover_monoid(sr, CFG, min_grade=2)
-        gens = recover_Qplus(sr, CFG, monoid)
+        gens = recover_Qplus(sr, monoid)
         norms = sorted(abs(g[0]) for g in gens)
         assert 1 in norms  # in PGL2 the root generates the full lattice
 
@@ -363,6 +379,35 @@ class TestNegativeControls:
         flipped = AbstractSemiring(ids=sr.ids, unit=sr.unit, products=products)
         with pytest.raises(InconclusiveError, match="unlabeled"):
             reconstruct_root_datum(flipped, CFG)
+
+    @pytest.mark.parametrize("name, edits, min_inconsistent", [("SL2", 84, 80), ("PGL2", 268, 266)])
+    def test_single_edit_census(self, name, edits, min_inconsistent):
+        # every single edit of a product entry without the unit: one
+        # multiplicity +1 or -1 (kept >= 1), one term dropped, or the
+        # completeness flag flipped; none may pass as a datum
+        sr, _ = dump_semiring(dual_root_datum(datum(name)), 8, seed=0)
+        products = {k: (dict(terms), complete) for k, (terms, complete) in sr.product_table.items()}
+        exits = []
+        for key, (terms, complete) in products.items():
+            if sr.unit in key:
+                continue
+            variants = [(terms, not complete)]
+            for t, m in terms.items():
+                variants.append(({**terms, t: m + 1}, complete))
+                if m > 1:
+                    variants.append(({**terms, t: m - 1}, complete))
+                variants.append(({s: n for s, n in terms.items() if s != t}, complete))
+            for variant in variants:
+                edited = AbstractSemiring(ids=sr.ids, unit=sr.unit, products={**products, key: variant})
+                try:
+                    reconstruct_root_datum(edited, CFG)
+                except (InconclusiveError, InconsistencyError) as exc:
+                    exits.append(exc.exit_code)
+                else:
+                    exits.append(0)
+        assert len(exits) == edits
+        assert 0 not in exits
+        assert exits.count(5) >= min_inconsistent
 
     def test_hidden_top_id_inconclusive(self):
         # drop weight 8 from every product whose maximum it is and mark those
@@ -463,9 +508,9 @@ class TestExtraction:
 
         sr, truth = dump_semiring(datum("SL2"), 6, seed=0)
         monoid = recover_monoid(sr, CFG, min_grade=2)
-        roots = extract_simple_roots(recover_Qplus(sr, CFG, monoid))
+        roots = extract_simple_roots(recover_Qplus(sr, monoid))
         assert len(roots) == 1
-        cov = extract_simple_coroots(sr, CFG, monoid, roots[0])
+        cov = extract_simple_coroots(monoid, roots[0])
         assert sum(a * c for a, c in zip(roots[0], cov)) == 2
         # the embedded picture is the SL2 one up to a sign: |alpha| = 2, |alpha^| = 1
         assert sorted(abs(c) for c in roots[0]) == [2]
