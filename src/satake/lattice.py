@@ -6,19 +6,27 @@ coweight of one datum is a weight of its dual, so every operation here takes
 the datum it should act through.  All functions are pure and safe for
 concurrent use.
 
-Per-datum facts (positive roots and coroots, 2rho, 2rho^vee, the inverse
-Cartan rows, the Smith form of the root lattice) come from the one cached
-``datum_tables``; simple-root coordinates and X/Q classes are integer
-pairings with its rows.  Windows of dominant weights up to a coroot-height
-bound come from ``dominant_window``, which solves the last coordinate's
-integer interval for each head of the box instead of filtering the box.
+Root-system facts that depend only on the Cartan matrix (the positive roots
+and coroots in simple-root and simple-coroot coordinates, their Dynkin
+labels, the invariant form on labels, the inverse Cartan rows) come from
+the one cached ``cartan_tables``, shared by every datum with that matrix
+whatever its lattice basis.  Per-datum facts (positive roots and coroots as
+vectors, 2rho, 2rho^vee, the Smith form of the root lattice) come from the
+one cached ``datum_tables``, which derives its vectors from the Cartan
+tables; simple-root coordinates and X/Q classes are integer pairings with
+its rows.  Windows of dominant weights up to a coroot-height bound come
+from ``dominant_window``, which solves the last coordinate's integer
+interval for each head of the box instead of filtering the box; the
+dominant weights below a dominant weight come from the depth box of
+``_dominant_depths``, which ``dominant_below`` and the weight diagrams in
+``semiring`` share.
 
 Weights stay vectors at the API.  Internally the dominant chamber fold runs
 on Dynkin labels (the pairings with the simple coroots, as in LiE and
 Stembridge's "Computational aspects of root systems"): a weight is dominant
 when all its labels are >= 0, and the reflection s_i subtracts labels[i]
 times column i of the Cartan matrix.  ``dominant_representative`` and the
-Klimyk product in ``semiring`` share that fold.
+Freudenthal recursion and Klimyk product in ``semiring`` share that fold.
 """
 from __future__ import annotations
 
@@ -183,8 +191,11 @@ def _classify_block(a: Sequence[Sequence[int]], nodes: list[int]) -> str:
 
 def cartan_type(rd: RootDatum) -> str:
     """Finite-type label, e.g. 'A2', 'B2 x A1', 'torus'.  Raises otherwise."""
-    a = cartan_matrix(rd)
-    s = rd.semisimple_rank
+    return _classify_cartan(cartan_matrix(rd))
+
+
+def _classify_cartan(a: Sequence[Sequence[int]]) -> str:
+    s = len(a)
     for i in range(s):
         if a[i][i] != 2:
             raise InvalidDatumError("Cartan diagonal != 2")
@@ -265,6 +276,19 @@ def _fold_labels(cartan: Sequence[Sequence[int]], labels: Sequence[int]
         applied.append(i)
 
 
+def _labels(rd: RootDatum, lam: Weight) -> tuple[int, ...]:
+    """The Dynkin labels of a weight: its pairings with the simple coroots."""
+    return tuple(pairing(lam, cov) for cov in rd.simple_coroots)
+
+
+def _dominant_labels(rd: RootDatum, lam: Weight) -> tuple[int, ...]:
+    """The labels of a dominant weight; raises DomainError on any other."""
+    labels = _labels(rd, lam)
+    if min(labels, default=0) < 0:
+        raise DomainError(f"weight {lam} is not dominant")
+    return labels
+
+
 def dominant_representative(rd: RootDatum, lam: Weight) -> tuple[Weight, WeylWord]:
     """The dominant W-orbit representative and a word carrying lam onto it.
 
@@ -273,8 +297,7 @@ def dominant_representative(rd: RootDatum, lam: Weight) -> tuple[Weight, WeylWor
     violating index, so the word is deterministic.  apply_word(rd, word, lam)
     equals the returned weight.
     """
-    labels = [pairing(lam, cov) for cov in rd.simple_coroots]
-    _, coeffs, word = _fold_labels(cartan_matrix(rd), labels)
+    _, coeffs, word = _fold_labels(cartan_matrix(rd), _labels(rd, lam))
     return _subtract_roots(rd, lam, coeffs), word
 
 
@@ -355,12 +378,91 @@ def class_mod_root_lattice(rd: RootDatum, lam: Weight) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
+class CartanTables:
+    """The facts of one Cartan matrix, shared by every datum that has it.
+    ``roots`` pairs each positive root's coefficients k in the simple roots
+    with its coroot's coefficients n in the simple coroots, and
+    ``root_labels[r]`` holds root r's Dynkin labels A k.  ``form`` is the
+    integer matrix G = sum over positive coroots of n n^T, so the
+    W-invariant form B(x, y) = sum over positive coroots c of <x, c><y, c>
+    is labels(x)^T G labels(y).  ``inverse_rows[j]`` holds the coefficients
+    of the fundamental coweight w_j in the simple coroots times
+    ``denominator``: the rows of the inverse Cartan matrix, kept integral."""
+
+    roots: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    root_labels: tuple[tuple[int, ...], ...]
+    form: tuple[tuple[int, ...], ...]
+    inverse_rows: tuple[tuple[int, ...], ...]
+    denominator: int
+
+
+@lru_cache(maxsize=1024)
+def cartan_tables(a: tuple[tuple[int, ...], ...]) -> CartanTables:
+    """Positive roots with coroots by orbit saturation in simple-root and
+    simple-coroot coordinates, their labels, the invariant form on labels
+    and the inverse Cartan rows.  Raises InvalidDatumError unless of finite
+    type (saturation needs it to end)."""
+    _classify_cartan(a)
+    s = len(a)
+    # w_j = sum_k m_k alpha_k^vee solves sum_k m_k A[k][i] = delta_ij; the
+    # m_k are nonnegative for finite type
+    inverse = [solve_rational(a, [int(i == j) for i in range(s)]) for j in range(s)]
+    assert all(row is not None and all(c >= 0 for c in row) for row in inverse), \
+        "inverse Cartan must be nonnegative"
+    denominator = lcm(*(c.denominator for row in inverse for c in row))
+    # s_i moves the root coefficients k by -<root, alpha_i^vee> = -(A k)_i
+    # at i, and the coroot coefficients n by -<alpha_i, coroot> = -(A^T n)_i
+    unit = [tuple(int(i == j) for j in range(s)) for i in range(s)]
+    seen = {(e, e) for e in unit}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for k, n in frontier:
+            for i in range(s):
+                c = sum(x * y for x, y in zip(a[i], k))
+                d = sum(n[j] * a[j][i] for j in range(s))
+                pair = (k[:i] + (k[i] - c,) + k[i + 1:], n[:i] + (n[i] - d,) + n[i + 1:])
+                if pair not in seen:
+                    seen.add(pair)
+                    nxt.append(pair)
+        frontier = nxt
+    positive = sorted((k, n) for k, n in seen if min(k) >= 0)
+    return CartanTables(
+        roots=tuple(positive),
+        root_labels=tuple(tuple(sum(x * y for x, y in zip(row, k)) for row in a) for k, _ in positive),
+        form=tuple(tuple(sum(n[i] * n[j] for _, n in positive) for j in range(s)) for i in range(s)),
+        inverse_rows=tuple(tuple(int(c * denominator) for c in row) for row in inverse),
+        denominator=denominator,
+    )
+
+
+def _dominant_depths(cartan: tuple[tuple[int, ...], ...], labels: Sequence[int]
+                     ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every dominant weight below a dominant weight mu with the given
+    labels, as (depth d, labels) with weight mu - sum(d_i alpha_i).
+
+    The depth box 0 <= d_j <= <mu, w_j> is provably complete: a dominant
+    weight has nonnegative coefficients in the fundamental weights, that is
+    in the rows of the inverse Cartan matrix, which are nonnegative for
+    finite type.
+    """
+    tables = cartan_tables(cartan)
+    bounds = [sum(x * y for x, y in zip(row, labels)) // tables.denominator
+              for row in tables.inverse_rows]
+    found = []
+    for depth in itertools.product(*(range(b + 1) for b in bounds)):
+        below = tuple(l - sum(x * y for x, y in zip(row, depth)) for l, row in zip(labels, cartan))
+        if min(below, default=0) >= 0:
+            found.append((depth, below))
+    return found
+
+
+@dataclass(frozen=True)
 class DatumTables:
-    """The facts of one root datum that every layer reads, derived once.
-    ``fundamental_coweights[j]`` holds the coefficients of the fundamental
-    coweight w_j in the simple coroots times ``denominator``: the rows of the
-    inverse Cartan matrix, kept integral.  ``root_lattice_rows`` and
-    ``root_lattice_divisors`` are u and the diagonal of d (0 past the
+    """The facts of one root datum that every layer reads, derived once from
+    its Cartan tables.  ``fundamental_coweights`` and ``denominator`` are
+    the Cartan tables' inverse rows and denominator.  ``root_lattice_rows``
+    and ``root_lattice_divisors`` are u and the diagonal of d (0 past the
     semisimple rank) in the Smith form d = u A v of the simple roots."""
 
     positive_roots_with_coroots: tuple[tuple[Weight, Weight], ...]
@@ -379,44 +481,29 @@ def _scaled_root_coordinates(rd: RootDatum, rows: Sequence[Sequence[int]], v: Se
     return [pairing(row, labels) for row in rows]
 
 
+def _combination(rank: int, coeffs: Sequence[int], basis: Sequence[Weight]) -> Weight:
+    """sum(c_i basis_i) as a vector of the given length."""
+    return tuple(sum(c * b[p] for c, b in zip(coeffs, basis)) for p in range(rank))
+
+
 @lru_cache(maxsize=1024)
 def datum_tables(rd: RootDatum) -> DatumTables:
-    """Inverse Cartan rows, positive roots with coroots by orbit saturation,
-    2rho, 2rho^vee and the Smith form of the root lattice.  Raises
-    InvalidDatumError unless of finite type (saturation needs it to end)."""
-    cartan_type(rd)
-    # w_j = sum_k m_k alpha_k^vee solves sum_k m_k A[k][i] = delta_ij; the
-    # m_k are nonnegative for finite type
+    """Positive roots and coroots as vectors (root sum k_i alpha_i, coroot
+    sum n_i alpha_i^vee from the Cartan tables), 2rho, 2rho^vee, the inverse
+    Cartan rows and the Smith form of the root lattice.  Raises
+    InvalidDatumError unless of finite type."""
+    shared = cartan_tables(cartan_matrix(rd))
+    positive = sorted((_combination(rd.rank, k, rd.simple_roots),
+                       _combination(rd.rank, n, rd.simple_coroots)) for k, n in shared.roots)
     s = rd.semisimple_rank
-    a = cartan_matrix(rd)
-    inverse = [solve_rational(a, [int(i == j) for i in range(s)]) for j in range(s)]
-    assert all(row is not None and all(c >= 0 for c in row) for row in inverse), \
-        "inverse Cartan must be nonnegative"
-    denominator = lcm(*(c.denominator for row in inverse for c in row))
-    rows = tuple(tuple(int(c * denominator) for c in row) for row in inverse)
-    dual = dual_root_datum(rd)
-    seen: set[tuple[Weight, Weight]] = set()
-    frontier = list(zip(rd.simple_roots, rd.simple_coroots))
-    seen.update(frontier)
-    while frontier:
-        nxt = []
-        for root, cov in frontier:
-            for i in range(s):
-                pair = (reflect(rd, i, root), reflect(dual, i, cov))
-                if pair not in seen:
-                    seen.add(pair)
-                    nxt.append(pair)
-        frontier = nxt
-    positive = [(root, cov) for root, cov in sorted(seen)
-                if all(n >= 0 for n in _scaled_root_coordinates(rd, rows, root))]
     d, u, _ = smith_normal_form([[alpha[i] for alpha in rd.simple_roots] for i in range(rd.rank)])
     zero = (0,) * rd.rank
     return DatumTables(
         positive_roots_with_coroots=tuple(positive),
         two_rho=tuple(map(sum, zip(zero, *(root for root, _ in positive)))),
         two_rho_check=tuple(map(sum, zip(zero, *(cov for _, cov in positive)))),
-        fundamental_coweights=rows,
-        denominator=denominator,
+        fundamental_coweights=shared.inverse_rows,
+        denominator=shared.denominator,
         root_lattice_rows=tuple(map(tuple, u)),
         root_lattice_divisors=tuple(d[i][i] if i < s else 0 for i in range(rd.rank)),
     )
@@ -478,39 +565,12 @@ def dominant_window(rd: RootDatum, bound: int) -> tuple[Weight, ...]:
     return tuple(window)
 
 
-def _fundamental_covector_bounds(rd: RootDatum, mu: Weight) -> list[int]:
-    """For dominant mu: per-simple-root upper bounds on the coefficients c
-    with mu - sum(c_i alpha_i) dominant.
-
-    The bound is <mu, w_j> where w_j is the fundamental coweight expressed in
-    the simple coroots; those coefficients are nonnegative for finite type,
-    which is what makes the box search provably complete.
-    """
-    tables = datum_tables(rd)
-    return [n // tables.denominator
-            for n in _scaled_root_coordinates(rd, tables.fundamental_coweights, mu)]
-
-
 @lru_cache(maxsize=65536)
 def dominant_below(rd: RootDatum, mu: Weight) -> tuple[Weight, ...]:
     """All dominant weights lam with lam <= mu, sorted.  mu must be dominant."""
-    if not is_dominant(rd, mu):
-        raise DomainError(f"weight {mu} is not dominant")
-    s = rd.semisimple_rank
-    if s == 0:
-        return (tuple(mu),)
-    bounds = _fundamental_covector_bounds(rd, mu)
-    found = []
-    for combo in itertools.product(*(range(b + 1) for b in bounds)):
-        lam = list(mu)
-        for j, c in enumerate(combo):
-            if c:
-                for i, a in enumerate(rd.simple_roots[j]):
-                    lam[i] -= c * a
-        lam_t = tuple(lam)
-        if is_dominant(rd, lam_t):
-            found.append(lam_t)
-    return tuple(sorted(found))
+    labels = _dominant_labels(rd, mu)
+    return tuple(sorted(_subtract_roots(rd, mu, depth)
+                        for depth, _ in _dominant_depths(cartan_matrix(rd), labels)))
 
 
 def saturation_set(rd: RootDatum, mu: Weight) -> tuple[Weight, ...]:

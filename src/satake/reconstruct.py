@@ -246,9 +246,8 @@ def dump_semiring(rd: RootDatum, height_bound: int, seed: int) -> tuple[Abstract
     random.Random(seed).shuffle(tokens)
     label = dict(zip(window, tokens))
     products = {}
-    for (i, j), dec in product_table(rd, window).items():
-        terms = {label[nu]: m for nu, m in dec if nu in label}
-        products[(tokens[i], tokens[j])] = (terms, len(terms) == len(dec))
+    for (i, j), (found, count, _) in product_table(rd, window).items():
+        products[(tokens[i], tokens[j])] = ({tokens[k]: m for k, m in found}, len(found) == count)
     semiring = AbstractSemiring(ids=tokens, unit=label[(0,) * rd.rank], products=products)
     return semiring, {token: w for w, token in label.items()}
 
@@ -544,7 +543,9 @@ def extract_simple_roots(q_generators: tuple[tuple[int, ...], ...]) -> tuple[tup
         return sum(p * c for p, c in zip(phi, v))
 
     min_phi = min(phi_val(g) for g in gens)
-    memo: dict[tuple[int, ...], bool] = {}
+    # every generator is in the semigroup; the depth-first search below
+    # would find that only after descending through earlier generators
+    memo: dict[tuple[int, ...], bool] = dict.fromkeys(gens, True)
 
     def in_semigroup(v: tuple[int, ...]) -> bool:
         """Nonempty nonnegative-integer combination reaching v.  Depth-first
@@ -573,13 +574,12 @@ def extract_simple_roots(q_generators: tuple[tuple[int, ...], ...]) -> tuple[tup
 
     simples = []
     for g in gens:
-        decomposable = False
-        for h in gens:
-            rest = tuple(x - y for x, y in zip(g, h))
-            if any(rest) and phi_val(rest) >= min_phi and in_semigroup(rest):
-                decomposable = True
-                break
-        if not decomposable:
+        # a rest already known to lie in the semigroup, such as a generator,
+        # decides g without a search: it is nonzero with phi >= min_phi
+        if any(memo.get(tuple(x - y for x, y in zip(g, h))) for h in gens):
+            continue
+        rests = (tuple(x - y for x, y in zip(g, h)) for h in gens)
+        if not any(any(rest) and phi_val(rest) >= min_phi and in_semigroup(rest) for rest in rests):
             simples.append(g)
     return tuple(simples)
 
@@ -657,14 +657,13 @@ def verify_reconstruction(sr: AbstractSemiring, recovered: RecoveredDatum) -> li
     mism: list[str] = []
     labeling = recovered.labeling
     core = sorted(labeling)
-    by_weight = {w: x for x, w in labeling.items()}
     table = product_table(recovered.datum, [labeling[x] for x in core])
-    for (i, j), expected in table.items():
+    for (i, j), (found, _, true_total) in table.items():
         a, b = core[i], core[j]
         if not sr.has_product(a, b):
             continue
         terms, complete = sr.product(a, b)
-        visible = {by_weight[nu]: m for nu, m in expected if nu in by_weight}
+        visible = {core[k]: m for k, m in found}
         for t, m in terms.items():
             if t in labeling and visible.get(t) != m:
                 mism.append(f"product ({a},{b}): term {t} has multiplicity {m}, expected {visible.get(t, 0)}")
@@ -672,7 +671,6 @@ def verify_reconstruction(sr: AbstractSemiring, recovered: RecoveredDatum) -> li
             if t not in terms:
                 mism.append(f"product ({a},{b}): expected term {t} (multiplicity {m}) missing")
         dump_total = sum(terms.values())
-        true_total = sum(m for _, m in expected)
         if complete and dump_total != true_total:
             mism.append(f"product ({a},{b}): complete but totals {dump_total} != {true_total}")
         if not complete and dump_total >= true_total:

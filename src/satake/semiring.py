@@ -5,16 +5,34 @@ A decomposition is a plain dict mapping dominant highest weights to positive
 integer multiplicities.  Multiplicities are Python ints, so arbitrary
 precision comes for free.
 
-Products follow Brauer-Klimyk on Dynkin labels (Stembridge, MSJ Memoirs 11;
-LiE's ``tensor``): the rho-shift adds 1 to each label, terms whose labels
-are already positive need no fold, and a weight is computed once per
-distinct folded constituent.  ``product_table`` builds the all-pairs table
-of a weight list, which both the forward dump and the reconstruction
-self-check read.
+Multiplicities depend only on the Cartan matrix and the Dynkin labels, not
+on the lattice basis, so the kernel runs on labels and its caches are keyed
+by (Cartan matrix, labels), as in LiE and Stembridge (MSJ Memoirs 11): data
+that share a Cartan matrix in different bases, such as a dumped datum and
+the one reconstructed from its dump, share every diagram and product.
+
+- ``_label_diagram`` runs Freudenthal's recursion over the dominant weights
+  of the depth box, with the invariant form on labels from
+  ``lattice.cartan_tables``, and expands orbits by label reflections.  It
+  carries each weight of V_lam as its labels and its depth d, the weight
+  being lam - sum(d_i alpha_i).
+- ``_label_product`` is the Brauer-Klimyk product: the rho-shift adds 1 to
+  each label, terms whose labels are already positive need no fold, and
+  terms accumulate on their folded labels, which are the constituent's
+  labels plus 1.
+- The public functions turn labels into weights: a constituent of
+  V_lam ⊗ V_mu lies in lam + mu - Q, where its labels fix it.
+
+``product_table`` builds the all-pairs table of a weight list, which both
+the forward dump and the reconstruction self-check read, without building a
+weight vector: it matches constituents to the list by labels and X/Q class.
+Only the public ``tensor_decompose`` and the products built from it
+(``multiply_decompositions``, powers, PRV) keep a second, weight-keyed cache.
 """
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from operator import add
 from typing import Sequence
 
@@ -23,106 +41,116 @@ from .lattice import (
     RootDatum,
     Weight,
     WeylWord,
+    _dominant_depths,
+    _dominant_labels,
     _fold_labels,
+    _labels,
     _subtract_roots,
     apply_word,
     cartan_matrix,
-    coroot_height,
-    dominant_below,
+    cartan_tables,
+    class_mod_root_lattice,
+    datum_tables,
     dominant_representative,
     is_dominant,
     leq_dominance,
-    pairing,
-    positive_roots_with_coroots,
-    two_rho,
-    weyl_orbit,
 )
 
 Decomposition = dict[Weight, int]
 WeightTable = dict[Weight, int]
-
-
-def _check_dominant(rd: RootDatum, lam: Weight) -> None:
-    if not is_dominant(rd, lam):
-        raise DomainError(f"weight {lam} is not dominant")
-
-
-def _invariant_form(rd: RootDatum):
-    """W-invariant symmetric form B(x, y) = sum over positive coroots of
-    <x, c><y, c>.  Integer-valued, positive definite on the root span."""
-    covs = [cov for _, cov in positive_roots_with_coroots(rd)]
-
-    def form(x: Sequence[int], y: Sequence[int]) -> int:
-        return sum(pairing(x, c) * pairing(y, c) for c in covs)
-
-    return form
+Cartan = tuple[tuple[int, ...], ...]
+Labels = tuple[int, ...]
 
 
 @lru_cache(maxsize=4096)
-def _weight_table(rd: RootDatum, lam: Weight) -> tuple[tuple[Weight, tuple[int, ...], int], ...]:
-    """The weight diagram of V_lam as sorted (weight, Dynkin labels, mult)."""
-    doms = dominant_below(rd, lam)
-    if rd.semisimple_rank == 0:
-        return ((tuple(lam), (), 1),)
-    form = _invariant_form(rd)
-    roots = positive_roots_with_coroots(rd)
-    # heights doubled: coroot_height is twice the height on the root lattice
-    root_heights = [coroot_height(rd, root) for root, _ in roots]
-    rho2 = two_rho(rd)
-    lam_height = coroot_height(rd, lam)
-    heights = {nu: lam_height - coroot_height(rd, nu) for nu in doms}
-    assert all(h % 2 == 0 for h in heights.values())
-    by_height = sorted(doms, key=lambda nu: (heights[nu], nu))
-    mult: dict[Weight, int] = {}
-    lam_vec = tuple(2 * x + r for x, r in zip(lam, rho2))
-    lam_norm = form(lam_vec, lam_vec)
-    for nu in by_height:
-        if nu == tuple(lam):
+def _label_diagram(cartan: Cartan, labels: Labels) -> tuple[tuple[Labels, tuple[int, ...], int], ...]:
+    """The weight diagram of the irreducible with the given labels, as
+    (labels, depth, multiplicity) for every weight.
+
+    Freudenthal: m(nu) (|lam+rho|^2 - |nu+rho|^2) = 2 sum over positive
+    roots alpha and k >= 1 of m(nu + k alpha) (nu + k alpha, alpha), taken
+    over the dominant nu by increasing depth.  nu + k alpha lies below lam
+    only while k times alpha's coefficients stays within nu's depth, which
+    bounds k; its multiplicity is that of its folded labels.
+    """
+    tables = cartan_tables(cartan)
+    form = tables.form
+    # per positive root: coefficients, labels, G labels and (alpha, alpha)
+    roots = []
+    for (coeffs, _), root_labels in zip(tables.roots, tables.root_labels):
+        pulled = tuple(sum(g * r for g, r in zip(row, root_labels)) for row in form)
+        roots.append((coeffs, root_labels, pulled, sum(x * y for x, y in zip(root_labels, pulled))))
+
+    def shifted_norm(nu: Labels) -> int:
+        # (nu + rho, nu + rho): rho's labels are all 1
+        v = [x + 1 for x in nu]
+        return sum(x * sum(g * y for g, y in zip(row, v)) for x, row in zip(v, form))
+
+    top = shifted_norm(labels)
+    mult: dict[Labels, int] = {}
+    depths: dict[Labels, tuple[int, ...]] = {}
+    for depth, nu in sorted(_dominant_depths(cartan, labels), key=lambda e: (sum(e[0]), e[0])):
+        depths[nu] = depth
+        if not any(depth):
             mult[nu] = 1
             continue
-        height = heights[nu]
         acc = 0
-        for (root, _), root_height in zip(roots, root_heights):
-            k = 1
-            while k * root_height <= height:
-                shifted = tuple(x + k * r for x, r in zip(nu, root))
-                rep, _ = dominant_representative(rd, shifted)
-                m = mult.get(rep)
+        for coeffs, root_labels, pulled, length in roots:
+            base = sum(x * y for x, y in zip(nu, pulled))
+            reach = min(d // c for d, c in zip(depth, coeffs) if c)
+            for k in range(1, reach + 1):
+                shifted = tuple(x + k * r for x, r in zip(nu, root_labels))
+                if min(shifted) < 0:
+                    shifted = tuple(_fold_labels(cartan, shifted)[0])
+                m = mult.get(shifted)
                 if m:
-                    acc += m * form(shifted, root)
-                k += 1
-        nu_vec = tuple(2 * x + r for x, r in zip(nu, rho2))
-        denom = lam_norm - form(nu_vec, nu_vec)
+                    acc += m * (base + k * length)
+        denom = top - shifted_norm(nu)
         if denom <= 0:
             raise InconsistencyError("Freudenthal denominator must be positive")
-        value, rem = divmod(8 * acc, denom)
+        value, rem = divmod(2 * acc, denom)
         if rem != 0 or value <= 0:
             raise InconsistencyError("Freudenthal recursion produced a non-multiplicity")
         mult[nu] = value
-    table: dict[Weight, int] = {}
+    # s_i subtracts label i times column i of the Cartan matrix and deepens
+    # the weight by label i at i
+    diagram = []
     for nu, m in mult.items():
-        for w in weyl_orbit(rd, nu):
-            table[w] = m
-    return tuple((w, tuple(pairing(w, cov) for cov in rd.simple_coroots), m)
-                 for w, m in sorted(table.items()))
+        orbit = {nu: depths[nu]}
+        frontier = [nu]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for i, c in enumerate(v):
+                    if c:
+                        w = tuple(x - c * row[i] for x, row in zip(v, cartan))
+                        if w not in orbit:
+                            d = orbit[v]
+                            orbit[w] = d[:i] + (d[i] + c,) + d[i + 1:]
+                            nxt.append(w)
+            frontier = nxt
+        diagram.extend((w, d, m) for w, d in orbit.items())
+    return tuple(diagram)
 
 
 def weight_multiplicities(rd: RootDatum, lam: Weight) -> WeightTable:
     """Full weight diagram of the irreducible with highest weight lam, by
     Freudenthal recursion over the dominant weights below lam."""
-    _check_dominant(rd, lam)
-    return {w: m for w, _, m in _weight_table(rd, tuple(lam))}
+    labels = _dominant_labels(rd, lam)
+    return dict(sorted((_subtract_roots(rd, lam, d), m)
+                       for _, d, m in _label_diagram(cartan_matrix(rd), labels)))
 
 
 @lru_cache(maxsize=65536)
-def _weyl_dim_cached(rd: RootDatum, lam: Weight) -> int:
-    rho2 = two_rho(rd)
+def _label_dim(cartan: Cartan, labels: Labels) -> int:
+    """Weyl's dimension formula: the product over positive coroots
+    sum n_i alpha_i^vee of <lam + rho, coroot> / <rho, coroot>, which is
+    sum n_i (labels_i + 1) over sum n_i."""
     num = 1
     den = 1
-    shifted = tuple(2 * x + r for x, r in zip(lam, rho2))
-    for _, cov in positive_roots_with_coroots(rd):
-        num *= pairing(shifted, cov)
-        den *= pairing(rho2, cov)
+    for _, n in cartan_tables(cartan).roots:
+        num *= sum(c * (x + 1) for c, x in zip(n, labels))
+        den *= sum(n)
     value, rem = divmod(num, den)
     assert rem == 0 and value >= 1
     return value
@@ -130,43 +158,60 @@ def _weyl_dim_cached(rd: RootDatum, lam: Weight) -> int:
 
 def weyl_dim(rd: RootDatum, lam: Weight) -> int:
     """Dimension of the irreducible with highest weight lam, via the Weyl
-    dimension formula in the all-integer 2rho convention."""
-    _check_dominant(rd, lam)
-    return _weyl_dim_cached(rd, tuple(lam))
+    dimension formula on Dynkin labels."""
+    return _label_dim(cartan_matrix(rd), _dominant_labels(rd, lam))
 
 
 @lru_cache(maxsize=65536)
-def _tensor_cached(rd: RootDatum, lam: Weight, mu: Weight) -> tuple[tuple[Weight, int], ...]:
-    if _weyl_dim_cached(rd, mu) > _weyl_dim_cached(rd, lam):
-        lam, mu = mu, lam
-    cartan = cartan_matrix(rd)
+def _label_product(cartan: Cartan, a: Labels, b: Labels) -> tuple[tuple[Labels, int], ...]:
+    """V_a ⊗ V_b on labels: (shifted labels, multiplicity) of every
+    constituent, where the shifted labels of a constituent nu are those of
+    nu + rho, each label plus 1.
+
+    Walks the weight diagram of the smaller factor.  Terms are keyed by
+    folded labels: every constituent lies in lam + mu + Q, and no nonzero
+    element of Q has all labels 0, so the labels fix the constituent.
+    """
+    if _label_dim(cartan, b) > _label_dim(cartan, a):
+        a, b = b, a
     # lam + nu + rho has labels lam_i + nu_i + 1: rho's labels are all 1
-    shift = tuple(pairing(lam, cov) + 1 for cov in rd.simple_coroots)
-    # keyed by folded labels: every target lies in lam + mu + Q, and no
-    # nonzero element of Q has all labels 0, so the labels fix the target
-    acc: dict[tuple[int, ...], list] = {}
-    for nu, nu_labels, m in _weight_table(rd, mu):
-        labels = tuple(map(add, shift, nu_labels))
-        coeffs = None
+    shift = tuple(x + 1 for x in a)
+    acc: dict[Labels, int] = {}
+    for nu, _, m in _label_diagram(cartan, b):
+        labels = tuple(map(add, shift, nu))
         if min(labels, default=1) <= 0:
-            folded, coeffs, word = _fold_labels(cartan, labels)
+            folded, _, word = _fold_labels(cartan, labels)
             if 0 in folded:
                 continue  # on a wall: cancels
             labels = tuple(folded)
             if len(word) % 2:
                 m = -m
-        entry = acc.get(labels)
-        if entry is None:
-            # w(lam + nu + rho) - rho = lam + nu - sum(c_i alpha_i)
-            target = tuple(map(add, lam, nu))
-            if coeffs is not None:
-                target = _subtract_roots(rd, target, coeffs)
-            acc[labels] = [target, m]
-        else:
-            entry[1] += m
-    if any(m < 0 for _, m in acc.values()):
+        acc[labels] = acc.get(labels, 0) + m
+    if any(m < 0 for m in acc.values()):
         raise InconsistencyError("negative multiplicity from shift-reflect fold")
-    return tuple(sorted((target, m) for target, m in acc.values() if m))
+    return tuple((labels, m) for labels, m in acc.items() if m)
+
+
+def _product_terms(cartan: Cartan, a: Labels, b: Labels) -> tuple[tuple[Labels, int], ...]:
+    """_label_product under one key for both orders of the factors."""
+    return _label_product(cartan, a, b) if a <= b else _label_product(cartan, b, a)
+
+
+@lru_cache(maxsize=65536)
+def _tensor_cached(rd: RootDatum, lam: Weight, mu: Weight) -> tuple[tuple[Weight, int], ...]:
+    cartan = cartan_matrix(rd)
+    tables = cartan_tables(cartan)
+    a, b = _labels(rd, lam), _labels(rd, mu)
+    top = tuple(map(add, lam, mu))
+    # a constituent nu = lam + mu - sum(d_i alpha_i) has labels a + b - A d,
+    # so its depth d is A^-1 (a + b + 1 - shifted labels)
+    ceiling = [x + y + 1 for x, y in zip(a, b)]
+    out = []
+    for shifted, m in _product_terms(cartan, a, b):
+        gap = [c - x for c, x in zip(ceiling, shifted)]
+        depth = [sum(r * g for r, g in zip(row, gap)) // tables.denominator for row in tables.inverse_rows]
+        out.append((_subtract_roots(rd, top, depth), m))
+    return tuple(sorted(out))
 
 
 def tensor_decompose(rd: RootDatum, lam: Weight, mu: Weight) -> Decomposition:
@@ -174,30 +219,48 @@ def tensor_decompose(rd: RootDatum, lam: Weight, mu: Weight) -> Decomposition:
     weight diagram of the smaller factor, add 1 to each Dynkin label of
     lam + nu (the rho-shift), and fold the signed terms into the dominant
     chamber, where they cancel or add up by their folded labels."""
-    _check_dominant(rd, lam)
-    _check_dominant(rd, mu)
+    _dominant_labels(rd, lam)
+    _dominant_labels(rd, mu)
     return dict(_tensor_cached(rd, tuple(lam), tuple(mu)))
 
 
 def product_table(rd: RootDatum, weights: Sequence[Weight]
-                  ) -> dict[tuple[int, int], tuple[tuple[Weight, int], ...]]:
+                  ) -> dict[tuple[int, int], tuple[tuple[tuple[int, int], ...], int, int]]:
     """All pairwise products of a weight list, the table behind a dump and
-    its self-check: (i, j) with i <= j maps to V_{weights[i]} ⊗
-    V_{weights[j]} as sorted (highest weight, multiplicity) pairs.  Each
-    weight is checked for dominance once, and each product comes from the
-    cache tensor_decompose reads."""
-    weights = [tuple(w) for w in weights]
-    for w in weights:
-        _check_dominant(rd, w)
-    return {(i, j): _tensor_cached(rd, lam, weights[j])
-            for i, lam in enumerate(weights) for j in range(i, len(weights))}
+    its self-check.  (i, j) with i <= j maps V_{weights[i]} ⊗ V_{weights[j]}
+    to its constituents that are in the list, as sorted (index,
+    multiplicity) pairs, the number of its constituents, and their total
+    multiplicity.
+
+    Each weight is checked for dominance once.  A constituent is matched to
+    the list by its labels and X/Q class, which fix it (labels are injective
+    on Q); its class is the sum of the factors' classes.  A weight listed
+    twice is matched at its last index.
+    """
+    cartan = cartan_matrix(rd)
+    labels = [_dominant_labels(rd, w) for w in weights]
+    classes = [class_mod_root_lattice(rd, w) for w in weights]
+    divisors = datum_tables(rd).root_lattice_divisors
+    # keyed by shifted labels, as _label_product gives its constituents
+    by_class: dict[tuple[int, ...], dict[Labels, int]] = {}
+    for k, (lab, cls) in enumerate(zip(labels, classes)):
+        by_class.setdefault(cls, {})[tuple(x + 1 for x in lab)] = k
+    table = {}
+    for i, (a, ca) in enumerate(zip(labels, classes)):
+        for j in range(i, len(labels)):
+            cls = tuple((x + y) % d if d else x + y for x, y, d in zip(ca, classes[j], divisors))
+            index = by_class.get(cls, {})
+            terms = _product_terms(cartan, a, labels[j])
+            found = [(index[nu], m) for nu, m in terms if nu in index]
+            table[(i, j)] = (tuple(sorted(found)), len(terms), sum(m for _, m in terms))
+    return table
 
 
 def character_product_bruteforce(rd: RootDatum, lam: Weight, mu: Weight) -> Decomposition:
     """Independent oracle for tensor_decompose: convolve the two weight
     diagrams, then strip highest weights until the character is exhausted."""
-    _check_dominant(rd, lam)
-    _check_dominant(rd, mu)
+    _dominant_labels(rd, lam)
+    _dominant_labels(rd, mu)
     ta = weight_multiplicities(rd, lam)
     tb = weight_multiplicities(rd, mu)
     conv: dict[Weight, int] = {}
@@ -233,11 +296,15 @@ def character_product_bruteforce(rd: RootDatum, lam: Weight, mu: Weight) -> Deco
 
 
 def multiply_decompositions(rd: RootDatum, da: Decomposition, db: Decomposition) -> Decomposition:
-    """Product in the semiring: bilinear extension of tensor_decompose."""
+    """Product in the semiring: bilinear extension of tensor_decompose.
+    Each key of either side is checked for dominance once, and the products
+    of pairs are read from the cache tensor_decompose reads."""
+    for w in chain(da, db):
+        _dominant_labels(rd, w)
     out: Decomposition = {}
     for a, ma in da.items():
         for b, mb in db.items():
-            for c, mc in tensor_decompose(rd, a, b).items():
+            for c, mc in _tensor_cached(rd, a, b):
                 out[c] = out.get(c, 0) + ma * mb * mc
     return out
 
@@ -250,7 +317,7 @@ def power_decompose(rd: RootDatum, lam: Weight, k: int) -> Decomposition:
     """k-fold tensor power of V_lam, by iterated decomposition."""
     if k < 0:
         raise DomainError("tensor power needs k >= 0")
-    _check_dominant(rd, lam)
+    _dominant_labels(rd, lam)
     return tensor_decompose_list(rd, [tuple(lam)] * k)
 
 
@@ -258,7 +325,6 @@ def tensor_decompose_list(rd: RootDatum, weights: Sequence[Weight]) -> Decomposi
     """Decomposition of V_{w1} ⊗ ... ⊗ V_{wn} (the unit for an empty list)."""
     acc = unit_decomposition(rd)
     for w in weights:
-        _check_dominant(rd, w)
         acc = multiply_decompositions(rd, acc, {tuple(w): 1})
     return acc
 
@@ -269,7 +335,7 @@ def prv_multiplicity(rd: RootDatum, mus: Sequence[Weight], words: Sequence[WeylW
     if not mus or len(mus) != len(words):
         raise DomainError("prv_multiplicity needs matching nonempty lists")
     for mu in mus:
-        _check_dominant(rd, mu)
+        _dominant_labels(rd, mu)
     total = [0] * rd.rank
     for mu, word in zip(mus, words):
         moved = apply_word(rd, word, tuple(mu))

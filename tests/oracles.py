@@ -13,10 +13,13 @@ expansion oracle recomputes order evidence from multiplicity dicts built on
 the public ``product``, the reference for the id-bitmask supports of
 ``AbstractSemiring.evidence``; the all-subsets oracle tries every rank-sized
 subset of the rays, the reference for the pruned vertex search of
-``reconstruct._positive_functional``.  The doubled-fold oracle is the
-Klimyk product keyed by weights, folding twice the rho-shifted labels and
-halving each target, the reference for the label-keyed ``_tensor_cached``;
-the ``json.dumps`` writer is the reference for the dump writer.
+``reconstruct._positive_functional``; the unpruned semigroup search tests
+every difference of two generators by depth-first search, the reference for
+``reconstruct.extract_simple_roots``.  The doubled-fold oracle is the
+Klimyk product keyed by weights, walking the weight diagram from
+``weight_multiplicities``, folding twice the rho-shifted labels and halving
+each target, the reference for the label-keyed ``_label_product``; the
+``json.dumps`` writer is the reference for the dump writer.
 """
 from __future__ import annotations
 
@@ -40,8 +43,8 @@ from satake.lattice import (
     two_rho,
 )
 from satake.linalg import det_int, smith_normal_form, solve_rational
-from satake.reconstruct import AbstractSemiring
-from satake.semiring import _weight_table, weyl_dim
+from satake.reconstruct import AbstractSemiring, _positive_functional
+from satake.semiring import weight_multiplicities, weyl_dim
 
 
 def dominant_box(rd: RootDatum, cap: int, height: int | None = None) -> list[Weight]:
@@ -279,6 +282,56 @@ def positive_functional_by_all_subsets(gens: tuple[tuple[int, ...], ...]) -> lis
     raise InconsistencyError("harvested root cone is not pointed")
 
 
+def simple_roots_by_search(q_generators: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Minimal nonzero elements of the semigroup generated by the vectors:
+    a generator is dropped when some difference g - h with phi(g - h) >=
+    min phi lies in the semigroup, decided by depth-first search."""
+    gens = sorted(set(g for g in q_generators if any(g)))
+    if not gens:
+        return ()
+    phi = _positive_functional(tuple(gens))
+
+    def phi_val(v: tuple[int, ...]) -> int:
+        return sum(p * c for p, c in zip(phi, v))
+
+    min_phi = min(phi_val(g) for g in gens)
+    memo: dict[tuple[int, ...], bool] = {}
+
+    def in_semigroup(v: tuple[int, ...]) -> bool:
+        if v in memo:
+            return memo[v]
+        memo[v] = False
+        stack = [[v, 0]]
+        while stack:
+            frame = stack[-1]
+            u, k = frame
+            if k == len(gens):
+                stack.pop()
+                continue
+            w = tuple(x - y for x, y in zip(u, gens[k]))
+            if not any(w) or (memo.get(w) and phi_val(w) >= min_phi):
+                memo[u] = True
+                stack.pop()
+            elif w not in memo and phi_val(w) >= min_phi:
+                memo[w] = False
+                stack.append([w, 0])
+            else:
+                frame[1] += 1
+        return memo[v]
+
+    simples = []
+    for g in gens:
+        decomposable = False
+        for h in gens:
+            rest = tuple(x - y for x, y in zip(g, h))
+            if any(rest) and phi_val(rest) >= min_phi and in_semigroup(rest):
+                decomposable = True
+                break
+        if not decomposable:
+            simples.append(g)
+    return tuple(simples)
+
+
 def _half(vec: tuple[int, ...]) -> Weight:
     for c in vec:
         if c % 2:
@@ -293,13 +346,13 @@ def tensor_by_doubled_fold(rd: RootDatum, lam: Weight, mu: Weight) -> tuple[tupl
     if weyl_dim(rd, mu) > weyl_dim(rd, lam):
         lam, mu = mu, lam
     cartan = cartan_matrix(rd)
-    lam_labels = [2 * pairing(lam, cov) + 2 for cov in rd.simple_coroots]
     lam2 = [2 * x for x in lam]
     acc: dict[Weight, int] = {}
-    for nu, nu_labels, m in _weight_table(rd, mu):
-        # 2(lam + nu) + 2rho has labels 2 lam_i + 2 nu_i + 2; its fold minus
-        # 2rho is 2(lam + nu) - sum(c_i alpha_i), twice the target
-        labels, coeffs, word = _fold_labels(cartan, [a + 2 * b for a, b in zip(lam_labels, nu_labels)])
+    for nu, m in weight_multiplicities(rd, mu).items():
+        # 2(lam + nu) + 2rho has labels 2 <lam + nu, alpha_i^vee> + 2; its
+        # fold minus 2rho is 2(lam + nu) - sum(c_i alpha_i), twice the target
+        labels, coeffs, word = _fold_labels(
+            cartan, [2 * pairing(lam, cov) + 2 * pairing(nu, cov) + 2 for cov in rd.simple_coroots])
         if 0 in labels:
             continue  # on a wall: cancels
         target = _half(_subtract_roots(rd, [a + 2 * b for a, b in zip(lam2, nu)], coeffs))

@@ -9,7 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import SL4, datum
-from oracles import evidence_by_expansion, positive_functional_by_all_subsets, semiring_to_json_by_dumps
+from oracles import (
+    evidence_by_expansion,
+    positive_functional_by_all_subsets,
+    semiring_to_json_by_dumps,
+    simple_roots_by_search,
+)
 from satake.errors import InconclusiveError, InconsistencyError, ParseError
 from satake.fixtures import FIXTURES
 from satake.lattice import RootDatum, cartan_matrix, cartan_type, dual_root_datum, leq_dominance, preceq
@@ -492,6 +497,27 @@ class TestExtraction:
         rays += [tuple(x + y for x, y in zip(g, h)) for g, h in itertools.combinations(rays, 2)]
         gens = tuple(sorted(set(rays)))
         assert _positive_functional(gens) == positive_functional_by_all_subsets(gens)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from([2, 3]))
+    def test_simple_roots_match_search(self, data, dim):
+        from satake.reconstruct import extract_simple_roots
+
+        # nonnegative combinations of an independent set, with some of their
+        # pairwise sums, so that some differences are generators and some not
+        size = data.draw(st.integers(1, dim))
+        vector = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+        basis = data.draw(st.lists(vector, min_size=size, max_size=size))
+        d, _, _ = smith_normal_form(basis)
+        assume(all(d[i][i] != 0 for i in range(size)))
+        coeffs = data.draw(st.lists(st.lists(st.integers(0, 4), min_size=size, max_size=size)
+                                    .filter(any), min_size=1, max_size=8))
+        rays = [tuple(sum(c * v[i] for c, v in zip(cs, basis)) for i in range(dim)) for cs in coeffs]
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, len(rays) - 1), st.integers(0, len(rays) - 1)),
+                                   max_size=6))
+        rays += [tuple(x + y for x, y in zip(rays[i], rays[j])) for i, j in pairs]
+        gens = tuple(sorted(set(rays)))
+        assert extract_simple_roots(gens) == simple_roots_by_search(gens)
 
     def test_functional_rejects_unpointed_after_pruning(self):
         # (1,1) = (1,0) + (0,1), (-1,1) = (-1,0) + (0,1) and (0,1) = (1,0) + (-1,1)

@@ -9,11 +9,23 @@ from hypothesis import strategies as st
 from conftest import ALL_DATA, GL3, SL4, TORUS0, TORUS2, datum
 from oracles import character_by_weyl_formula, tensor_by_doubled_fold
 from satake.errors import DomainError
-from satake.lattice import dominant_window, leq_dominance, saturation_set, weyl_orbit
+from satake.lattice import (
+    RootDatum,
+    _labels,
+    _subtract_roots,
+    cartan_matrix,
+    dominant_below,
+    dominant_window,
+    leq_dominance,
+    saturation_set,
+    weyl_orbit,
+)
 from satake.reconstruct import dump_semiring
 from satake.semiring import (
-    _tensor_cached,
+    _label_diagram,
+    _label_product,
     character_product_bruteforce,
+    multiply_decompositions,
     power_decompose,
     product_table,
     prv_multiplicity,
@@ -139,6 +151,15 @@ class TestTensor:
         for nu in tensor_decompose(rd, lam, mu):
             assert leq_dominance(rd, nu, total)
 
+    def test_multiply_rejects_non_dominant_keys(self):
+        rd = datum("SL3")
+        for da, db in [({(1, 0): 1, (1, -1): 2}, {(0, 1): 1}), ({(0, 1): 1}, {(-1, 0): 1})]:
+            with pytest.raises(DomainError):
+                multiply_decompositions(rd, da, db)
+        # a non-dominant key raises even when the other side is empty
+        with pytest.raises(DomainError):
+            multiply_decompositions(rd, {(2, -1): 1}, {})
+
     def test_bruteforce_pgl2(self):
         assert character_product_bruteforce(datum("PGL2"), (1,), (1,)) == {(2,): 1, (1,): 1, (0,): 1}
 
@@ -156,13 +177,66 @@ def test_product_matches_doubled_fold(rd, data):
     weights = data.draw(st.lists(st.sampled_from(window), min_size=1, max_size=4))
     table = product_table(rd, weights)
     assert list(table) == [(i, j) for i in range(len(weights)) for j in range(i, len(weights))]
-    for (i, j), terms in table.items():
+    last = {w: k for k, w in enumerate(weights)}
+    for (i, j), (found, count, total) in table.items():
         dec = tensor_decompose(rd, weights[i], weights[j])
         assert dec == dict(tensor_by_doubled_fold(rd, weights[i], weights[j]))
-        assert terms == tuple(sorted(dec.items()))
+        assert found == tuple(sorted((last[nu], m) for nu, m in dec.items() if nu in last))
+        assert (count, total) == (len(dec), sum(dec.values()))
+
+
+def _change_basis(rd: RootDatum, p, p_inv) -> RootDatum:
+    """The datum in the basis x -> p x of X, so coweights go by p^-T."""
+    n = rd.rank
+    return RootDatum(n, tuple(tuple(sum(p[i][j] * v[j] for j in range(n)) for i in range(n))
+                              for v in rd.simple_roots),
+                     tuple(tuple(sum(p_inv[j][i] * v[j] for j in range(n)) for i in range(n))
+                           for v in rd.simple_coroots),
+                     name=f"{rd.name}'")
+
+
+# data that share a Cartan matrix in different bases, so the label-keyed
+# diagrams and products one fills serve the others
+SHARED_CARTAN = [
+    [datum("SL2"), datum("PGL2"), datum("GL2")],
+    [datum("SL3"), datum("PGL3"), GL3],
+    [SL4, _change_basis(SL4, ((1, 1, 0), (0, 1, 1), (0, 0, 1)), ((1, -1, 1), (0, 1, -1), (0, 0, 1)))],
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_label_caches_shared_across_bases(data):
+    steps = data.draw(st.lists(st.tuples(st.sampled_from(range(len(SHARED_CARTAN))), st.integers(0, 2)),
+                               min_size=2, max_size=6))
+    for family, member in steps:
+        group = SHARED_CARTAN[family]
+        rd = group[member % len(group)]
+        window = dominant_window(rd, 8 if rd.rank < 3 else 5)
+        lam, mu = data.draw(st.sampled_from(window)), data.draw(st.sampled_from(window))
+        assert cartan_matrix(rd) == cartan_matrix(group[0])
+        assert weight_multiplicities(rd, lam) == character_by_weyl_formula(rd, lam), (rd.name, lam)
+        assert tensor_decompose(rd, lam, mu) == dict(tensor_by_doubled_fold(rd, lam, mu)), (rd.name, lam, mu)
+        doms = {_subtract_roots(rd, lam, depth)
+                for labels, depth, _ in _label_diagram(cartan_matrix(rd), _labels(rd, lam))
+                if min(labels) >= 0}
+        assert doms == set(dominant_below(rd, lam))
 
 
 class TestProductTable:
+    def test_shared_across_bases(self):
+        # PGL3 is SL3 in the root basis: its weights' labels are SL3 weights
+        sl3, pgl3 = datum("SL3"), datum("PGL3")
+        window = dominant_window(pgl3, 12)
+        first = product_table(sl3, [_labels(pgl3, w) for w in window])
+        before = _label_product.cache_info()
+        second = product_table(pgl3, window)
+        after = _label_product.cache_info()
+        n = len(window)
+        assert after.misses == before.misses
+        assert after.hits - before.hits == n * (n + 1) // 2
+        assert second == first
+
     def test_non_dominant_rejected(self):
         with pytest.raises(DomainError):
             product_table(datum("SL3"), [(1, 0), (1, -1)])
@@ -170,9 +244,9 @@ class TestProductTable:
     def test_repeated_dump_hits_cache(self):
         rd = datum("Sp4")
         first, _ = dump_semiring(rd, 10, seed=3)
-        before = _tensor_cached.cache_info()
+        before = _label_product.cache_info()
         second, _ = dump_semiring(rd, 10, seed=3)
-        after = _tensor_cached.cache_info()
+        after = _label_product.cache_info()
         n = len(first.ids)
         assert after.misses == before.misses
         assert after.hits - before.hits == n * (n + 1) // 2
