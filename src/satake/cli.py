@@ -373,7 +373,7 @@ def sample_pool(rd: RootDatum) -> list[Weight]:
         window = dominant_window(rd, bound)
         positive = [coroot_height(rd, w) for w in window if any(w)]
         if len(positive) >= 2 and any(positive):
-            floor = min(h for h in positive if h > 0) if any(h > 0 for h in positive) else 0
+            floor = min(h for h in positive if h > 0)
             pool = [w for w in window if coroot_height(rd, w) <= max(2 * floor, 2)]
             if len(pool) >= 3:
                 return pool

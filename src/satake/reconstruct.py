@@ -393,7 +393,7 @@ def recover_monoid(sr: AbstractSemiring, cfg: ReconstructionConfig,
         matrix[index[b]][col] += 1
         if c != sr.unit:
             matrix[index[c]][col] -= 1
-    d, u, _ = smith_normal_form(matrix) if m else ([], [], [])
+    d, u, _ = smith_normal_form(matrix)
     snf_rank = sum(1 for i in range(min(m, len(relations))) if d[i][i] != 0)
     for i in range(snf_rank):
         if d[i][i] != 1:

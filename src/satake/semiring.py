@@ -18,26 +18,27 @@ the one reconstructed from its dump, share every diagram and product.
   being lam - sum(d_i alpha_i).
 - ``_label_product`` is the Brauer-Klimyk product: the rho-shift adds 1 to
   each label, terms whose labels are already positive need no fold, and
-  terms accumulate on their folded labels, which are the constituent's
-  labels plus 1.
-- The public functions turn labels into weights: a constituent of
-  V_lam ⊗ V_mu lies in lam + mu - Q, where its labels fix it.
+  terms accumulate on their folded labels; each constituent leaves with its
+  own labels, the shift taken off once.
+- ``tensor_decompose_list`` multiplies a list of factors on labels and turns
+  labels into weights once, at the end: a constituent of V_w1 ⊗ ... ⊗ V_wn
+  lies in w1 + ... + wn - Q, where its labels fix it.  ``tensor_decompose``,
+  powers and PRV go through it, so ``_label_product`` is the only product
+  cache.
 
 ``product_table`` builds the all-pairs table of a weight list, which both
 the forward dump and the reconstruction self-check read, without building a
 weight vector: it matches constituents to the list by labels and X/Q class.
-Only the public ``tensor_decompose`` and the products built from it
-(``multiply_decompositions``, powers, PRV) keep a second, weight-keyed cache.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
-from operator import add
+from operator import add, sub
 from typing import Sequence
 
 from .errors import DomainError, InconsistencyError
 from .lattice import (
+    CartanTables,
     RootDatum,
     Weight,
     WeylWord,
@@ -164,13 +165,12 @@ def weyl_dim(rd: RootDatum, lam: Weight) -> int:
 
 @lru_cache(maxsize=65536)
 def _label_product(cartan: Cartan, a: Labels, b: Labels) -> tuple[tuple[Labels, int], ...]:
-    """V_a ⊗ V_b on labels: (shifted labels, multiplicity) of every
-    constituent, where the shifted labels of a constituent nu are those of
-    nu + rho, each label plus 1.
+    """V_a ⊗ V_b on labels: (labels, multiplicity) of every constituent.
 
     Walks the weight diagram of the smaller factor.  Terms are keyed by
-    folded labels: every constituent lies in lam + mu + Q, and no nonzero
-    element of Q has all labels 0, so the labels fix the constituent.
+    their rho-shifted folded labels: every constituent lies in lam + mu + Q,
+    and no nonzero element of Q has all labels 0, so the labels fix the
+    constituent.  The shift comes off once per constituent, at the end.
     """
     if _label_dim(cartan, b) > _label_dim(cartan, a):
         a, b = b, a
@@ -189,7 +189,7 @@ def _label_product(cartan: Cartan, a: Labels, b: Labels) -> tuple[tuple[Labels, 
         acc[labels] = acc.get(labels, 0) + m
     if any(m < 0 for m in acc.values()):
         raise InconsistencyError("negative multiplicity from shift-reflect fold")
-    return tuple((labels, m) for labels, m in acc.items() if m)
+    return tuple((tuple([x - 1 for x in labels]), m) for labels, m in acc.items() if m)
 
 
 def _product_terms(cartan: Cartan, a: Labels, b: Labels) -> tuple[tuple[Labels, int], ...]:
@@ -197,21 +197,12 @@ def _product_terms(cartan: Cartan, a: Labels, b: Labels) -> tuple[tuple[Labels, 
     return _label_product(cartan, a, b) if a <= b else _label_product(cartan, b, a)
 
 
-@lru_cache(maxsize=65536)
-def _tensor_cached(rd: RootDatum, lam: Weight, mu: Weight) -> tuple[tuple[Weight, int], ...]:
-    cartan = cartan_matrix(rd)
-    tables = cartan_tables(cartan)
-    a, b = _labels(rd, lam), _labels(rd, mu)
-    top = tuple(map(add, lam, mu))
-    # a constituent nu = lam + mu - sum(d_i alpha_i) has labels a + b - A d,
-    # so its depth d is A^-1 (a + b + 1 - shifted labels)
-    ceiling = [x + y + 1 for x, y in zip(a, b)]
-    out = []
-    for shifted, m in _product_terms(cartan, a, b):
-        gap = [c - x for c, x in zip(ceiling, shifted)]
-        depth = [sum(r * g for r, g in zip(row, gap)) // tables.denominator for row in tables.inverse_rows]
-        out.append((_subtract_roots(rd, top, depth), m))
-    return tuple(sorted(out))
+def _weight_below(rd: RootDatum, tables: CartanTables, top: Weight, gap: Labels) -> Weight:
+    """The weight in top - Q whose labels are top's minus gap: top -
+    sum(d_i alpha_i) has labels labels(top) - A d, so its depth is
+    d = A^-1 gap."""
+    depth = [sum(r * g for r, g in zip(row, gap)) // tables.denominator for row in tables.inverse_rows]
+    return _subtract_roots(rd, top, depth)
 
 
 def tensor_decompose(rd: RootDatum, lam: Weight, mu: Weight) -> Decomposition:
@@ -219,9 +210,7 @@ def tensor_decompose(rd: RootDatum, lam: Weight, mu: Weight) -> Decomposition:
     weight diagram of the smaller factor, add 1 to each Dynkin label of
     lam + nu (the rho-shift), and fold the signed terms into the dominant
     chamber, where they cancel or add up by their folded labels."""
-    _dominant_labels(rd, lam)
-    _dominant_labels(rd, mu)
-    return dict(_tensor_cached(rd, tuple(lam), tuple(mu)))
+    return tensor_decompose_list(rd, [lam, mu])
 
 
 def product_table(rd: RootDatum, weights: Sequence[Weight]
@@ -241,10 +230,9 @@ def product_table(rd: RootDatum, weights: Sequence[Weight]
     labels = [_dominant_labels(rd, w) for w in weights]
     classes = [class_mod_root_lattice(rd, w) for w in weights]
     divisors = datum_tables(rd).root_lattice_divisors
-    # keyed by shifted labels, as _label_product gives its constituents
     by_class: dict[tuple[int, ...], dict[Labels, int]] = {}
     for k, (lab, cls) in enumerate(zip(labels, classes)):
-        by_class.setdefault(cls, {})[tuple(x + 1 for x in lab)] = k
+        by_class.setdefault(cls, {})[lab] = k
     table = {}
     for i, (a, ca) in enumerate(zip(labels, classes)):
         for j in range(i, len(labels)):
@@ -295,24 +283,6 @@ def character_product_bruteforce(rd: RootDatum, lam: Weight, mu: Weight) -> Deco
     return out
 
 
-def multiply_decompositions(rd: RootDatum, da: Decomposition, db: Decomposition) -> Decomposition:
-    """Product in the semiring: bilinear extension of tensor_decompose.
-    Each key of either side is checked for dominance once, and the products
-    of pairs are read from the cache tensor_decompose reads."""
-    for w in chain(da, db):
-        _dominant_labels(rd, w)
-    out: Decomposition = {}
-    for a, ma in da.items():
-        for b, mb in db.items():
-            for c, mc in _tensor_cached(rd, a, b):
-                out[c] = out.get(c, 0) + ma * mb * mc
-    return out
-
-
-def unit_decomposition(rd: RootDatum) -> Decomposition:
-    return {(0,) * rd.rank: 1}
-
-
 def power_decompose(rd: RootDatum, lam: Weight, k: int) -> Decomposition:
     """k-fold tensor power of V_lam, by iterated decomposition."""
     if k < 0:
@@ -322,11 +292,24 @@ def power_decompose(rd: RootDatum, lam: Weight, k: int) -> Decomposition:
 
 
 def tensor_decompose_list(rd: RootDatum, weights: Sequence[Weight]) -> Decomposition:
-    """Decomposition of V_{w1} ⊗ ... ⊗ V_{wn} (the unit for an empty list)."""
-    acc = unit_decomposition(rd)
-    for w in weights:
-        acc = multiply_decompositions(rd, acc, {tuple(w): 1})
-    return acc
+    """Decomposition of V_{w1} ⊗ ... ⊗ V_{wn} (the unit for an empty list),
+    sorted by weight.  Each factor is checked for dominance once; the
+    products accumulate on labels, from the zero labels, and each
+    constituent gets its weight once, below w1 + ... + wn."""
+    cartan = cartan_matrix(rd)
+    factors = [_dominant_labels(rd, w) for w in weights]
+    acc: dict[Labels, int] = {(0,) * len(cartan): 1}
+    for b in factors:
+        nxt: dict[Labels, int] = {}
+        for a, ma in acc.items():
+            for c, mc in _product_terms(cartan, a, b):
+                nxt[c] = nxt.get(c, 0) + ma * mc
+        acc = nxt
+    top = tuple(sum(w[i] for w in weights) for i in range(rd.rank))
+    top_labels = _labels(rd, top)
+    tables = cartan_tables(cartan)
+    return dict(sorted((_weight_below(rd, tables, top, tuple(map(sub, top_labels, labels))), m)
+                       for labels, m in acc.items()))
 
 
 def prv_multiplicity(rd: RootDatum, mus: Sequence[Weight], words: Sequence[WeylWord]) -> tuple[Weight, int]:
@@ -334,13 +317,11 @@ def prv_multiplicity(rd: RootDatum, mus: Sequence[Weight], words: Sequence[WeylW
     the tensor product of the V_{mu_i}.  The PRV theorem promises >= 1."""
     if not mus or len(mus) != len(words):
         raise DomainError("prv_multiplicity needs matching nonempty lists")
-    for mu in mus:
-        _dominant_labels(rd, mu)
+    product = tensor_decompose_list(rd, mus)
     total = [0] * rd.rank
     for mu, word in zip(mus, words):
         moved = apply_word(rd, word, tuple(mu))
         for i, c in enumerate(moved):
             total[i] += c
     lam, _ = dominant_representative(rd, tuple(total))
-    product = tensor_decompose_list(rd, [tuple(m) for m in mus])
     return lam, product.get(lam, 0)

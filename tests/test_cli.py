@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -226,6 +227,21 @@ def test_json_reports_deterministic():
     runs = [run_cli("prv", "--datum", "SL2", "--trials", "10", "--seed", "11", "--format", "json")
             for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+# the decompose coweights are dominant for the dual group; for G2 they are
+# the coweights with dual labels (1,0), (1,1) and (0,1)
+@pytest.mark.parametrize("args, digest", [
+    (("prv", "--datum", "SL2", "--seed", "3", "--trials", "200"), "a30414e211244753"),
+    (("prv", "--datum", "Sp4", "--seed", "3", "--trials", "200"), "189b7a38e37177f7"),
+    (("prv", "--datum", "G2", "--seed", "3", "--trials", "200"), "edac7af2d3a00ec7"),
+    (("decompose", "--datum", "Sp4", "--mu", "1,1", "--mu", "2,0"), "f7acdd2597c972cb"),
+    (("decompose", "--datum", "G2", "--mu", "2,1", "--mu", "5,3", "--mu", "3,2"), "0ffcec9314e62a00"),
+    (("decompose", "--datum", "GL2", "--mu", "2,1", "--mu", "1,0"), "3ae6c0014fed3119"),
+], ids=["prv-SL2", "prv-Sp4", "prv-G2", "decompose-Sp4", "decompose-G2", "decompose-GL2"])
+def test_pinned_report_digests(args, digest):
+    out = run_cli(*args, "--format", "json")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 def _unreadable_input(tmp_path: Path, kind: str) -> Path:

@@ -25,7 +25,6 @@ from satake.semiring import (
     _label_diagram,
     _label_product,
     character_product_bruteforce,
-    multiply_decompositions,
     power_decompose,
     product_table,
     prv_multiplicity,
@@ -151,14 +150,14 @@ class TestTensor:
         for nu in tensor_decompose(rd, lam, mu):
             assert leq_dominance(rd, nu, total)
 
-    def test_multiply_rejects_non_dominant_keys(self):
+    def test_list_rejects_non_dominant_factors(self):
         rd = datum("SL3")
-        for da, db in [({(1, 0): 1, (1, -1): 2}, {(0, 1): 1}), ({(0, 1): 1}, {(-1, 0): 1})]:
+        good, bad = [(1, 0), (0, 1), (1, 1)], (1, -1)
+        for k in range(len(good) + 1):
             with pytest.raises(DomainError):
-                multiply_decompositions(rd, da, db)
-        # a non-dominant key raises even when the other side is empty
+                tensor_decompose_list(rd, good[:k] + [bad] + good[k:])
         with pytest.raises(DomainError):
-            multiply_decompositions(rd, {(2, -1): 1}, {})
+            tensor_decompose_list(rd, [(2, -1)])
 
     def test_bruteforce_pgl2(self):
         assert character_product_bruteforce(datum("PGL2"), (1,), (1,)) == {(2,): 1, (1,): 1, (0,): 1}
@@ -183,6 +182,28 @@ def test_product_matches_doubled_fold(rd, data):
         assert dec == dict(tensor_by_doubled_fold(rd, weights[i], weights[j]))
         assert found == tuple(sorted((last[nu], m) for nu, m in dec.items() if nu in last))
         assert (count, total) == (len(dec), sum(dec.values()))
+
+
+@pytest.mark.parametrize("rd", ALL_DATA + [GL3, TORUS2, TORUS0], ids=lambda rd: rd.name)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_list_matches_doubled_fold(rd, data):
+    # GL3 (labels fix a weight only within top - Q) and the rank-0 datum
+    # are where turning the accumulated labels into weights can go wrong
+    window = dominant_window(rd, 6)
+    weights = data.draw(st.lists(st.sampled_from(window), max_size=4))
+    want = {(0,) * rd.rank: 1}
+    for w in weights:
+        acc: dict = {}
+        for nu, m in want.items():
+            for c, mc in tensor_by_doubled_fold(rd, nu, w):
+                acc[c] = acc.get(c, 0) + m * mc
+        want = acc
+    dec = tensor_decompose_list(rd, weights)
+    assert dec == want
+    assert list(dec) == sorted(dec)
+    lam = data.draw(st.sampled_from(window))
+    assert power_decompose(rd, lam, len(weights)) == tensor_decompose_list(rd, [lam] * len(weights))
 
 
 def _change_basis(rd: RootDatum, p, p_inv) -> RootDatum:
