@@ -8,18 +8,20 @@ concurrent use.
 
 Root-system facts that depend only on the Cartan matrix (the positive roots
 and coroots in simple-root and simple-coroot coordinates, their Dynkin
-labels, the invariant form on labels, the inverse Cartan rows) come from
-the one cached ``cartan_tables``, shared by every datum with that matrix
-whatever its lattice basis.  Per-datum facts (positive roots and coroots as
-vectors, 2rho, 2rho^vee, the Smith form of the root lattice) come from the
-one cached ``datum_tables``, which derives its vectors from the Cartan
-tables; simple-root coordinates and X/Q classes are integer pairings with
-its rows.  Windows of dominant weights up to a coroot-height bound come
-from ``dominant_window``, which solves the last coordinate's integer
-interval for each head of the box instead of filtering the box; the
-dominant weights below a dominant weight come from the depth box of
-``_dominant_depths``, which ``dominant_below`` and the weight diagrams in
-``semiring`` share.
+labels and norms, the invariant form on labels, the inverse Cartan rows and
+the Cartan type) come from the one cached ``cartan_tables``, shared by every
+datum with that matrix whatever its lattice basis.  Its root saturation also
+decides finite type, since only a finite-type matrix has finitely many
+roots, so it is the whole of ``validate_datum``.  Per-datum facts (positive
+roots and coroots as vectors, 2rho, 2rho^vee, the Smith form of the root
+lattice) come from the one cached ``datum_tables``, which derives its
+vectors from the Cartan tables; simple-root coordinates and X/Q classes are
+integer pairings with its rows.  Windows of dominant weights up to a
+coroot-height bound come from ``dominant_window``, which solves the last
+coordinate's integer interval for each head of the box instead of filtering
+the box; the dominant weights below a dominant weight come from the depth
+box of ``_dominant_depths``, which ``dominant_below`` and the weight
+diagrams in ``semiring`` share.
 
 Weights stay vectors at the API.  Internally the dominant chamber fold runs
 on Dynkin labels (the pairings with the simple coroots, as in LiE and
@@ -94,140 +96,20 @@ def cartan_matrix(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _components(a: Sequence[Sequence[int]]) -> list[list[int]]:
-    n = len(a)
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in range(n):
-                if not seen[j] and a[i][j] != 0:
-                    seen[j] = True
-                    stack.append(j)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _classify_block(a: Sequence[Sequence[int]], nodes: list[int]) -> str:
-    """Classify one connected Cartan block; raises if it is not finite type."""
-    n = len(nodes)
-    if n == 1:
-        return "A1"
-    sub = {i: {j for j in nodes if j != i and a[i][j] != 0} for i in nodes}
-    edges = [(i, j) for i in nodes for j in sub[i] if i < j]
-    if len(edges) != n - 1:
-        raise InvalidDatumError("not finite type: Cartan block is not a tree")
-    marks = {(i, j): a[i][j] * a[j][i] for (i, j) in edges}
-    if any(m >= 4 for m in marks.values()):
-        raise InvalidDatumError("not finite type: edge mark >= 4")
-    multi = [e for e, m in marks.items() if m > 1]
-    deg3 = [i for i in nodes if len(sub[i]) == 3]
-    if any(len(sub[i]) > 3 for i in nodes) or len(deg3) > 1:
-        raise InvalidDatumError("not finite type: diagram branching too high")
-    if multi and deg3:
-        raise InvalidDatumError("not finite type: branch node with multiple edge")
-    if len(multi) > 1:
-        raise InvalidDatumError("not finite type: several multiple edges")
-
-    if not multi and not deg3:
-        return f"A{n}"
-
-    if multi:
-        (p, q) = multi[0]
-        mark = marks[(p, q)]
-        if mark == 3:
-            if n != 2:
-                raise InvalidDatumError("not finite type: triple edge in rank > 2")
-            return "G2"
-        # single double edge on a path
-        ends = [i for i in nodes if len(sub[i]) == 1]
-        if len(ends) != 2:
-            raise InvalidDatumError("not finite type")
-        # walk the path from one end
-        order = [ends[0]]
-        while len(order) < n:
-            nxt = next(j for j in sub[order[-1]] if len(order) < 2 or j != order[-2])
-            order.append(nxt)
-        pos = {v: k for k, v in enumerate(order)}
-        lo, hi = sorted((pos[p], pos[q]))
-        if {lo, hi} == {0, 1} or {lo, hi} == {n - 2, n - 1}:
-            if n == 2:
-                return "B2"
-            # orient: end node e of the double edge, its neighbour w
-            e = order[0] if lo == 0 else order[n - 1]
-            w = order[1] if lo == 0 else order[n - 2]
-            # <alpha_w, alpha_e^vee> = -2 means alpha_w is the long root,
-            # i.e. the short root sits at the end: type B
-            return (f"B{n}" if a[e][w] == -2 else f"C{n}")
-        if n == 4 and {lo, hi} == {1, 2}:
-            return "F4"
-        raise InvalidDatumError("not finite type: double edge in the interior")
-
-    # simply laced with one branch node
-    branch = deg3[0]
-    arms = []
-    for first in sub[branch]:
-        length = 1
-        prev, cur = branch, first
-        while len(sub[cur]) == 2:
-            nxt = next(j for j in sub[cur] if j != prev)
-            prev, cur = cur, nxt
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
-        return f"D{n}"
-    if arms[:2] == [1, 2] and arms[2] in (2, 3, 4):
-        return {2: "E6", 3: "E7", 4: "E8"}[arms[2]]
-    raise InvalidDatumError("not finite type: bad branch arm lengths")
-
-
 def cartan_type(rd: RootDatum) -> str:
-    """Finite-type label, e.g. 'A2', 'B2 x A1', 'torus'.  Raises otherwise."""
-    return _classify_cartan(cartan_matrix(rd))
-
-
-def _classify_cartan(a: Sequence[Sequence[int]]) -> str:
-    s = len(a)
-    for i in range(s):
-        if a[i][i] != 2:
-            raise InvalidDatumError("Cartan diagonal != 2")
-    for i in range(s):
-        for j in range(s):
-            if i != j:
-                if a[i][j] > 0:
-                    raise InvalidDatumError("positive off-diagonal Cartan entry")
-                if (a[i][j] == 0) != (a[j][i] == 0):
-                    raise InvalidDatumError("asymmetric zero pattern in Cartan matrix")
-    if s == 0:
-        return "torus"
-    names = [_classify_block(a, comp) for comp in _components(a)]
-    return " x ".join(sorted(names))
-
-
-def _independent_over_q(vectors: Sequence[Weight], rank: int) -> bool:
-    if not vectors:
-        return True
-    d, _, _ = smith_normal_form([list(v) for v in vectors])
-    nonzero = sum(1 for i in range(min(len(vectors), rank)) if d[i][i] != 0)
-    return nonzero == len(vectors)
+    """Finite-type label, e.g. 'A2', 'A1 x B2', 'torus', read off the root
+    saturation of ``cartan_tables``.  Raises InvalidDatumError otherwise."""
+    return cartan_tables(cartan_matrix(rd)).name
 
 
 def validate_datum(rd: RootDatum) -> None:
     """Check every RootDatum invariant; raises InvalidDatumError on the first
-    violation (bad Cartan diagonal, non-finite type, dependent roots)."""
+    violation (a Cartan matrix off the structural rules or not of finite
+    type).  The check is ``cartan_type``: the Cartan matrix is the product of
+    the coroot rows and the root columns, and a finite-type one is
+    invertible, so both the simple roots and the simple coroots are
+    linearly independent whenever it passes."""
     cartan_type(rd)
-    if not _independent_over_q(rd.simple_roots, rd.rank):
-        raise InvalidDatumError("simple roots linearly dependent")
-    if not _independent_over_q(rd.simple_coroots, rd.rank):
-        raise InvalidDatumError("simple coroots linearly dependent")
 
 
 def is_dominant(rd: RootDatum, lam: Weight) -> bool:
@@ -277,7 +159,11 @@ def _fold_labels(cartan: Sequence[Sequence[int]], labels: Sequence[int]
 
 
 def _labels(rd: RootDatum, lam: Weight) -> tuple[int, ...]:
-    """The Dynkin labels of a weight: its pairings with the simple coroots."""
+    """The Dynkin labels of a weight: its pairings with the simple coroots.
+    Raises DomainError on a weight of the wrong length, which a datum
+    without roots would otherwise never pair."""
+    if len(lam) != rd.rank:
+        raise DomainError(f"weight {lam} does not have length {rd.rank}")
     return tuple(pairing(lam, cov) for cov in rd.simple_coroots)
 
 
@@ -379,37 +265,85 @@ def class_mod_root_lattice(rd: RootDatum, lam: Weight) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class CartanTables:
-    """The facts of one Cartan matrix, shared by every datum that has it.
-    ``roots`` pairs each positive root's coefficients k in the simple roots
-    with its coroot's coefficients n in the simple coroots, and
-    ``root_labels[r]`` holds root r's Dynkin labels A k.  ``form`` is the
-    integer matrix G = sum over positive coroots of n n^T, so the
-    W-invariant form B(x, y) = sum over positive coroots c of <x, c><y, c>
-    is labels(x)^T G labels(y).  ``inverse_rows[j]`` holds the coefficients
-    of the fundamental coweight w_j in the simple coroots times
-    ``denominator``: the rows of the inverse Cartan matrix, kept integral."""
+    """The facts of one Cartan matrix, shared by every datum that has it,
+    all read off the one root saturation of ``cartan_tables``.  ``roots``
+    pairs each positive root's coefficients k in the simple roots with its
+    coroot's coefficients n in the simple coroots, and ``root_labels[r]``
+    holds root r's Dynkin labels A k.  ``form`` is the integer matrix G =
+    sum over positive coroots of n n^T, so the W-invariant form B(x, y) =
+    sum over positive coroots c of <x, c><y, c> is labels(x)^T G labels(y),
+    and ``root_norms[r]`` is root r's (alpha, alpha).  ``inverse_rows[j]``
+    holds the coefficients of the fundamental coweight w_j in the simple
+    coroots times ``denominator``: the rows of the inverse Cartan matrix,
+    kept integral.  ``name`` is the Cartan type, e.g. 'A1 x A2'."""
 
     roots: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     root_labels: tuple[tuple[int, ...], ...]
     form: tuple[tuple[int, ...], ...]
+    root_norms: tuple[int, ...]
     inverse_rows: tuple[tuple[int, ...], ...]
     denominator: int
+    name: str
+
+
+def _check_cartan(a: Sequence[Sequence[int]]) -> None:
+    """The structural rules of a generalized Cartan matrix."""
+    s = len(a)
+    for i in range(s):
+        if a[i][i] != 2:
+            raise InvalidDatumError("Cartan diagonal != 2")
+    for i in range(s):
+        for j in range(s):
+            if i != j:
+                if a[i][j] > 0:
+                    raise InvalidDatumError("positive off-diagonal Cartan entry")
+                if (a[i][j] == 0) != (a[j][i] == 0):
+                    raise InvalidDatumError("asymmetric zero pattern in Cartan matrix")
+
+
+def _type_name(roots: Sequence[tuple[tuple[int, ...], tuple[int, ...]]], norms: Sequence[int]) -> str:
+    """The Cartan type of a finite root system from its positive roots and
+    their norms.  The simple components are the maximal root supports; one
+    of rank n with N positive roots is A_n when N = n(n+1)/2, D_n or E_n
+    when simply laced (all norms equal), B2 or G2 in rank 2, F4 when N = 24
+    in rank 4, and otherwise B_n or C_n as it has n short positive roots or
+    n(n-1)."""
+    supports = [frozenset(i for i, c in enumerate(k) if c) for k, _ in roots]
+    names = []
+    for comp in set(supports):
+        if any(comp < other for other in supports):
+            continue
+        lengths = [norm for support, norm in zip(supports, norms) if support <= comp]
+        n, count = len(comp), len(lengths)
+        short = lengths.count(min(lengths))
+        if count == n * (n + 1) // 2:
+            names.append(f"A{n}")
+        elif short == count:
+            names.append(f"D{n}" if count == n * (n - 1) else f"E{n}")
+        elif n == 2:
+            names.append("B2" if count == 4 else "G2")
+        elif n == 4 and count == 24:
+            names.append("F4")
+        else:
+            names.append(f"{'B' if short == n else 'C'}{n}")
+    return " x ".join(sorted(names)) if names else "torus"
 
 
 @lru_cache(maxsize=1024)
 def cartan_tables(a: tuple[tuple[int, ...], ...]) -> CartanTables:
     """Positive roots with coroots by orbit saturation in simple-root and
-    simple-coroot coordinates, their labels, the invariant form on labels
-    and the inverse Cartan rows.  Raises InvalidDatumError unless of finite
-    type (saturation needs it to end)."""
-    _classify_cartan(a)
+    simple-coroot coordinates, their labels and norms, the invariant form on
+    labels, the inverse Cartan rows and the Cartan type.  Raises
+    InvalidDatumError when the matrix breaks the structural rules or is not
+    of finite type; the saturation decides the latter, as the roots of any
+    other type outgrow every finite one."""
+    _check_cartan(a)
     s = len(a)
-    # w_j = sum_k m_k alpha_k^vee solves sum_k m_k A[k][i] = delta_ij; the
-    # m_k are nonnegative for finite type
-    inverse = [solve_rational(a, [int(i == j) for i in range(s)]) for j in range(s)]
-    assert all(row is not None and all(c >= 0 for c in row) for row in inverse), \
-        "inverse Cartan must be nonnegative"
-    denominator = lcm(*(c.denominator for row in inverse for c in row))
+    # a simple component of rank n has at most max(n^2, 15n) positive roots
+    # (n^2 for B_n and C_n, 120 = 15 * 8 for E8), so a finite-type matrix
+    # never has more than 2(s^2 + 15s) roots; one of any other type has
+    # infinitely many real roots, so its saturation never stops
+    cap = 2 * (s * s + 15 * s)
     # s_i moves the root coefficients k by -<root, alpha_i^vee> = -(A k)_i
     # at i, and the coroot coefficients n by -<alpha_i, coroot> = -(A^T n)_i
     unit = [tuple(int(i == j) for j in range(s)) for i in range(s)]
@@ -425,14 +359,27 @@ def cartan_tables(a: tuple[tuple[int, ...], ...]) -> CartanTables:
                 if pair not in seen:
                     seen.add(pair)
                     nxt.append(pair)
+        if len(seen) > cap:
+            raise InvalidDatumError(f"not finite type: more than {cap} roots")
         frontier = nxt
     positive = sorted((k, n) for k, n in seen if min(k) >= 0)
+    labels = [tuple(sum(x * y for x, y in zip(row, k)) for row in a) for k, _ in positive]
+    form = tuple(tuple(sum(n[i] * n[j] for _, n in positive) for j in range(s)) for i in range(s))
+    norms = tuple(sum(x * g * y for x, row in zip(lab, form) for g, y in zip(row, lab)) for lab in labels)
+    # w_j = sum_k m_k alpha_k^vee solves sum_k m_k A[k][i] = delta_ij; a
+    # finite-type A is invertible and the m_k are nonnegative
+    inverse = [solve_rational(a, [int(i == j) for i in range(s)]) for j in range(s)]
+    assert all(row is not None and all(c >= 0 for c in row) for row in inverse), \
+        "inverse Cartan must be nonnegative"
+    denominator = lcm(*(c.denominator for row in inverse for c in row))
     return CartanTables(
         roots=tuple(positive),
-        root_labels=tuple(tuple(sum(x * y for x, y in zip(row, k)) for row in a) for k, _ in positive),
-        form=tuple(tuple(sum(n[i] * n[j] for _, n in positive) for j in range(s)) for i in range(s)),
+        root_labels=tuple(labels),
+        form=form,
+        root_norms=norms,
         inverse_rows=tuple(tuple(int(c * denominator) for c in row) for row in inverse),
         denominator=denominator,
+        name=_type_name(positive, norms),
     )
 
 

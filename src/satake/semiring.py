@@ -78,9 +78,9 @@ def _label_diagram(cartan: Cartan, labels: Labels) -> tuple[tuple[Labels, tuple[
     form = tables.form
     # per positive root: coefficients, labels, G labels and (alpha, alpha)
     roots = []
-    for (coeffs, _), root_labels in zip(tables.roots, tables.root_labels):
+    for (coeffs, _), root_labels, length in zip(tables.roots, tables.root_labels, tables.root_norms):
         pulled = tuple(sum(g * r for g, r in zip(row, root_labels)) for row in form)
-        roots.append((coeffs, root_labels, pulled, sum(x * y for x, y in zip(root_labels, pulled))))
+        roots.append((coeffs, root_labels, pulled, length))
 
     def shifted_norm(nu: Labels) -> int:
         # (nu + rho, nu + rho): rho's labels are all 1

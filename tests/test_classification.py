@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from satake.errors import InvalidDatumError
@@ -79,3 +81,120 @@ def test_not_finite_type(a):
 ])
 def test_group_orders(a, order):
     assert weyl_group_order(from_cartan(a)) == order
+
+
+def path(n):
+    return simply_laced(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def marked(a, i, j, mark):
+    """Set <alpha_j, alpha_i^vee> = -mark: alpha_j is mark times as long
+    as alpha_i in squared length."""
+    a = [row[:] for row in a]
+    a[i][j] = -mark
+    return a
+
+
+def finite_type(family, n):
+    """The Cartan matrix of a connected finite type, nodes numbered along
+    the diagram; B_n ends in its short root, C_n in its long one."""
+    if family == "A":
+        return path(n)
+    if family == "B":
+        return marked(path(n), n - 1, n - 2, 2)
+    if family == "C":
+        return marked(path(n), n - 2, n - 1, 2)
+    if family == "D":
+        return simply_laced(n, [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)])
+    if family == "E":
+        return simply_laced(n, [(i, i + 1) for i in range(n - 2)] + [(2, n - 1)])
+    if family == "F":
+        return [row[:] for row in F4]
+    return [[2, -1], [-3, 2]]
+
+
+FINITE = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
+          + [("C", n) for n in range(3, 9)] + [("D", n) for n in range(4, 9)]
+          + [("E", n) for n in range(6, 9)] + [("F", 4), ("G", 2)])
+
+
+def permuted(a, rng):
+    p = list(range(len(a)))
+    rng.shuffle(p)
+    return [[a[p[i]][p[j]] for j in range(len(a))] for i in range(len(a))]
+
+
+def block_sum(a, b):
+    n = len(a) + len(b)
+    out = [[0] * n for _ in range(n)]
+    for i, row in enumerate(a):
+        out[i][:len(a)] = row
+    for i, row in enumerate(b):
+        out[len(a) + i][len(a):] = row
+    return out
+
+
+@pytest.mark.parametrize("family, n", FINITE, ids=[f"{f}{n}" for f, n in FINITE])
+def test_finite_types_permuted(family, n):
+    rng = random.Random(f"{family}{n}")
+    assert cartan_type(from_cartan(permuted(finite_type(family, n), rng))) == f"{family}{n}"
+
+
+BLOCK_SUMS = [(FINITE[k], random.Random(k).choice(FINITE)) for k in range(len(FINITE))]
+
+
+@pytest.mark.parametrize("first, second", BLOCK_SUMS,
+                         ids=[f"{f}{n}+{g}{m}" for (f, n), (g, m) in BLOCK_SUMS])
+def test_block_sums_permuted(first, second):
+    rng = random.Random(str((first, second)))
+    a = block_sum(finite_type(*first), finite_type(*second))
+    expected = " x ".join(sorted(f"{f}{n}" for f, n in (first, second)))
+    assert cartan_type(from_cartan(permuted(a, rng))) == expected
+
+
+def cycle(n):
+    return simply_laced(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def star(arms):
+    """Simply laced tree: node 0 with one path of each given length."""
+    edges, nxt = [], 1
+    for length in arms:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return simply_laced(nxt, edges)
+
+
+def joined(a, i):
+    """a with one more node, simply joined to node i."""
+    out = block_sum(a, [[2]])
+    out[i][-1] = out[-1][i] = -1
+    return out
+
+
+def forked(n):
+    """D-type fork: nodes 0 and 1 on node 2, then a path up to node n - 1."""
+    return simply_laced(n, [(0, 2)] + [(i, i + 1) for i in range(1, n - 1)])
+
+
+# the affine types of rank <= 9 (rank = nodes), then one hyperbolic matrix
+AFFINE = (
+    [("A1~", [[2, -2], [-2, 2]]), ("A2(2)", [[2, -4], [-1, 2]])]
+    + [(f"A{n}~", cycle(n + 1)) for n in range(2, 9)]
+    + [(f"B{n}~", marked(forked(n + 1), n, n - 1, 2)) for n in range(3, 9)]
+    + [(f"C{n}~", marked(marked(path(n + 1), 1, 0, 2), n - 1, n, 2)) for n in range(2, 9)]
+    + [(f"D{n}~", simply_laced(n + 1, [(0, 2), (1, 2)] + [(i, i + 1) for i in range(2, n - 2)]
+                               + [(n - 2, n - 1), (n - 2, n)])) for n in range(4, 9)]
+    + [("E6~", star([2, 2, 2])), ("E7~", star([1, 3, 3])), ("E8~", star([1, 2, 5]))]
+    # the extra node joins the long end of F4 (node 3) and G2 (node 0)
+    + [("F4~", joined(F4, 3)), ("G2~", joined(finite_type("G", 2), 0))]
+    + [("hyperbolic", [[2, -2, 0], [-2, 2, -1], [0, -1, 2]])]
+)
+
+
+@pytest.mark.parametrize("a", [a for _, a in AFFINE], ids=[name for name, _ in AFFINE])
+def test_affine_types_rejected(a):
+    with pytest.raises(InvalidDatumError, match="not finite type"):
+        cartan_type(from_cartan(a))

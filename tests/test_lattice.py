@@ -61,6 +61,12 @@ class TestValidation:
         with pytest.raises(InvalidDatumError, match="not finite type"):
             validate_datum(rd)
 
+    def test_dependent_coroots_rejected(self):
+        # independent roots, dependent coroots: the Cartan matrix is singular
+        rd = RootDatum(2, ((1, 0), (0, 1)), ((2, -2), (-2, 2)))
+        with pytest.raises(InvalidDatumError):
+            validate_datum(rd)
+
     def test_tables_reject_affine(self):
         # orbit saturation never ends off finite type: the tables must refuse
         rd = RootDatum(2, ((2, -2), (-2, 2)), ((1, 0), (0, 1)))

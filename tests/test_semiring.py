@@ -15,6 +15,7 @@ from satake.lattice import (
     _subtract_roots,
     cartan_matrix,
     dominant_below,
+    dominant_representative,
     dominant_window,
     leq_dominance,
     saturation_set,
@@ -158,6 +159,20 @@ class TestTensor:
                 tensor_decompose_list(rd, good[:k] + [bad] + good[k:])
         with pytest.raises(DomainError):
             tensor_decompose_list(rd, [(2, -1)])
+
+    def test_wrong_length_rejected_without_roots(self):
+        # with no simple coroots, no pairing checks a weight's length
+        rd = TORUS2
+        with pytest.raises(DomainError):
+            weight_multiplicities(rd, (1,))
+        with pytest.raises(DomainError):
+            weyl_dim(rd, (1, 2, 3))
+        with pytest.raises(DomainError):
+            dominant_representative(rd, (1,))
+        with pytest.raises(DomainError):
+            tensor_decompose_list(rd, [(1,), (2, 3)])
+        with pytest.raises(DomainError):
+            product_table(rd, [(1, 0), (1,)])
 
     def test_bruteforce_pgl2(self):
         assert character_product_bruteforce(datum("PGL2"), (1,), (1,)) == {(2,): 1, (1,): 1, (0,): 1}
