@@ -91,7 +91,7 @@ class Report:
     def emit(self, fmt: str, out: str | None) -> None:
         text = self.to_json() if fmt == "json" else self.to_tsv()
         if out:
-            Path(out).write_text(text, encoding="utf-8")
+            _write_text(Path(out), text)
         else:
             sys.stdout.write(text)
 
@@ -107,6 +107,15 @@ def _read_text(path: Path) -> str:
         return path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {str(path)!r}: {exc}") from exc
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write an output file as UTF-8; a path that cannot be written (a
+    directory, a missing parent) is a usage failure, not a crash."""
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot write {str(path)!r}: {exc}") from exc
 
 
 def _load_datum(spec: str) -> tuple[RootDatum, dict]:
@@ -237,7 +246,7 @@ def dump(datum: str, bound: int | None, seed: int, out: str | None) -> None:
     sr, _ = dump_semiring(rd, bound, seed)
     text = semiring_to_json(sr)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write_text(Path(out), text)
     else:
         sys.stdout.write(text)
 

@@ -21,7 +21,7 @@ class SatakeError(Exception):
 
 
 class ParseError(SatakeError):
-    """Malformed input file or weight literal."""
+    """Malformed input file or weight literal, or an unwritable output file."""
 
     exit_code = EXIT_PARSE
 

@@ -17,9 +17,12 @@ the one reconstructed from its dump, share every diagram and product.
   carries each weight of V_lam as its labels and its depth d, the weight
   being lam - sum(d_i alpha_i).
 - ``_label_product`` is the Brauer-Klimyk product: the rho-shift adds 1 to
-  each label, terms whose labels are already positive need no fold, and
-  terms accumulate on their folded labels; each constituent leaves with its
-  own labels, the shift taken off once.
+  each label, and each term's shifted labels go through the chamber memo
+  of the Cartan matrix (``_chamber``), which maps them to the labels and
+  sign of the constituent they fold to, or to a wall.  A miss folds once
+  with ``lattice._fold_labels``; the products of a dump repeat almost every
+  fold.  The Freudenthal inner fold in ``_label_diagram`` and
+  ``dominant_representative`` still call ``_fold_labels`` directly.
 - ``tensor_decompose_list`` multiplies a list of factors on labels and turns
   labels into weights once, at the end: a constituent of V_w1 ⊗ ... ⊗ V_wn
   lies in w1 + ... + wn - Q, where its labels fix it.  ``tensor_decompose``,
@@ -163,33 +166,44 @@ def weyl_dim(rd: RootDatum, lam: Weight) -> int:
     return _label_dim(cartan_matrix(rd), _dominant_labels(rd, lam))
 
 
+@lru_cache(maxsize=1024)
+def _chamber(cartan: Cartan) -> dict[Labels, tuple[Labels, int] | None]:
+    """The chamber memo of a Cartan matrix, filled by ``_label_product``:
+    rho-shifted labels map to the labels and sign of the constituent they
+    fold to, or to None on a wall."""
+    return {}
+
+
 @lru_cache(maxsize=65536)
 def _label_product(cartan: Cartan, a: Labels, b: Labels) -> tuple[tuple[Labels, int], ...]:
     """V_a ⊗ V_b on labels: (labels, multiplicity) of every constituent.
 
-    Walks the weight diagram of the smaller factor.  Terms are keyed by
-    their rho-shifted folded labels: every constituent lies in lam + mu + Q,
-    and no nonzero element of Q has all labels 0, so the labels fix the
-    constituent.  The shift comes off once per constituent, at the end.
+    Walks the weight diagram of the smaller factor and looks up each term's
+    rho-shifted labels in the chamber memo; a miss folds them once with
+    ``_fold_labels``.  Terms accumulate on their constituent's labels: every
+    constituent lies in lam + mu + Q, and no nonzero element of Q has all
+    labels 0, so the labels fix the constituent.
     """
     if _label_dim(cartan, b) > _label_dim(cartan, a):
         a, b = b, a
     # lam + nu + rho has labels lam_i + nu_i + 1: rho's labels are all 1
     shift = tuple(x + 1 for x in a)
+    chamber = _chamber(cartan)
     acc: dict[Labels, int] = {}
     for nu, _, m in _label_diagram(cartan, b):
         labels = tuple(map(add, shift, nu))
-        if min(labels, default=1) <= 0:
+        try:
+            entry = chamber[labels]
+        except KeyError:
             folded, _, word = _fold_labels(cartan, labels)
-            if 0 in folded:
-                continue  # on a wall: cancels
-            labels = tuple(folded)
-            if len(word) % 2:
-                m = -m
-        acc[labels] = acc.get(labels, 0) + m
+            entry = chamber[labels] = None if 0 in folded else (
+                tuple([x - 1 for x in folded]), -1 if len(word) % 2 else 1)
+        if entry is not None:
+            constituent, sign = entry
+            acc[constituent] = acc.get(constituent, 0) + sign * m
     if any(m < 0 for m in acc.values()):
         raise InconsistencyError("negative multiplicity from shift-reflect fold")
-    return tuple((tuple([x - 1 for x in labels]), m) for labels, m in acc.items() if m)
+    return tuple((labels, m) for labels, m in acc.items() if m)
 
 
 def _product_terms(cartan: Cartan, a: Labels, b: Labels) -> tuple[tuple[Labels, int], ...]:

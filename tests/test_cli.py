@@ -262,3 +262,16 @@ def test_unreadable_input_file(tmp_path: Path, command, kind):
                           capture_output=True, text=True)
     assert proc.returncode == 2, (proc.returncode, proc.stderr)
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("target", ["directory", "missing parent"])
+@pytest.mark.parametrize("command", [
+    ["dump", "--datum", "SL2", "--bound", "2"],
+    ["orbits", "--datum", "PGL2", "--bound", "2"],
+], ids=["dump", "orbits"])
+def test_unwritable_out(tmp_path: Path, command, target):
+    out = tmp_path if target == "directory" else tmp_path / "missing" / "x"
+    proc = subprocess.run(SATAKE + command + ["--out", str(out)], capture_output=True, text=True)
+    assert proc.returncode == 2, (proc.returncode, proc.stderr)
+    assert "error: cannot write" in proc.stderr
+    assert "Traceback" not in proc.stderr

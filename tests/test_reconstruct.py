@@ -15,6 +15,7 @@ from oracles import (
     semiring_to_json_by_dumps,
     simple_roots_by_search,
 )
+from test_classification import B3, C3, from_cartan
 from satake.errors import InconclusiveError, InconsistencyError, ParseError
 from satake.fixtures import FIXTURES
 from satake.lattice import RootDatum, cartan_matrix, cartan_type, dual_root_datum, leq_dominance, preceq
@@ -155,7 +156,9 @@ class TestDump:
         (dual_root_datum(FIXTURES["SL3"].datum), 30, "acd7dca1fb6e4efc"),
         (dual_root_datum(FIXTURES["G2"].datum), 32, "cf7971c7ce75ca83"),
         (SL4, 16, "42ce87e693e27c4f"),
-    ], ids=["SL3^-30", "G2^-32", "SL4-16"])
+        (from_cartan(B3), 40, "79f570fe84e0cb7f"),
+        (from_cartan(C3), 40, "287c1ff9af59bf63"),
+    ], ids=["SL3^-30", "G2^-32", "SL4-16", "B3-40", "C3-40"])
     def test_pinned_dump_digests(self, rd, bound, digest):
         sr, _ = dump_semiring(rd, bound, seed=0)
         assert hashlib.sha256(semiring_to_json(sr).encode()).hexdigest()[:16] == digest

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import ALL_DATA, GL3, SL4, TORUS0, TORUS2, datum
 from oracles import character_by_weyl_formula, tensor_by_doubled_fold
+from test_classification import B3, C3, FINITE, finite_type, from_cartan
 from satake.errors import DomainError
 from satake.lattice import (
     RootDatum,
@@ -23,6 +25,7 @@ from satake.lattice import (
 )
 from satake.reconstruct import dump_semiring
 from satake.semiring import (
+    _chamber,
     _label_diagram,
     _label_product,
     character_product_bruteforce,
@@ -258,6 +261,55 @@ def test_label_caches_shared_across_bases(data):
                 if min(labels) >= 0}
         assert doms == set(dominant_below(rd, lam))
 
+
+def _label_window(n: int, total: int) -> list[tuple[int, ...]]:
+    return [labels for labels in product(range(total + 1), repeat=n) if sum(labels) <= total]
+
+
+def _transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+# transposed Cartan matrices: the same label pairs give different products
+@pytest.mark.parametrize("a, b, total", [
+    (B3, C3, 2),
+    (finite_type("G", 2), _transpose(finite_type("G", 2)), 3),
+], ids=["B3-C3", "G2-G2t"])
+def test_chamber_memo_keyed_by_cartan(a, b, total):
+    _label_product.cache_clear()
+    _chamber.cache_clear()
+    pair = [from_cartan(a), from_cartan(b)]
+    window = _label_window(len(a), total)
+    differ = 0
+    for i, lam in enumerate(window):
+        for mu in window[i:]:
+            decs = [tensor_decompose(rd, lam, mu) for rd in pair]
+            for rd, dec in zip(pair, decs):
+                assert dec == dict(tensor_by_doubled_fold(rd, lam, mu)), (cartan_matrix(rd), lam, mu)
+            differ += decs[0] != decs[1]
+    assert differ
+
+
+@pytest.mark.parametrize("family, n", [(f, n) for f, n in FINITE if n <= 4],
+                         ids=[f"{f}{n}" for f, n in FINITE if n <= 4])
+def test_products_follow_node_permutation(family, n):
+    # node i of the permuted matrix is node p[i] of a, and so is label i
+    _label_product.cache_clear()
+    _chamber.cache_clear()
+    a = finite_type(family, n)
+    p = list(range(n))
+    random.Random(f"{family}{n}").shuffle(p)
+    cartan = tuple(tuple(row) for row in a)
+    permuted = tuple(tuple(a[p[i]][p[j]] for j in range(n)) for i in range(n))
+
+    def move(labels):
+        return tuple(labels[p[i]] for i in range(n))
+
+    window = _label_window(n, 2)
+    for i, x in enumerate(window):
+        for y in window[i:]:
+            want = {move(c): m for c, m in _label_product(cartan, x, y)}
+            assert dict(_label_product(permuted, move(x), move(y))) == want, (p, x, y)
 
 class TestProductTable:
     def test_shared_across_bases(self):
