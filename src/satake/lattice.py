@@ -137,9 +137,9 @@ def _fold_labels(cartan: Sequence[Sequence[int]], labels: Sequence[int]
                  ) -> tuple[list[int], list[int], WeylWord]:
     """Fold Dynkin labels into the dominant chamber.
 
-    Reflects at the smallest negative label i until none is left: s_i sends
-    label j to labels[j] - c * A[j][i] with c = labels[i], and moves the
-    weight by -c alpha_i.  Returns the final labels, the coefficients c_i
+    Reflects at the first negative label i by index until none is left: s_i
+    sends label j to labels[j] - c * A[j][i] with c = labels[i], and moves
+    the weight by -c alpha_i.  Returns the final labels, the coefficients c_i
     with folded weight = weight - sum(c_i alpha_i), and the word (rightmost
     letter applied first).
     """

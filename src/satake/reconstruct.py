@@ -18,7 +18,7 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from math import gcd
+from math import gcd, lcm
 from types import MappingProxyType
 
 from .errors import DomainError, InconclusiveError, InconsistencyError, ParseError, json_value
@@ -35,6 +35,7 @@ from .linalg import (
     det_int,
     in_lattice_span,
     integer_solutions,
+    lp_feasible_point,
     smith_normal_form,
     solve_rational,
 )
@@ -497,36 +498,27 @@ def recover_leq(sr: AbstractSemiring, cfg: ReconstructionConfig, a: str, b: str,
 def _positive_functional(gens: tuple[tuple[int, ...], ...]) -> list[int]:
     """An integer functional phi, positive on every generator.
 
-    Only one primitive point per ray matters.  Inside the span of the rays,
-    {phi : phi(g) >= 1} is a pointed polyhedron; when nonempty it has a
-    vertex where rank-many independent rays are tight.  For each such subset
-    with Gram matrix G, Cramer's rule in integers gives det(G) times that
-    vertex as a combination of the subset; it is kept when it reaches det(G)
-    on every ray.
-
-    Only irreducible rays are tried as tight ones.  A ray g with g - h also a
-    ray h is a sum of two rays; an accepted phi has phi(g) >= 2 det(G), while
-    each ray of the accepted subset has phi = det(G) > 0, so g is never in
-    it.  Dropping such rays keeps the order of the remaining subsets, so the
-    first accepted one, and phi, are unchanged.  The rank and the acceptance
-    test still use every ray, so a cone that is not pointed is still
-    rejected.
+    Only irreducible ("tight") primitive rays become rows: a ray that is the
+    sum of two rays is positive once both are.  With phi = p - n and a
+    surplus s_g >= 0 per tight ray g, phi(g) - s_g = 1 is one feasibility LP
+    for the exact simplex; its point, scaled by the lcm of its denominators,
+    gives phi.  phi is accepted only if positive on every ray, so a cone that
+    is not pointed, or has no tight ray, is rejected.  ``extract_simple_roots``
+    uses phi only to prune rests below the least generator value and to rule
+    out cycles, both exact for any phi positive on the generators, so its
+    simple roots do not depend on which such phi the simplex returns.
     """
     r = len(gens[0])
     rays = sorted({tuple(c // gcd(*(abs(x) for x in g)) for c in g) for g in gens})
-    d, _, _ = smith_normal_form([list(g) for g in rays])
-    k = sum(1 for i in range(min(len(rays), r)) if d[i][i] != 0)
     ray_set = set(rays)
-    candidates = [g for g in rays
-                  if not any(tuple(x - y for x, y in zip(g, h)) in ray_set for h in rays)]
-    for combo in itertools.combinations(candidates, k):
-        gram = [[pairing(x, y) for y in combo] for x in combo]
-        det = det_int(gram)
-        if det == 0:
-            continue
-        mu = [det_int([row[:t] + [1] + row[t + 1:] for row in gram]) for t in range(k)]
-        phi = [sum(m * ray[i] for m, ray in zip(mu, combo)) for i in range(r)]
-        if all(pairing(phi, g) >= det for g in rays):
+    tight = [g for g in rays if not any(tuple(x - y for x, y in zip(g, h)) in ray_set for h in rays)]
+    rows = [list(g) + [-x for x in g] + [-int(i == j) for j in range(len(tight))]
+            for i, g in enumerate(tight)]
+    point = lp_feasible_point(rows, [1] * len(tight)) if tight else None
+    if point is not None:
+        scale = lcm(*(x.denominator for x in point))
+        phi = [int((point[i] - point[r + i]) * scale) for i in range(r)]
+        if all(pairing(phi, g) > 0 for g in rays):
             return phi
     raise InconsistencyError("harvested root cone is not pointed")
 
@@ -822,7 +814,12 @@ def semiring_from_json(text: str) -> AbstractSemiring:
         products = {}
         for entry in doc["products"]:
             key = (json_value(entry["a"], str), json_value(entry["b"], str))
-            terms = {json_value(t["id"], str): json_value(t["mult"], int) for t in entry["terms"]}
+            terms = {}
+            for t in entry["terms"]:
+                tid = json_value(t["id"], str)
+                if tid in terms:
+                    raise ParseError(f"product ({key[0]},{key[1]}) lists term {tid} twice")
+                terms[tid] = json_value(t["mult"], int)
             products[key] = (terms, json_value(entry["complete"], bool))
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ParseError(f"malformed semiring dump: {exc}") from exc

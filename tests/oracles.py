@@ -12,11 +12,12 @@ normal form), the references for the per-datum tables in ``lattice``.  The
 expansion oracle recomputes order evidence from multiplicity dicts built on
 the public ``product``, the reference for the id-bitmask supports of
 ``AbstractSemiring.evidence``; the all-subsets oracle tries every rank-sized
-subset of the rays, the reference for the pruned vertex search of
-``reconstruct._positive_functional``; the unpruned semigroup search tests
-every difference of two generators by depth-first search, the reference for
-``reconstruct.extract_simple_roots``.  The doubled-fold oracle is the
-Klimyk product keyed by weights, walking the weight diagram from
+subset of the rays by Cramer's rule, deciding independently of the simplex
+behind ``reconstruct._positive_functional`` whether the cone is pointed; the
+unpruned semigroup search takes its functional from the all-subsets oracle
+and tests every difference of two generators by depth-first search, the
+reference for ``reconstruct.extract_simple_roots``.  The doubled-fold oracle
+is the Klimyk product keyed by weights, walking the weight diagram from
 ``weight_multiplicities``, folding twice the rho-shifted labels and halving
 each target, the reference for the label-keyed ``_label_product``; the
 ``json.dumps`` writer is the reference for the dump writer.
@@ -43,7 +44,7 @@ from satake.lattice import (
     two_rho,
 )
 from satake.linalg import det_int, smith_normal_form, solve_rational
-from satake.reconstruct import AbstractSemiring, _positive_functional
+from satake.reconstruct import AbstractSemiring
 from satake.semiring import weight_multiplicities, weyl_dim
 
 
@@ -289,7 +290,7 @@ def simple_roots_by_search(q_generators: tuple[tuple[int, ...], ...]) -> tuple[t
     gens = sorted(set(g for g in q_generators if any(g)))
     if not gens:
         return ()
-    phi = _positive_functional(tuple(gens))
+    phi = positive_functional_by_all_subsets(tuple(gens))
 
     def phi_val(v: tuple[int, ...]) -> int:
         return sum(p * c for p, c in zip(phi, v))

@@ -156,6 +156,22 @@ def test_exit_code_stray_product_key(tmp_path: Path):
     run_cli("reconstruct", "--dump", str(dump_file), expect=2)
 
 
+def test_exit_code_duplicate_term(tmp_path: Path):
+    dump_file = tmp_path / "sl2_dual.json"
+    datum_file = tmp_path / "sl2_dual_datum.json"
+    datum_file.write_text(datum_to_json(dual_root_datum(FIXTURES["SL2"].datum)))
+    run_cli("dump", "--datum", str(datum_file), "--bound", "8", "--seed", "0", "--out", str(dump_file))
+    doc = json.loads(dump_file.read_text())
+    entry = next(e for e in doc["products"] if e["terms"])
+    term = entry["terms"][0]
+    entry["terms"].insert(0, {"id": term["id"], "mult": term["mult"] + 5})
+    dump_file.write_text(json.dumps(doc))
+    proc = subprocess.run(SATAKE + ["reconstruct", "--dump", str(dump_file)], capture_output=True, text=True)
+    assert proc.returncode == 2, (proc.returncode, proc.stderr)
+    assert "error:" in proc.stderr and f"lists term {term['id']} twice" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_exit_code_numeric_token(tmp_path: Path):
     dump_file = tmp_path / "sl2.json"
     run_cli("dump", "--datum", "SL2", "--bound", "4", "--out", str(dump_file))

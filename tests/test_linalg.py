@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satake.linalg import (
     det_int,
@@ -11,6 +13,7 @@ from satake.linalg import (
     in_lattice_span,
     integer_solutions,
     lp_feasible_point,
+    mat_vec,
     smith_normal_form,
     solve_rational,
 )
@@ -98,3 +101,20 @@ def test_lp_feasibility_point():
     point = lp_feasible_point([[2, -2], [1, 1]], [1, 1])
     assert point is not None
     assert 2 * point[0] - 2 * point[1] == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), m=st.integers(1, 4), n=st.integers(1, 5))
+def test_lp_feasible_point_planted(data, m, n):
+    # a planted x* >= 0 makes rows * x = rows * x* feasible
+    rows = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                              min_size=m, max_size=m))
+    planted = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    rhs = mat_vec(rows, planted)
+    point = lp_feasible_point(rows, rhs)
+    assert point is not None and len(point) == n
+    assert all(x >= 0 for x in point)
+    assert [sum(a * x for a, x in zip(row, point)) for row in rows] == rhs
+    # the sum of all rows cannot reach one more than the sum of rhs
+    total = [sum(col) for col in zip(*rows)]
+    assert lp_feasible_point(rows + [total], rhs + [sum(rhs) + 1]) is None

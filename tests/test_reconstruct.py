@@ -147,6 +147,18 @@ class TestDump:
         with pytest.raises(ParseError):
             semiring_from_json("{\"unit\": \"a\"}")
 
+    def test_duplicate_term_rejected(self):
+        # the same id listed twice in one product: a dict would keep the
+        # last multiplicity and read back as the clean dump
+        sr, _ = dump_semiring(dual_root_datum(datum("SL2")), 8, seed=0)
+        doc = json.loads(semiring_to_json(sr))
+        entry = next(e for e in doc["products"] if e["terms"])
+        term = entry["terms"][0]
+        entry["terms"].insert(0, {"id": term["id"], "mult": term["mult"] + 5})
+        with pytest.raises(ParseError) as info:
+            semiring_from_json(json.dumps(doc))
+        assert str(info.value) == f"product ({entry['a']},{entry['b']}) lists term {term['id']} twice"
+
     def test_stray_product_key_rejected(self):
         products = {("e", "e"): ({"e": 1}, True), ("e", "ghost"): ({"e": 1}, True)}
         with pytest.raises(ParseError, match="outside the id set"):
@@ -498,8 +510,21 @@ class TestExtraction:
                                     .filter(any), min_size=1, max_size=6))
         rays = [tuple(sum(c * v[i] for c, v in zip(cs, basis)) for i in range(dim)) for cs in coeffs]
         rays += [tuple(x + y for x, y in zip(g, h)) for g, h in itertools.combinations(rays, 2)]
-        gens = tuple(sorted(set(rays)))
-        assert _positive_functional(gens) == positive_functional_by_all_subsets(gens)
+        # negating some rays puts a line in the cone
+        negated = data.draw(st.lists(st.sampled_from(rays), max_size=2))
+        gens = tuple(sorted(set(rays) | {tuple(-x for x in g) for g in negated}))
+        # any functional positive on the generators will do, so phi is
+        # checked against the generators, and the oracle only decides
+        # whether the cone is pointed
+        try:
+            positive_functional_by_all_subsets(gens)
+        except InconsistencyError:
+            with pytest.raises(InconsistencyError):
+                _positive_functional(gens)
+            return
+        phi = _positive_functional(gens)
+        assert len(phi) == dim and all(type(p) is int for p in phi)
+        assert all(sum(p * x for p, x in zip(phi, g)) > 0 for g in gens)
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), dim=st.sampled_from([2, 3]))
@@ -521,6 +546,25 @@ class TestExtraction:
         rays += [tuple(x + y for x, y in zip(rays[i], rays[j])) for i, j in pairs]
         gens = tuple(sorted(set(rays)))
         assert extract_simple_roots(gens) == simple_roots_by_search(gens)
+
+    def test_hexagon_rejected(self):
+        from satake.reconstruct import extract_simple_roots
+
+        # the A2 roots: every ray is the sum of two others, so none is tight
+        gens = tuple(sorted({(1, 0), (0, 1), (1, -1), (-1, 0), (0, -1), (-1, 1)}))
+        with pytest.raises(InconsistencyError):
+            _positive_functional(gens)
+        with pytest.raises(InconsistencyError):
+            extract_simple_roots(gens)
+        # (2, 1) is the one tight ray: the LP is feasible, and only the check
+        # on every ray rejects its phi
+        with pytest.raises(InconsistencyError):
+            _positive_functional(tuple(sorted(gens + ((2, 1),))))
+        # the hexagon in the plane z = 0 below the one tight ray (0, 0, 1):
+        # the LP's phi vanishes on the hexagon
+        lifted = tuple(sorted([g + (0,) for g in gens] + [(0, 0, 1)]))
+        with pytest.raises(InconsistencyError):
+            _positive_functional(lifted)
 
     def test_functional_rejects_unpointed_after_pruning(self):
         # (1,1) = (1,0) + (0,1), (-1,1) = (-1,0) + (0,1) and (0,1) = (1,0) + (-1,1)
