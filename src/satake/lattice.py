@@ -16,19 +16,21 @@ roots, so it is the whole of ``validate_datum``.  Per-datum facts (positive
 roots and coroots as vectors, 2rho, 2rho^vee, the Smith form of the root
 lattice) come from the one cached ``datum_tables``, which derives its
 vectors from the Cartan tables; simple-root coordinates and X/Q classes are
-integer pairings with its rows.  Windows of dominant weights up to a
-coroot-height bound come from ``dominant_window``, which solves the last
-coordinate's integer interval for each head of the box instead of filtering
-the box; the dominant weights below a dominant weight come from the depth
-box of ``_dominant_depths``, which ``dominant_below`` and the weight
-diagrams in ``semiring`` share.
+integer pairings with the tables' rows.  ``_box_points`` enumerates the
+integer points of a box cut by linear inequalities, solving the last
+coordinate's integer interval for each head of the box; it is the one
+enumerator behind ``dominant_window`` (a coordinate box under a coroot-height
+bound) and ``_dominant_depths`` (the depth box below a dominant weight,
+shared by ``dominant_below`` and the weight diagrams in ``semiring``).
 
 Weights stay vectors at the API.  Internally the dominant chamber fold runs
 on Dynkin labels (the pairings with the simple coroots, as in LiE and
 Stembridge's "Computational aspects of root systems"): a weight is dominant
 when all its labels are >= 0, and the reflection s_i subtracts labels[i]
 times column i of the Cartan matrix.  ``dominant_representative`` and the
-Freudenthal recursion and Klimyk product in ``semiring`` share that fold.
+Freudenthal recursion and Klimyk product in ``semiring`` share that fold,
+and ``weyl_orbit`` and the weight diagrams share one orbit walk on labels,
+``_label_orbit``.
 """
 from __future__ import annotations
 
@@ -199,19 +201,34 @@ def _subtract_roots(rd: RootDatum, v: Sequence[int], coeffs: Sequence[int]) -> W
 
 @lru_cache(maxsize=65536)
 def weyl_orbit(rd: RootDatum, lam: Weight) -> tuple[Weight, ...]:
-    """The W-orbit of a weight, sorted for determinism."""
-    seen = {tuple(lam)}
-    frontier = [tuple(lam)]
+    """The W-orbit of a weight, sorted for determinism, walked on labels from
+    the fold of lam, whose depth relative to lam is the fold's coefficients."""
+    cartan = cartan_matrix(rd)
+    labels, coeffs, _ = _fold_labels(cartan, [pairing(lam, cov) for cov in rd.simple_coroots])
+    orbit = _label_orbit(cartan, tuple(labels), tuple(coeffs))
+    return tuple(sorted(_subtract_roots(rd, lam, depth) for depth in orbit.values()))
+
+
+def _label_orbit(cartan: Sequence[Sequence[int]], labels: tuple[int, ...], depth: tuple[int, ...]
+                 ) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The W-orbit of a weight with the given labels and depth d below some
+    base, as a map from labels (which fix a weight of the orbit) to depth in
+    breadth-first order: s_i subtracts label i times column i of the Cartan
+    matrix and deepens the weight by label i at i."""
+    orbit = {labels: depth}
+    frontier = [labels]
     while frontier:
         nxt = []
         for v in frontier:
-            for i in range(rd.semisimple_rank):
-                w = reflect(rd, i, v)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
+            for i, c in enumerate(v):
+                if c:
+                    w = tuple(x - c * row[i] for x, row in zip(v, cartan))
+                    if w not in orbit:
+                        d = orbit[v]
+                        orbit[w] = d[:i] + (d[i] + c,) + d[i + 1:]
+                        nxt.append(w)
         frontier = nxt
-    return tuple(sorted(seen))
+    return orbit
 
 
 def weyl_group_order(rd: RootDatum) -> int:
@@ -222,11 +239,12 @@ def weyl_group_order(rd: RootDatum) -> int:
 
 
 def _root_span_coordinates(rd: RootDatum, v: Sequence[int]) -> tuple[list[int], int] | None:
-    """The simple-root coordinates of v scaled by the tables' denominator,
-    with that denominator, or None if v is outside the roots' rational
-    span."""
-    tables = datum_tables(rd)
-    scaled = _scaled_root_coordinates(rd, tables.fundamental_coweights, v)
+    """The simple-root coordinates of v (its labels paired with the inverse
+    Cartan rows) scaled by their denominator, with that denominator, or None
+    if v is outside the roots' rational span."""
+    tables = cartan_tables(cartan_matrix(rd))
+    labels = [pairing(v, cov) for cov in rd.simple_coroots]
+    scaled = [pairing(row, labels) for row in tables.inverse_rows]
     for i, x in enumerate(v):
         if sum(n * alpha[i] for n, alpha in zip(scaled, rd.simple_roots)) != tables.denominator * x:
             return None
@@ -383,6 +401,32 @@ def cartan_tables(a: tuple[tuple[int, ...], ...]) -> CartanTables:
     )
 
 
+def _box_points(box: Sequence[tuple[int, int]], cuts: Sequence[tuple[Sequence[int], int]]
+                ) -> list[tuple[int, ...]]:
+    """The integer points x of the box lo_k <= x_k <= hi_k with offset +
+    <a, x> >= 0 for every cut (a, offset), in lexicographic order.  For each
+    head of x in the box the cuts are linear in the last coordinate and
+    leave it one integer interval; the empty box holds () if its cuts do."""
+    if not box:
+        return [()] if all(offset >= 0 for _, offset in cuts) else []
+    *head_box, (first, last) = box
+    points = []
+    for head in itertools.product(*(range(lo, hi + 1) for lo, hi in head_box)):
+        lo, hi = first, last
+        for a, offset in cuts:
+            p = offset + sum(x * y for x, y in zip(head, a))
+            q = a[-1]
+            if q > 0:
+                lo = max(lo, -(p // q))
+            elif q < 0:
+                hi = min(hi, p // -q)
+            elif p < 0:
+                hi = lo - 1
+                break
+        points.extend(head + (x,) for x in range(lo, hi + 1))
+    return points
+
+
 def _dominant_depths(cartan: tuple[tuple[int, ...], ...], labels: Sequence[int]
                      ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every dominant weight below a dominant weight mu with the given
@@ -394,38 +438,25 @@ def _dominant_depths(cartan: tuple[tuple[int, ...], ...], labels: Sequence[int]
     finite type.
     """
     tables = cartan_tables(cartan)
-    bounds = [sum(x * y for x, y in zip(row, labels)) // tables.denominator
-              for row in tables.inverse_rows]
-    found = []
-    for depth in itertools.product(*(range(b + 1) for b in bounds)):
-        below = tuple(l - sum(x * y for x, y in zip(row, depth)) for l, row in zip(labels, cartan))
-        if min(below, default=0) >= 0:
-            found.append((depth, below))
-    return found
+    box = [(0, sum(x * y for x, y in zip(row, labels)) // tables.denominator)
+           for row in tables.inverse_rows]
+    cuts = [(tuple(-x for x in row), l) for l, row in zip(labels, cartan)]
+    return [(depth, tuple(l - sum(x * y for x, y in zip(row, depth)) for l, row in zip(labels, cartan)))
+            for depth in _box_points(box, cuts)]
 
 
 @dataclass(frozen=True)
 class DatumTables:
     """The facts of one root datum that every layer reads, derived once from
-    its Cartan tables.  ``fundamental_coweights`` and ``denominator`` are
-    the Cartan tables' inverse rows and denominator.  ``root_lattice_rows``
-    and ``root_lattice_divisors`` are u and the diagonal of d (0 past the
-    semisimple rank) in the Smith form d = u A v of the simple roots."""
+    its Cartan tables.  ``root_lattice_rows`` and ``root_lattice_divisors``
+    are u and the diagonal of d (0 past the semisimple rank) in the Smith
+    form d = u A v of the simple roots."""
 
     positive_roots_with_coroots: tuple[tuple[Weight, Weight], ...]
     two_rho: Weight
     two_rho_check: Weight
-    fundamental_coweights: tuple[tuple[int, ...], ...]
-    denominator: int
     root_lattice_rows: tuple[tuple[int, ...], ...]
     root_lattice_divisors: tuple[int, ...]
-
-
-def _scaled_root_coordinates(rd: RootDatum, rows: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
-    """Denominator times the simple-root coordinates of v's projection onto
-    the root span: v's pairings with the simple coroots, paired with rows."""
-    labels = [pairing(v, cov) for cov in rd.simple_coroots]
-    return [pairing(row, labels) for row in rows]
 
 
 def _combination(rank: int, coeffs: Sequence[int], basis: Sequence[Weight]) -> Weight:
@@ -436,9 +467,9 @@ def _combination(rank: int, coeffs: Sequence[int], basis: Sequence[Weight]) -> W
 @lru_cache(maxsize=1024)
 def datum_tables(rd: RootDatum) -> DatumTables:
     """Positive roots and coroots as vectors (root sum k_i alpha_i, coroot
-    sum n_i alpha_i^vee from the Cartan tables), 2rho, 2rho^vee, the inverse
-    Cartan rows and the Smith form of the root lattice.  Raises
-    InvalidDatumError unless of finite type."""
+    sum n_i alpha_i^vee from the Cartan tables), 2rho, 2rho^vee and the
+    Smith form of the root lattice.  Raises InvalidDatumError unless of
+    finite type."""
     shared = cartan_tables(cartan_matrix(rd))
     positive = sorted((_combination(rd.rank, k, rd.simple_roots),
                        _combination(rd.rank, n, rd.simple_coroots)) for k, n in shared.roots)
@@ -449,8 +480,6 @@ def datum_tables(rd: RootDatum) -> DatumTables:
         positive_roots_with_coroots=tuple(positive),
         two_rho=tuple(map(sum, zip(zero, *(root for root, _ in positive)))),
         two_rho_check=tuple(map(sum, zip(zero, *(cov for _, cov in positive)))),
-        fundamental_coweights=shared.inverse_rows,
-        denominator=shared.denominator,
         root_lattice_rows=tuple(map(tuple, u)),
         root_lattice_divisors=tuple(d[i][i] if i < s else 0 for i in range(rd.rank)),
     )
@@ -479,37 +508,11 @@ def coroot_height(rd: RootDatum, lam: Weight) -> int:
 
 def dominant_window(rd: RootDatum, bound: int) -> tuple[Weight, ...]:
     """Dominant weights with coordinates in [-bound, bound] and coroot height
-    at most bound, in lexicographic order.
-
-    Enumerated directly: for each head in the box over the first rank - 1
-    coordinates, every constraint <w, alpha_i^vee> >= 0, <w, 2rho^vee> <=
-    bound is linear in the last coordinate x, so together with |x| <= bound
-    they cut out one integer interval for x.
-    """
-    if bound < 0:
-        return ()
-    if rd.rank == 0:
-        return ((),)
-    # each (a, offset) requires offset + <head, a[:-1]> + a[-1] * x >= 0 of
-    # the last coordinate x: the simple coroots, then bound - <w, 2rho^vee>
+    at most bound, in lexicographic order: the points of that box cut by
+    <w, alpha_i^vee> >= 0 and bound - <w, 2rho^vee> >= 0."""
     height = datum_tables(rd).two_rho_check
-    functionals = [(cov, 0) for cov in rd.simple_coroots]
-    functionals.append((tuple(-h for h in height), bound))
-    window = []
-    for head in itertools.product(range(-bound, bound + 1), repeat=rd.rank - 1):
-        lo, hi = -bound, bound
-        for a, offset in functionals:
-            p = offset + sum(x * y for x, y in zip(head, a))
-            q = a[-1]
-            if q > 0:
-                lo = max(lo, -(p // q))
-            elif q < 0:
-                hi = min(hi, p // -q)
-            elif p < 0:
-                hi = lo - 1
-                break
-        window.extend(head + (x,) for x in range(lo, hi + 1))
-    return tuple(window)
+    cuts = [(cov, 0) for cov in rd.simple_coroots] + [(tuple(-h for h in height), bound)]
+    return tuple(_box_points([(-bound, bound)] * rd.rank, cuts))
 
 
 @lru_cache(maxsize=65536)

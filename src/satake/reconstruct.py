@@ -624,14 +624,9 @@ def assemble_root_datum(roots: tuple[tuple[int, ...], ...],
                         log: tuple[str, ...],
                         warnings: tuple[str, ...] = ()) -> RecoveredDatum:
     """Build and validate the recovered datum; recovered data that fails the
-    root-datum axioms signals inconsistency, not a parse problem."""
-    order = sorted(range(len(roots)), key=lambda i: roots[i])
-    datum = RootDatum(
-        rank=rank,
-        simple_roots=tuple(roots[i] for i in order),
-        simple_coroots=tuple(coroots[i] for i in order),
-        name="recovered",
-    )
+    root-datum axioms signals inconsistency, not a parse problem.  The
+    simple roots come sorted from ``extract_simple_roots``."""
+    datum = RootDatum(rank=rank, simple_roots=roots, simple_coroots=coroots, name="recovered")
     try:
         validate_datum(datum)
     except Exception as exc:

@@ -12,10 +12,11 @@ that share a Cartan matrix in different bases, such as a dumped datum and
 the one reconstructed from its dump, share every diagram and product.
 
 - ``_label_diagram`` runs Freudenthal's recursion over the dominant weights
-  of the depth box, with the invariant form on labels from
-  ``lattice.cartan_tables``, and expands orbits by label reflections.  It
-  carries each weight of V_lam as its labels and its depth d, the weight
-  being lam - sum(d_i alpha_i).
+  below lam from ``lattice._dominant_depths``, with the invariant form on
+  labels from ``lattice.cartan_tables``, and expands each to its orbit with
+  ``lattice._label_orbit`` (``dominant_below`` and ``weyl_orbit`` share
+  both).  It carries each weight of V_lam as its labels and its depth d, the
+  weight being lam - sum(d_i alpha_i).
 - ``_label_product`` is the Brauer-Klimyk product: the rho-shift adds 1 to
   each label, and each term's shifted labels go through the chamber memo
   of the Cartan matrix (``_chamber``), which maps them to the labels and
@@ -48,6 +49,7 @@ from .lattice import (
     _dominant_depths,
     _dominant_labels,
     _fold_labels,
+    _label_orbit,
     _labels,
     _subtract_roots,
     apply_word,
@@ -116,24 +118,9 @@ def _label_diagram(cartan: Cartan, labels: Labels) -> tuple[tuple[Labels, tuple[
         if rem != 0 or value <= 0:
             raise InconsistencyError("Freudenthal recursion produced a non-multiplicity")
         mult[nu] = value
-    # s_i subtracts label i times column i of the Cartan matrix and deepens
-    # the weight by label i at i
     diagram = []
     for nu, m in mult.items():
-        orbit = {nu: depths[nu]}
-        frontier = [nu]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for i, c in enumerate(v):
-                    if c:
-                        w = tuple(x - c * row[i] for x, row in zip(v, cartan))
-                        if w not in orbit:
-                            d = orbit[v]
-                            orbit[w] = d[:i] + (d[i] + c,) + d[i + 1:]
-                            nxt.append(w)
-            frontier = nxt
-        diagram.extend((w, d, m) for w, d in orbit.items())
+        diagram.extend((w, d, m) for w, d in _label_orbit(cartan, nu, depths[nu]).items())
     return tuple(diagram)
 
 

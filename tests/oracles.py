@@ -3,10 +3,15 @@
 The character oracle computes weight multiplicities through the alternating
 orbit-sum quotient (full Weyl group enumeration plus exact Laurent-polynomial
 division), sharing no code path with the Freudenthal recursion or the
-shift-reflect product it checks.  The box oracle filters a whole coordinate
-box, the reference for ``dominant_window``; the reflection oracle folds a
-weight vector one reflection at a time, the reference for the Dynkin-label
-fold behind ``dominant_representative``.  The root-coordinate and X/Q
+shift-reflect product it checks; its Weyl group enumeration
+``weyl_elements`` (matrices closed under the simple reflections) is also the
+reference for ``weyl_orbit``, which walks orbits on labels from a fold.  The
+box oracle filters a whole coordinate box, the reference for both
+enumerations of ``lattice._box_points``: ``dominant_window`` directly, and
+``dominant_below`` (the depth box) as the box's dominant weights below the
+top weight.  The reflection oracle folds a weight vector one reflection at
+a time, the reference for the Dynkin-label fold behind
+``dominant_representative``.  The root-coordinate and X/Q
 oracles solve each query from scratch (an exact rational solve, a Smith
 normal form), the references for the per-datum tables in ``lattice``.  The
 expansion oracle recomputes order evidence from multiplicity dicts built on

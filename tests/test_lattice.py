@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_DATA, GL3, TORUS0, TORUS2, datum
+from conftest import ALL_DATA, GL3, SL4, TORUS0, TORUS2, datum
 from oracles import (
+    _apply,
     class_by_smith_form,
     dominant_box,
     dominant_representative_by_reflection,
     root_coefficients_by_solve,
+    weyl_elements,
 )
 from satake.errors import DomainError, InvalidDatumError
 from satake.fixtures import FIXTURES
@@ -17,6 +21,7 @@ from satake.lattice import (
     RootDatum,
     apply_word,
     cartan_matrix,
+    cartan_tables,
     cartan_type,
     class_mod_root_lattice,
     conv_hull_leq,
@@ -113,10 +118,10 @@ class TestCartan:
         assert b == tuple(tuple(a[j][i] for j in range(len(a))) for i in range(len(a)))
 
     def test_fundamental_rows_invert_cartan(self, fixture_datum):
-        tables = datum_tables(fixture_datum)
         a = cartan_matrix(fixture_datum)
+        tables = cartan_tables(a)
         s = fixture_datum.semisimple_rank
-        for j, row in enumerate(tables.fundamental_coweights):
+        for j, row in enumerate(tables.inverse_rows):
             assert min(row) >= 0
             assert [sum(row[k] * a[k][i] for k in range(s)) for i in range(s)] == \
                 [tables.denominator * (i == j) for i in range(s)]
@@ -238,6 +243,17 @@ def test_dominant_window_matches_box(rd):
         assert list(dominant_window(rd, bound)) == dominant_box(rd, bound, height=bound), bound
 
 
+@pytest.mark.parametrize("rd", ALL_DATA + [GL3, TORUS2, TORUS0], ids=lambda rd: rd.name)
+def test_dominant_below_matches_box(rd):
+    # lam <= mu lies at depth d_j <= <mu, w_j>, at most half mu's coroot
+    # height of 6, so each coordinate of lam is within cap of the origin
+    cap = 6 + 3 * sum(max(map(abs, alpha)) for alpha in rd.simple_roots)
+    box = dominant_box(rd, cap, height=6)
+    window = dominant_window(rd, 6)
+    for mu in window[::max(1, len(window) // 8)]:
+        assert list(dominant_below(rd, mu)) == [w for w in box if leq_dominance(rd, w, mu)], mu
+
+
 @pytest.mark.parametrize("rd", ALL_DATA + [GL3], ids=lambda rd: rd.name)
 @settings(max_examples=60, deadline=None)
 @given(vec=st.lists(st.integers(-12, 12), min_size=3, max_size=3))
@@ -246,6 +262,15 @@ def test_dominant_representative_matches_reflection(rd, vec):
     rep, word = dominant_representative(rd, lam)
     assert (rep, word) == dominant_representative_by_reflection(rd, lam)
     assert apply_word(rd, word, lam) == rep
+
+
+@pytest.mark.parametrize("rd", ALL_DATA + [GL3, TORUS2], ids=lambda rd: rd.name)
+@settings(max_examples=40, deadline=None)
+@given(vec=st.lists(st.integers(-6, 6), min_size=3, max_size=3))
+def test_weyl_orbit_matches_group_elements(rd, vec):
+    # any weight, dominant or not: the orbit walk starts from its fold
+    lam = tuple(vec[:rd.rank])
+    assert weyl_orbit(rd, lam) == tuple(sorted({_apply(g, lam) for g, _ in weyl_elements(rd)}))
 
 
 @pytest.mark.parametrize("rd", ALL_DATA, ids=lambda rd: rd.name)
@@ -284,19 +309,21 @@ class TestSaturation:
         assert saturation_set(datum("SL2"), (1,)) == ((-1,), (1,))
         assert saturation_set(datum("SL3"), (0, 0)) == ((0, 0),)
 
-    def test_enumeration_bound_is_stable(self):
-        # widening the coefficient box beyond the proven bound adds nothing
-        rd = datum("Sp4")
-        mu = (3, 1)
-        base = set(dominant_below(rd, mu))
-        wider = set()
-        for c1 in range(8):
-            for c2 in range(8):
-                lam = tuple(m - c1 * a1 - c2 * a2 for m, a1, a2 in
-                            zip(mu, rd.simple_roots[0], rd.simple_roots[1]))
+    @pytest.mark.parametrize("rd", [fx.datum for fx in FIXTURES.values()] + [GL3, SL4],
+                             ids=lambda rd: rd.name)
+    def test_enumeration_bound_is_stable(self, rd):
+        # widening the coefficient box beyond the proven bound adds nothing:
+        # the proven bound <mu, w_j> is at most half of <mu, 2rho^vee>
+        window = dominant_window(rd, 12)
+        for mu in window[::max(1, len(window) // 6)]:
+            side = coroot_height(rd, mu) + 2
+            wider = set()
+            for coeffs in itertools.product(range(side), repeat=rd.semisimple_rank):
+                lam = tuple(m - sum(c * alpha[i] for c, alpha in zip(coeffs, rd.simple_roots))
+                            for i, m in enumerate(mu))
                 if is_dominant(rd, lam):
                     wider.add(lam)
-        assert base == wider
+            assert set(dominant_below(rd, mu)) == wider, mu
 
     def test_non_dominant_rejected(self):
         with pytest.raises(DomainError):

@@ -376,6 +376,31 @@ class TestRoundTrip:
         assert based_iso(recovered.datum, flipped) is not None
 
 
+class TestKnownDefects:
+    """Known breaches of the truncation contract in README.  Each test
+    states the contract and fails today; once the defect is fixed it
+    passes, and strict xfail reports it until its marker is removed."""
+
+    @pytest.mark.xfail(strict=True, raises=InconsistencyError,
+                       reason="the clean SL3^ dump at bound 24 is reported as inconsistent")
+    def test_clean_sl3_dual_dump_is_not_inconsistent(self):
+        dual = dual_root_datum(datum("SL3"))
+        sr, _ = dump_semiring(dual, 24, seed=0)
+        try:
+            recovered = reconstruct_root_datum(sr, CFG)
+        except InconclusiveError:
+            return
+        assert based_iso(recovered.datum, dual) is not None
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="based_iso scans a bounded box of solutions and misses this pair in one order")
+    def test_based_iso_finds_both_orders_with_central_torus(self):
+        gl3 = RootDatum(3, ((1, -1, 0), (0, 1, -1)), ((1, -1, 0), (0, 1, -1)))
+        t = RootDatum(3, ((-30, -4, -43), (-8, -1, -11)), ((4, -9, -2), (-6, 13, 3)))
+        assert based_iso(t, gl3) == ((1, 3, -1), (-3, 12, 1), (3, -1, -2))
+        assert based_iso(gl3, t) is not None
+
+
 class TestNegativeControls:
     def test_sl2_vs_pgl2(self):
         assert based_iso(datum("SL2"), datum("PGL2")) is None
