@@ -8,20 +8,22 @@ concurrent use.
 
 Root-system facts that depend only on the Cartan matrix (the positive roots
 and coroots in simple-root and simple-coroot coordinates, their Dynkin
-labels and norms, the invariant form on labels, the inverse Cartan rows and
-the Cartan type) come from the one cached ``cartan_tables``, shared by every
-datum with that matrix whatever its lattice basis.  Its root saturation also
-decides finite type, since only a finite-type matrix has finitely many
-roots, so it is the whole of ``validate_datum``.  Per-datum facts (positive
-roots and coroots as vectors, 2rho, 2rho^vee, the Smith form of the root
-lattice) come from the one cached ``datum_tables``, which derives its
-vectors from the Cartan tables; simple-root coordinates and X/Q classes are
-integer pairings with the tables' rows.  ``_box_points`` enumerates the
-integer points of a box cut by linear inequalities, solving the last
-coordinate's integer interval for each head of the box; it is the one
-enumerator behind ``dominant_window`` (a coordinate box under a coroot-height
-bound) and ``_dominant_depths`` (the depth box below a dominant weight,
-shared by ``dominant_below`` and the weight diagrams in ``semiring``).
+labels and norms, the invariant form on labels, the inverse Cartan rows,
+the Cartan type and a canonical node order) come from the one cached
+``cartan_tables``, shared by every datum with that matrix whatever its
+lattice basis.  Its root saturation also decides finite type, since only a
+finite-type matrix has finitely many roots, so it is the whole of
+``validate_datum``.  Per-datum facts (positive roots and coroots as
+vectors, 2rho, 2rho^vee, the Smith form of the root lattice, the datum
+renumbered into the canonical node order) come from the one cached
+``datum_tables``, which derives its vectors from the Cartan tables;
+simple-root coordinates and X/Q classes are integer pairings with the
+tables' rows.  ``_box_points`` enumerates the integer points of a box cut
+by linear inequalities, solving the last coordinate's integer interval for
+each head of the box; it is the one enumerator behind ``dominant_window`` (a
+coordinate box under a coroot-height bound) and ``_dominant_depths`` (the
+depth box below a dominant weight, shared by ``dominant_below`` and the
+weight diagrams in ``semiring``).
 
 Weights stay vectors at the API.  Internally the dominant chamber fold runs
 on Dynkin labels (the pairings with the simple coroots, as in LiE and
@@ -204,7 +206,7 @@ def weyl_orbit(rd: RootDatum, lam: Weight) -> tuple[Weight, ...]:
     """The W-orbit of a weight, sorted for determinism, walked on labels from
     the fold of lam, whose depth relative to lam is the fold's coefficients."""
     cartan = cartan_matrix(rd)
-    labels, coeffs, _ = _fold_labels(cartan, [pairing(lam, cov) for cov in rd.simple_coroots])
+    labels, coeffs, _ = _fold_labels(cartan, _labels(rd, lam))
     orbit = _label_orbit(cartan, tuple(labels), tuple(coeffs))
     return tuple(sorted(_subtract_roots(rd, lam, depth) for depth in orbit.values()))
 
@@ -241,7 +243,11 @@ def weyl_group_order(rd: RootDatum) -> int:
 def _root_span_coordinates(rd: RootDatum, v: Sequence[int]) -> tuple[list[int], int] | None:
     """The simple-root coordinates of v (its labels paired with the inverse
     Cartan rows) scaled by their denominator, with that denominator, or None
-    if v is outside the roots' rational span."""
+    if v is outside the roots' rational span.  Raises DomainError on a
+    vector of the wrong length, which a datum without roots would otherwise
+    never pair."""
+    if len(v) != rd.rank:
+        raise DomainError(f"vector of length {len(v)} on a datum of rank {rd.rank}")
     tables = cartan_tables(cartan_matrix(rd))
     labels = [pairing(v, cov) for cov in rd.simple_coroots]
     scaled = [pairing(row, labels) for row in tables.inverse_rows]
@@ -293,7 +299,9 @@ class CartanTables:
     and ``root_norms[r]`` is root r's (alpha, alpha).  ``inverse_rows[j]``
     holds the coefficients of the fundamental coweight w_j in the simple
     coroots times ``denominator``: the rows of the inverse Cartan matrix,
-    kept integral.  ``name`` is the Cartan type, e.g. 'A1 x A2'."""
+    kept integral.  ``name`` is the Cartan type, e.g. 'A1 x A2', and
+    ``order`` the canonical node order: A[order[i]][order[j]] is the same
+    matrix for every numbering of the same diagram."""
 
     roots: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     root_labels: tuple[tuple[int, ...], ...]
@@ -302,6 +310,7 @@ class CartanTables:
     inverse_rows: tuple[tuple[int, ...], ...]
     denominator: int
     name: str
+    order: tuple[int, ...]
 
 
 def _check_cartan(a: Sequence[Sequence[int]]) -> None:
@@ -319,18 +328,15 @@ def _check_cartan(a: Sequence[Sequence[int]]) -> None:
                     raise InvalidDatumError("asymmetric zero pattern in Cartan matrix")
 
 
-def _type_name(roots: Sequence[tuple[tuple[int, ...], tuple[int, ...]]], norms: Sequence[int]) -> str:
-    """The Cartan type of a finite root system from its positive roots and
-    their norms.  The simple components are the maximal root supports; one
-    of rank n with N positive roots is A_n when N = n(n+1)/2, D_n or E_n
-    when simply laced (all norms equal), B2 or G2 in rank 2, F4 when N = 24
-    in rank 4, and otherwise B_n or C_n as it has n short positive roots or
-    n(n-1)."""
-    supports = [frozenset(i for i, c in enumerate(k) if c) for k, _ in roots]
+def _type_name(components: Sequence[frozenset[int]], supports: Sequence[frozenset[int]],
+               norms: Sequence[int]) -> str:
+    """The Cartan type of a finite root system from its components, the
+    supports of its positive roots and their norms.  A component of rank n
+    with N positive roots is A_n when N = n(n+1)/2, D_n or E_n when simply
+    laced (all norms equal), B2 or G2 in rank 2, F4 when N = 24 in rank 4,
+    and otherwise B_n or C_n as it has n short positive roots or n(n-1)."""
     names = []
-    for comp in set(supports):
-        if any(comp < other for other in supports):
-            continue
+    for comp in components:
         lengths = [norm for support, norm in zip(supports, norms) if support <= comp]
         n, count = len(comp), len(lengths)
         short = lengths.count(min(lengths))
@@ -347,14 +353,42 @@ def _type_name(roots: Sequence[tuple[tuple[int, ...], tuple[int, ...]]], norms: 
     return " x ".join(sorted(names)) if names else "torus"
 
 
+def _preorders(adjacent: Sequence[Sequence[int]], node: int, parent: int | None
+               ) -> list[tuple[int, ...]]:
+    """Every depth-first preorder of a tree from node, one per order of the
+    children at each node."""
+    children = [k for k in adjacent[node] if k != parent]
+    return [(node,) + tuple(itertools.chain.from_iterable(walks))
+            for kids in itertools.permutations(children)
+            for walks in itertools.product(*(_preorders(adjacent, k, node) for k in kids))]
+
+
+def _canonical_order(a: Sequence[Sequence[int]], components: Sequence[frozenset[int]]
+                     ) -> tuple[int, ...]:
+    """A node order whose P A P^T depends only on the diagram, not on how
+    its nodes are numbered.  A finite-type component is a tree, so its block
+    is the least P A P^T over the depth-first walks from its leaves, as in
+    the tree canonical forms of Aho, Hopcroft and Ullman (1974, section
+    3.2); the components follow in the order of their blocks.  Ties are
+    diagram automorphisms and go to the least node order."""
+    adjacent = [[j for j in range(len(a)) if j != i and a[i][j]] for i in range(len(a))]
+    blocks = []
+    for comp in components:
+        walks = [walk for leaf in sorted(comp) if len(adjacent[leaf]) <= 1
+                 for walk in _preorders(adjacent, leaf, None)]
+        blocks.append(min((tuple(tuple(a[i][j] for j in walk) for i in walk), walk) for walk in walks))
+    return tuple(itertools.chain.from_iterable(walk for _, walk in sorted(blocks)))
+
+
 @lru_cache(maxsize=1024)
 def cartan_tables(a: tuple[tuple[int, ...], ...]) -> CartanTables:
     """Positive roots with coroots by orbit saturation in simple-root and
     simple-coroot coordinates, their labels and norms, the invariant form on
-    labels, the inverse Cartan rows and the Cartan type.  Raises
-    InvalidDatumError when the matrix breaks the structural rules or is not
-    of finite type; the saturation decides the latter, as the roots of any
-    other type outgrow every finite one."""
+    labels, the inverse Cartan rows, the Cartan type and the canonical node
+    order; the last two read the components off the maximal root supports.
+    Raises InvalidDatumError when the matrix breaks the structural rules or
+    is not of finite type; the saturation decides the latter, as the roots
+    of any other type outgrow every finite one."""
     _check_cartan(a)
     s = len(a)
     # a simple component of rank n has at most max(n^2, 15n) positive roots
@@ -387,8 +421,10 @@ def cartan_tables(a: tuple[tuple[int, ...], ...]) -> CartanTables:
     # w_j = sum_k m_k alpha_k^vee solves sum_k m_k A[k][i] = delta_ij; a
     # finite-type A is invertible and the m_k are nonnegative
     inverse = [solve_rational(a, [int(i == j) for i in range(s)]) for j in range(s)]
-    assert all(row is not None and all(c >= 0 for c in row) for row in inverse), \
-        "inverse Cartan must be nonnegative"
+    if not all(row is not None and all(c >= 0 for c in row) for row in inverse):
+        raise InvalidDatumError("inverse Cartan must be nonnegative")
+    supports = [frozenset(i for i, c in enumerate(k) if c) for k, _ in positive]
+    components = [comp for comp in set(supports) if not any(comp < other for other in supports)]
     denominator = lcm(*(c.denominator for row in inverse for c in row))
     return CartanTables(
         roots=tuple(positive),
@@ -397,7 +433,8 @@ def cartan_tables(a: tuple[tuple[int, ...], ...]) -> CartanTables:
         root_norms=norms,
         inverse_rows=tuple(tuple(int(c * denominator) for c in row) for row in inverse),
         denominator=denominator,
-        name=_type_name(positive, norms),
+        name=_type_name(components, supports, norms),
+        order=_canonical_order(a, components),
     )
 
 
@@ -450,13 +487,18 @@ class DatumTables:
     """The facts of one root datum that every layer reads, derived once from
     its Cartan tables.  ``root_lattice_rows`` and ``root_lattice_divisors``
     are u and the diagonal of d (0 past the semisimple rank) in the Smith
-    form d = u A v of the simple roots."""
+    form d = u A v of the simple roots.  ``canonical`` is the datum with its
+    simple roots and coroots in the canonical node order of its Cartan
+    matrix (the datum itself when that order is the identity): its labels
+    are the canonical ones, and the label caches of ``semiring`` are keyed
+    by its Cartan matrix."""
 
     positive_roots_with_coroots: tuple[tuple[Weight, Weight], ...]
     two_rho: Weight
     two_rho_check: Weight
     root_lattice_rows: tuple[tuple[int, ...], ...]
     root_lattice_divisors: tuple[int, ...]
+    canonical: RootDatum
 
 
 def _combination(rank: int, coeffs: Sequence[int], basis: Sequence[Weight]) -> Weight:
@@ -468,20 +510,24 @@ def _combination(rank: int, coeffs: Sequence[int], basis: Sequence[Weight]) -> W
 def datum_tables(rd: RootDatum) -> DatumTables:
     """Positive roots and coroots as vectors (root sum k_i alpha_i, coroot
     sum n_i alpha_i^vee from the Cartan tables), 2rho, 2rho^vee and the
-    Smith form of the root lattice.  Raises InvalidDatumError unless of
-    finite type."""
+    Smith form of the root lattice and the datum in canonical node order.
+    Raises InvalidDatumError unless of finite type."""
     shared = cartan_tables(cartan_matrix(rd))
     positive = sorted((_combination(rd.rank, k, rd.simple_roots),
                        _combination(rd.rank, n, rd.simple_coroots)) for k, n in shared.roots)
     s = rd.semisimple_rank
     d, u, _ = smith_normal_form([[alpha[i] for alpha in rd.simple_roots] for i in range(rd.rank)])
     zero = (0,) * rd.rank
+    order = shared.order
+    canonical = rd if order == tuple(range(s)) else RootDatum(
+        rd.rank, tuple(rd.simple_roots[i] for i in order), tuple(rd.simple_coroots[i] for i in order), rd.name)
     return DatumTables(
         positive_roots_with_coroots=tuple(positive),
         two_rho=tuple(map(sum, zip(zero, *(root for root, _ in positive)))),
         two_rho_check=tuple(map(sum, zip(zero, *(cov for _, cov in positive)))),
         root_lattice_rows=tuple(map(tuple, u)),
         root_lattice_divisors=tuple(d[i][i] if i < s else 0 for i in range(rd.rank)),
+        canonical=canonical,
     )
 
 

@@ -7,9 +7,15 @@ precision comes for free.
 
 Multiplicities depend only on the Cartan matrix and the Dynkin labels, not
 on the lattice basis, so the kernel runs on labels and its caches are keyed
-by (Cartan matrix, labels), as in LiE and Stembridge (MSJ Memoirs 11): data
-that share a Cartan matrix in different bases, such as a dumped datum and
-the one reconstructed from its dump, share every diagram and product.
+by (Cartan matrix, labels), as in LiE and Stembridge (MSJ Memoirs 11).  The
+Cartan matrix is taken in its canonical node order
+(``lattice.cartan_tables``): the entry points ``weight_multiplicities``,
+``weyl_dim``, ``tensor_decompose_list`` and ``product_table`` read labels
+and depths through ``datum_tables(rd).canonical``, the datum with its simple
+roots in that order, and so return the same weights in the datum's own
+basis.  Data that share a Cartan matrix up to the numbering of its nodes, in
+any lattice basis, share every diagram and product: a dumped datum and the
+one reconstructed from its dump, whose simple roots come back sorted, do.
 
 - ``_label_diagram`` runs Freudenthal's recursion over the dominant weights
   below lam from ``lattice._dominant_depths``, with the invariant form on
@@ -32,7 +38,8 @@ the one reconstructed from its dump, share every diagram and product.
 
 ``product_table`` builds the all-pairs table of a weight list, which both
 the forward dump and the reconstruction self-check read, without building a
-weight vector: it matches constituents to the list by labels and X/Q class.
+weight vector: it matches constituents to the list by canonical labels and
+X/Q class, so its table needs no permutation back.
 """
 from __future__ import annotations
 
@@ -127,9 +134,10 @@ def _label_diagram(cartan: Cartan, labels: Labels) -> tuple[tuple[Labels, tuple[
 def weight_multiplicities(rd: RootDatum, lam: Weight) -> WeightTable:
     """Full weight diagram of the irreducible with highest weight lam, by
     Freudenthal recursion over the dominant weights below lam."""
-    labels = _dominant_labels(rd, lam)
-    return dict(sorted((_subtract_roots(rd, lam, d), m)
-                       for _, d, m in _label_diagram(cartan_matrix(rd), labels)))
+    canon = datum_tables(rd).canonical
+    labels = _dominant_labels(canon, lam)
+    return dict(sorted((_subtract_roots(canon, lam, d), m)
+                       for _, d, m in _label_diagram(cartan_matrix(canon), labels)))
 
 
 @lru_cache(maxsize=65536)
@@ -143,14 +151,16 @@ def _label_dim(cartan: Cartan, labels: Labels) -> int:
         num *= sum(c * (x + 1) for c, x in zip(n, labels))
         den *= sum(n)
     value, rem = divmod(num, den)
-    assert rem == 0 and value >= 1
+    if rem != 0 or value < 1:
+        raise InconsistencyError("Weyl's dimension formula produced a non-dimension")
     return value
 
 
 def weyl_dim(rd: RootDatum, lam: Weight) -> int:
     """Dimension of the irreducible with highest weight lam, via the Weyl
     dimension formula on Dynkin labels."""
-    return _label_dim(cartan_matrix(rd), _dominant_labels(rd, lam))
+    canon = datum_tables(rd).canonical
+    return _label_dim(cartan_matrix(canon), _dominant_labels(canon, lam))
 
 
 @lru_cache(maxsize=1024)
@@ -227,10 +237,11 @@ def product_table(rd: RootDatum, weights: Sequence[Weight]
     on Q); its class is the sum of the factors' classes.  A weight listed
     twice is matched at its last index.
     """
-    cartan = cartan_matrix(rd)
-    labels = [_dominant_labels(rd, w) for w in weights]
+    tables = datum_tables(rd)
+    cartan = cartan_matrix(tables.canonical)
+    labels = [_dominant_labels(tables.canonical, w) for w in weights]
     classes = [class_mod_root_lattice(rd, w) for w in weights]
-    divisors = datum_tables(rd).root_lattice_divisors
+    divisors = tables.root_lattice_divisors
     by_class: dict[tuple[int, ...], dict[Labels, int]] = {}
     for k, (lab, cls) in enumerate(zip(labels, classes)):
         by_class.setdefault(cls, {})[lab] = k
@@ -297,8 +308,9 @@ def tensor_decompose_list(rd: RootDatum, weights: Sequence[Weight]) -> Decomposi
     sorted by weight.  Each factor is checked for dominance once; the
     products accumulate on labels, from the zero labels, and each
     constituent gets its weight once, below w1 + ... + wn."""
-    cartan = cartan_matrix(rd)
-    factors = [_dominant_labels(rd, w) for w in weights]
+    canon = datum_tables(rd).canonical
+    cartan = cartan_matrix(canon)
+    factors = [_dominant_labels(canon, w) for w in weights]
     acc: dict[Labels, int] = {(0,) * len(cartan): 1}
     for b in factors:
         nxt: dict[Labels, int] = {}
@@ -307,9 +319,9 @@ def tensor_decompose_list(rd: RootDatum, weights: Sequence[Weight]) -> Decomposi
                 nxt[c] = nxt.get(c, 0) + ma * mc
         acc = nxt
     top = tuple(sum(w[i] for w in weights) for i in range(rd.rank))
-    top_labels = _labels(rd, top)
+    top_labels = _labels(canon, top)
     tables = cartan_tables(cartan)
-    return dict(sorted((_weight_below(rd, tables, top, tuple(map(sub, top_labels, labels))), m)
+    return dict(sorted((_weight_below(canon, tables, top, tuple(map(sub, top_labels, labels))), m)
                        for labels, m in acc.items()))
 
 

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from satake.errors import InvalidDatumError
-from satake.lattice import RootDatum, cartan_type, weyl_group_order
+from satake.lattice import RootDatum, cartan_matrix, cartan_tables, cartan_type, datum_tables, weyl_group_order
 
 
 def from_cartan(a):
@@ -151,6 +152,45 @@ def test_block_sums_permuted(first, second):
     expected = " x ".join(sorted(f"{f}{n}" for f, n in (first, second)))
     assert cartan_type(from_cartan(permuted(a, rng))) == expected
 
+
+
+def canonical_matrix(a):
+    """A with its nodes in the canonical order that cartan_tables stores."""
+    a = tuple(tuple(row) for row in a)
+    order = cartan_tables(a).order
+    assert sorted(order) == list(range(len(a)))
+    return tuple(tuple(a[i][j] for j in order) for i in order)
+
+
+def assert_canonical_under_permutations(a, rng, count):
+    # every numbering gives one matrix, and the datum in canonical order has it
+    want = canonical_matrix(a)
+    for _ in range(count):
+        b = permuted(a, rng)
+        assert canonical_matrix(b) == want, b
+        assert cartan_matrix(datum_tables(from_cartan(b)).canonical) == want, b
+
+
+@pytest.mark.parametrize("family, n", FINITE, ids=[f"{f}{n}" for f, n in FINITE])
+def test_canonical_order_finite_types(family, n):
+    assert_canonical_under_permutations(finite_type(family, n), random.Random(f"canonical {family}{n}"), 4)
+
+
+@pytest.mark.parametrize("first, second", BLOCK_SUMS,
+                         ids=[f"{f}{n}+{g}{m}" for (f, n), (g, m) in BLOCK_SUMS])
+def test_canonical_order_block_sums(first, second):
+    a = block_sum(finite_type(*first), finite_type(*second))
+    assert_canonical_under_permutations(a, random.Random(f"canonical {first} {second}"), 2)
+
+
+@pytest.mark.parametrize("a", [D4, block_sum(finite_type("A", 2), finite_type("A", 2)),
+                               block_sum(finite_type("G", 2), [[2]])], ids=["D4", "A2+A2", "G2+A1"])
+def test_canonical_order_every_numbering(a):
+    # automorphisms (triality, swapped equal blocks) tie between orders
+    n = len(a)
+    want = canonical_matrix(a)
+    for p in itertools.permutations(range(n)):
+        assert canonical_matrix([[a[p[i]][p[j]] for j in range(n)] for i in range(n)]) == want, p
 
 def cycle(n):
     return simply_laced(n, [(i, (i + 1) % n) for i in range(n)])

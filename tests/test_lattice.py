@@ -303,6 +303,18 @@ def test_root_coefficients_off_span():
     assert root_coefficients(gl2, (3, -3)) == root_coefficients_by_solve(gl2, (3, -3)) == (3,)
 
 
+
+@pytest.mark.parametrize("call", [
+    lambda rd: weyl_orbit(rd, (1,)),
+    lambda rd: root_coefficients(rd, (0,)),
+    lambda rd: leq_dominance(rd, (0,), (0,)),
+    lambda rd: preceq(rd, (0, 0, 0), (0, 0, 0)),
+], ids=["weyl_orbit", "root_coefficients", "leq_dominance", "preceq"])
+def test_wrong_length_rejected_without_roots(call):
+    # with no simple coroots, no pairing checks a weight's length
+    with pytest.raises(DomainError):
+        call(TORUS2)
+
 class TestSaturation:
     def test_examples(self):
         assert saturation_set(datum("SL2"), (2,)) == ((-2,), (0,), (2,))

@@ -15,11 +15,13 @@ from oracles import (
     semiring_to_json_by_dumps,
     simple_roots_by_search,
 )
-from test_classification import B3, C3, from_cartan
+from test_classification import B3, C3, finite_type, from_cartan
+from satake import reconstruct
 from satake.errors import InconclusiveError, InconsistencyError, ParseError
 from satake.fixtures import FIXTURES
 from satake.lattice import RootDatum, cartan_matrix, cartan_type, dual_root_datum, leq_dominance, preceq
 from satake.linalg import smith_normal_form
+from satake.semiring import _label_product
 from satake.reconstruct import (
     AbstractSemiring,
     ReconstructionConfig,
@@ -180,7 +182,8 @@ class TestDump:
         (dual_root_datum(FIXTURES["GL2"].datum), 8, "24dccc3c85034fc0"),
         (SL4, 16, "7807983c9c4d8f07"),
         (SL4, 20, "a3b4723b22406831"),
-    ], ids=["G2^-32", "GL2^-8", "SL4-16", "SL4-20"])
+        (from_cartan(finite_type("A", 4)), 22, "e2724318da770b8d"),
+    ], ids=["G2^-32", "GL2^-8", "SL4-16", "SL4-20", "SL5-22"])
     def test_pinned_reconstruction_digests(self, rd, bound, digest):
         sr, _ = dump_semiring(rd, bound, seed=0)
         rec = reconstruct_root_datum(sr, CFG)
@@ -497,6 +500,28 @@ class TestVerify:
         sr, _ = dump_semiring(dual_root_datum(fx.datum), fx.dump_bound, seed=0)
         recovered = reconstruct_root_datum(sr, CFG)
         assert verify_reconstruction(sr, recovered) == []
+
+    @pytest.mark.parametrize("rd, bound", [
+        (SL4, 16),
+        (dual_root_datum(FIXTURES["Sp4"].datum), FIXTURES["Sp4"].dump_bound),
+        (dual_root_datum(FIXTURES["G2"].datum), 32),
+    ], ids=["SL4-16", "Sp4^", "G2^-32"])
+    def test_self_check_reuses_dump_products(self, rd, bound, monkeypatch):
+        # the recovered simple roots come back in another node order, and the
+        # canonical node order still keys their products as the dump's
+        added = []
+
+        def counted(sr, recovered):
+            before = _label_product.cache_info().misses
+            mismatches = verify_reconstruction(sr, recovered)
+            added.append(_label_product.cache_info().misses - before)
+            return mismatches
+
+        sr, _ = dump_semiring(rd, bound, seed=0)
+        monkeypatch.setattr(reconstruct, "verify_reconstruction", counted)
+        rec = reconstruct_root_datum(sr, CFG)
+        assert cartan_matrix(rec.datum) != cartan_matrix(rd)
+        assert added[-1] == 0
 
 
 class TestExtraction:

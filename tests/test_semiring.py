@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from itertools import product
 
@@ -310,6 +311,24 @@ def test_products_follow_node_permutation(family, n):
         for y in window[i:]:
             want = {move(c): m for c, m in _label_product(cartan, x, y)}
             assert dict(_label_product(permuted, move(x), move(y))) == want, (p, x, y)
+
+
+@pytest.mark.parametrize("rd", ALL_DATA + [GL3], ids=lambda rd: rd.name)
+def test_outputs_follow_datum_node_order(rd):
+    # renumbering the simple roots and coroots changes the datum's labels
+    # and depths but none of the weights the entry points return
+    window = dominant_window(rd, 6 if rd.rank < 3 else 4)
+    lists = [window[k::5][:3] for k in range(5)]
+    want = (product_table(rd, window), [weyl_dim(rd, lam) for lam in window],
+            [list(weight_multiplicities(rd, lam).items()) for lam in window],
+            [list(tensor_decompose_list(rd, ws).items()) for ws in lists])
+    for p in itertools.permutations(range(rd.semisimple_rank)):
+        other = RootDatum(rd.rank, tuple(rd.simple_roots[i] for i in p), tuple(rd.simple_coroots[i] for i in p))
+        got = (product_table(other, window), [weyl_dim(other, lam) for lam in window],
+               [list(weight_multiplicities(other, lam).items()) for lam in window],
+               [list(tensor_decompose_list(other, ws).items()) for ws in lists])
+        assert got == want, p
+
 
 class TestProductTable:
     def test_shared_across_bases(self):
