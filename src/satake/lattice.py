@@ -267,6 +267,8 @@ def root_coefficients(rd: RootDatum, v: Sequence[int]) -> tuple[Fraction, ...] |
 def leq_dominance(rd: RootDatum, lam: Weight, mu: Weight) -> bool:
     """lam <= mu: mu - lam is a nonnegative *integer* combination of simple
     roots."""
+    if len(lam) != len(mu):
+        raise DomainError("leq_dominance of weights with different lengths")
     coords = _root_span_coordinates(rd, [m - l for l, m in zip(lam, mu)])
     return coords is not None and all(n >= 0 and n % coords[1] == 0 for n in coords[0])
 
@@ -274,6 +276,8 @@ def leq_dominance(rd: RootDatum, lam: Weight, mu: Weight) -> bool:
 def preceq(rd: RootDatum, lam: Weight, mu: Weight) -> bool:
     """lam ⪯ mu: mu - lam is a nonnegative *rational* combination of simple
     roots (the real-cone weakening of dominance order)."""
+    if len(lam) != len(mu):
+        raise DomainError("preceq of weights with different lengths")
     coords = _root_span_coordinates(rd, [m - l for l, m in zip(lam, mu)])
     return coords is not None and all(n >= 0 for n in coords[0])
 
@@ -579,19 +583,18 @@ def saturation_set(rd: RootDatum, mu: Weight) -> tuple[Weight, ...]:
 
 
 def conv_hull_leq(rd: RootDatum, lam: Weight, mu: Weight) -> bool:
-    """Conv(W lam) ⊆ Conv(W mu), decided point-by-point with exact rational
-    linear feasibility.  Deliberately independent of preceq."""
+    """Conv(W lam) ⊆ Conv(W mu), decided by one exact rational feasibility
+    LP.  Conv(W mu) is W-stable, so it contains all of W lam as soon as it
+    contains lam, and the LP asks only whether lam is a convex combination of
+    the points of W mu.  Deliberately independent of preceq."""
+    if len(lam) != rd.rank or len(mu) != rd.rank:
+        raise DomainError(f"conv_hull_leq needs weights of length {rd.rank}")
     if not is_dominant(rd, lam) or not is_dominant(rd, mu):
         raise DomainError("conv_hull_leq needs dominant weights")
     hull_points = weyl_orbit(rd, mu)
-    n = len(hull_points)
-    for v in weyl_orbit(rd, lam):
-        rows = [[hull_points[j][i] for j in range(n)] for i in range(rd.rank)]
-        rows.append([1] * n)
-        rhs = list(v) + [1]
-        if lp_feasible_point(rows, rhs) is None:
-            return False
-    return True
+    rows = [[p[i] for p in hull_points] for i in range(rd.rank)]
+    rows.append([1] * len(hull_points))
+    return lp_feasible_point(rows, list(lam) + [1]) is not None
 
 
 def dual_root_datum(rd: RootDatum) -> RootDatum:

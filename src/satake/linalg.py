@@ -2,7 +2,11 @@
 
 Everything is fraction- or integer-exact; no floating point enters any code
 path.  Matrices are plain lists of lists (rows), vectors are sequences.
-All functions are pure.
+All functions are pure.  The determinant and the phase-1 simplex are
+fraction-free: both keep an integer matrix over the last pivot and divide
+exactly (Bareiss; Edmonds), so the simplex makes a ``Fraction`` only for
+the point it returns.  ``solve_rational`` works on ``Fraction`` rows, and
+the Smith normal form is integral by construction.
 """
 from __future__ import annotations
 
@@ -206,56 +210,63 @@ def in_lattice_span(generators: Sequence[Sequence[int]], target: Sequence[int]) 
     return integer_solutions(cols, list(target)) is not None
 
 
-def lp_feasible_point(rows: Sequence[Sequence[int | Fraction]],
-                      rhs: Sequence[int | Fraction]) -> list[Fraction] | None:
+def lp_feasible_point(rows: Sequence[Sequence[int]],
+                      rhs: Sequence[int]) -> list[Fraction] | None:
     """Exact feasibility for {x >= 0 : rows * x = rhs} by phase-1 simplex.
 
     Returns a feasible point, or None.  Bland's rule guarantees termination.
+
+    The tableau stays integral (Edmonds' fraction-free pivoting, as in
+    Bareiss elimination): it holds d times the rational tableau, where d > 0
+    is the last pivot.  A pivot keeps its own row, replaces every other row
+    and the objective row by (p * x - f * y) // d, a division that is exact
+    by Sylvester's identity, and sets d = p.  Bland's rule reads only signs,
+    which d > 0 keeps, and the ratio test cross-multiplies, so the pivots
+    are those of the rational tableau and the point is the same.  Only that
+    point, tab[i][-1] / d, is a ``Fraction``.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     if m == 0:
         return [Fraction(0)] * n
     # tableau: n structural columns, m artificial columns, rhs; plus objective row
-    tab: list[list[Fraction]] = []
+    tab: list[list[int]] = []
     for i in range(m):
-        r = [Fraction(x) for x in rows[i]]
-        b = Fraction(rhs[i])
-        if b < 0:
-            r = [-x for x in r]
-            b = -b
-        tab.append(r + [Fraction(0)] * m + [b])
-        tab[i][n + i] = Fraction(1)
+        sign = -1 if rhs[i] < 0 else 1
+        tab.append([sign * x for x in rows[i]] + [int(i == j) for j in range(m)] + [sign * rhs[i]])
     basis = [n + i for i in range(m)]
     # maximize -(sum of artificials); reduced costs for the initial basis
-    obj = [Fraction(0)] * (n + m + 1)
-    for j in range(n):
-        obj[j] = sum(tab[i][j] for i in range(m))
-    obj[-1] = sum(tab[i][-1] for i in range(m))
+    obj = [sum(col) for col in zip(*tab)]
+    obj[n:n + m] = [0] * m
+    d = 1
 
     while True:
         enter = next((j for j in range(n + m) if obj[j] > 0), None)
         if enter is None:
             break
         leave = None
-        best: Fraction | None = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+        for i, row in enumerate(tab):
+            a = row[enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                # row[-1] / a against the best ratio, both denominators > 0
+                lhs = row[-1] * tab[leave][enter]
+                best = tab[leave][-1] * a
+                if lhs < best or (lhs == best and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             return None  # unreachable for a phase-1 objective; defensive
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [x - f * y for x, y in zip(obj, tab[leave])]
+        pivot_row = tab[leave]
+        p = pivot_row[enter]
+        for i, row in enumerate(tab):
+            if i != leave:
+                f = row[enter]
+                tab[i] = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
+        f = obj[enter]
+        obj = [(p * x - f * y) // d for x, y in zip(obj, pivot_row)]
+        d = p
         basis[leave] = enter
 
     if obj[-1] != 0:
@@ -263,5 +274,5 @@ def lp_feasible_point(rows: Sequence[Sequence[int | Fraction]],
     x = [Fraction(0)] * n
     for i, bv in enumerate(basis):
         if bv < n:
-            x[bv] = tab[i][-1]
+            x[bv] = Fraction(tab[i][-1], d)
     return x

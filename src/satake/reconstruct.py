@@ -715,7 +715,8 @@ def reconstruct_root_datum(sr: AbstractSemiring, cfg: ReconstructionConfig) -> R
         if cfg.strict and recovered.warnings:
             raise InconclusiveError("strict mode: " + "; ".join(recovered.warnings[:5]))
         return recovered
-    assert first_error is not None
+    if first_error is None:
+        raise DomainError("k_max must be at least 2")
     raise first_error
 
 

@@ -275,7 +275,8 @@ def character_product_bruteforce(rd: RootDatum, lam: Weight, mu: Weight) -> Deco
         if any(v < 0 for v in residue.values()):
             raise InconsistencyError("negative residue while stripping characters")
         dominant = [w for w in residue if is_dominant(rd, w)]
-        assert dominant, "nonzero residue without dominant support"
+        if not dominant:
+            raise InconsistencyError("nonzero residue without dominant support")
         maximal = [w for w in dominant
                    if not any(w != o and leq_dominance(rd, w, o) for o in dominant)]
         top = max(maximal)

@@ -25,7 +25,11 @@ reference for ``reconstruct.extract_simple_roots``.  The doubled-fold oracle
 is the Klimyk product keyed by weights, walking the weight diagram from
 ``weight_multiplicities``, folding twice the rho-shifted labels and halving
 each target, the reference for the label-keyed ``_label_product``; the
-``json.dumps`` writer is the reference for the dump writer.
+``json.dumps`` writer is the reference for the dump writer.  The
+``Fraction`` simplex is the rational tableau that the integer tableau of
+``linalg.lp_feasible_point`` scales, pivot for pivot, and the orbit hull
+test solves one such LP per point of W lam, the reference for the one LP of
+``lattice.conv_hull_leq``.
 """
 from __future__ import annotations
 
@@ -34,7 +38,7 @@ import json
 from fractions import Fraction
 from math import gcd
 
-from satake.errors import InconsistencyError
+from satake.errors import DomainError, InconsistencyError
 from satake.lattice import (
     RootDatum,
     Weight,
@@ -47,6 +51,7 @@ from satake.lattice import (
     pairing,
     reflect,
     two_rho,
+    weyl_orbit,
 )
 from satake.linalg import det_int, smith_normal_form, solve_rational
 from satake.reconstruct import AbstractSemiring
@@ -383,3 +388,78 @@ def semiring_to_json_by_dumps(sr: AbstractSemiring) -> str:
         })
     doc = {"unit": sr.unit, "ids": list(sr.ids), "products": products}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def lp_feasible_point_by_fractions(rows, rhs) -> list[Fraction] | None:
+    """Exact feasibility for {x >= 0 : rows * x = rhs} by phase-1 simplex
+    on a ``Fraction`` tableau, normalizing the pivot row at each pivot, with
+    Bland's rule."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    if m == 0:
+        return [Fraction(0)] * n
+    # tableau: n structural columns, m artificial columns, rhs; plus objective row
+    tab: list[list[Fraction]] = []
+    for i in range(m):
+        r = [Fraction(x) for x in rows[i]]
+        b = Fraction(rhs[i])
+        if b < 0:
+            r = [-x for x in r]
+            b = -b
+        tab.append(r + [Fraction(0)] * m + [b])
+        tab[i][n + i] = Fraction(1)
+    basis = [n + i for i in range(m)]
+    # maximize -(sum of artificials); reduced costs for the initial basis
+    obj = [Fraction(0)] * (n + m + 1)
+    for j in range(n):
+        obj[j] = sum(tab[i][j] for i in range(m))
+    obj[-1] = sum(tab[i][-1] for i in range(m))
+
+    while True:
+        enter = next((j for j in range(n + m) if obj[j] > 0), None)
+        if enter is None:
+            break
+        leave = None
+        best: Fraction | None = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][-1] / tab[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            return None  # unreachable for a phase-1 objective; defensive
+        piv = tab[leave][enter]
+        tab[leave] = [x / piv for x in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+        if obj[enter] != 0:
+            f = obj[enter]
+            obj = [x - f * y for x, y in zip(obj, tab[leave])]
+        basis[leave] = enter
+
+    if obj[-1] != 0:
+        return None
+    x = [Fraction(0)] * n
+    for i, bv in enumerate(basis):
+        if bv < n:
+            x[bv] = tab[i][-1]
+    return x
+
+
+def conv_hull_leq_by_orbit(rd: RootDatum, lam: Weight, mu: Weight) -> bool:
+    """Conv(W lam) ⊆ Conv(W mu), decided point by point: one feasibility LP
+    on the ``Fraction`` simplex for each point of W lam."""
+    if not is_dominant(rd, lam) or not is_dominant(rd, mu):
+        raise DomainError("conv_hull_leq needs dominant weights")
+    hull_points = weyl_orbit(rd, mu)
+    n = len(hull_points)
+    for v in weyl_orbit(rd, lam):
+        rows = [[hull_points[j][i] for j in range(n)] for i in range(rd.rank)]
+        rows.append([1] * n)
+        rhs = list(v) + [1]
+        if lp_feasible_point_by_fractions(rows, rhs) is None:
+            return False
+    return True

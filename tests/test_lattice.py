@@ -10,6 +10,7 @@ from conftest import ALL_DATA, GL3, SL4, TORUS0, TORUS2, datum
 from oracles import (
     _apply,
     class_by_smith_form,
+    conv_hull_leq_by_orbit,
     dominant_box,
     dominant_representative_by_reflection,
     root_coefficients_by_solve,
@@ -315,6 +316,19 @@ def test_wrong_length_rejected_without_roots(call):
     with pytest.raises(DomainError):
         call(TORUS2)
 
+
+@pytest.mark.parametrize("call", [
+    lambda rd: leq_dominance(rd, (0, 0, 7), (0, 0)),
+    lambda rd: leq_dominance(rd, (0, 0), (1, 1, 9)),
+    lambda rd: preceq(rd, (0, 0), (1, 1, 9)),
+    lambda rd: preceq(rd, (0, 0, 7), (0, 0)),
+], ids=["leq_dominance-long-lam", "leq_dominance-long-mu", "preceq-long-mu", "preceq-long-lam"])
+def test_order_rejects_weights_of_different_lengths(call):
+    # mu - lam must not be cut to the shorter weight before the rank is checked
+    with pytest.raises(DomainError):
+        call(datum("SL3"))
+
+
 class TestSaturation:
     def test_examples(self):
         assert saturation_set(datum("SL2"), (2,)) == ((-2,), (0,), (2,))
@@ -355,6 +369,32 @@ class TestConvexHull:
             for lam in weights:
                 for mu in weights:
                     assert conv_hull_leq(rd, lam, mu) == preceq(rd, lam, mu), (name, lam, mu)
+
+    @pytest.mark.parametrize("rd", ALL_DATA + [GL3], ids=lambda rd: rd.name)
+    def test_one_lp_matches_orbit_loop(self, rd):
+        # the LP for lam alone answers as the LPs for every point of W lam do
+        weights = dominant_box(rd, 3 if rd.rank < 3 else 2, height=8)
+        answers = set()
+        for lam in weights:
+            for mu in weights:
+                got = conv_hull_leq(rd, lam, mu)
+                assert got == conv_hull_leq_by_orbit(rd, lam, mu), (lam, mu)
+                answers.add(got)
+        assert answers == {True, False}
+
+    @pytest.mark.parametrize("rd, lam, mu", [
+        (datum("SL3"), (-1, 0), (1, 1)),
+        (datum("SL3"), (1, 1), (0, -1)),
+        (datum("SL3"), (1, 0, 0), (1, 1)),
+        (datum("SL3"), (0, 0), (1, 1, 0)),
+        (TORUS2, (0,), (0, 0)),
+        (TORUS2, (0, 0, 0), (0, 0)),
+        (TORUS2, (0, 0), (0,)),
+    ], ids=["lam-not-dominant", "mu-not-dominant", "lam-long", "mu-long",
+            "torus-lam-short", "torus-lam-long", "torus-mu-short"])
+    def test_rejects_non_dominant_or_wrong_length(self, rd, lam, mu):
+        with pytest.raises(DomainError):
+            conv_hull_leq(rd, lam, mu)
 
 
 class TestDuality:

@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import lp_feasible_point_by_fractions
 from satake.linalg import (
     det_int,
     identity_matrix,
@@ -118,3 +119,47 @@ def test_lp_feasible_point_planted(data, m, n):
     # the sum of all rows cannot reach one more than the sum of rhs
     total = [sum(col) for col in zip(*rows)]
     assert lp_feasible_point(rows + [total], rhs + [sum(rhs) + 1]) is None
+
+
+@st.composite
+def lp_systems(draw):
+    """Systems rows * x = rhs, x >= 0, with m <= 5, n <= 8 and entries in
+    [-20, 20].  The rhs is either planted (rows * x* for some x* >= 0, so
+    feasible) or drawn freely, negative entries included (mostly infeasible).
+    Some rows may be replaced by positive multiples of an earlier row, with
+    the rhs scaled alike: their ratios tie wherever they meet the earlier
+    row's in the ratio test."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 8))
+    entry = st.integers(-20, 20)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        planted = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        rhs = mat_vec(rows, planted)
+    else:
+        rhs = draw(st.lists(entry, min_size=m, max_size=m))
+    for i in range(1, m):
+        if draw(st.booleans()):
+            j = draw(st.integers(0, i - 1))
+            k = draw(st.integers(1, 3))
+            rows[i] = [k * x for x in rows[j]]
+            rhs[i] = k * rhs[j]
+    return rows, rhs
+
+
+@settings(max_examples=400, deadline=None)
+@given(lp_systems())
+# every row ties with the first in the first ratio test
+@example(([[1, 2], [2, 4], [3, 6]], [3, 6, 9]))
+# a tie that Bland's rule breaks towards a later row, and that decides the
+# point: breaking ties towards the first row ends at (0, 3/5, 4/5, 1/5)
+# instead of (3/4, 0, 1/2, 1/2)
+@example(([[0, 1, -1, 1], [2, 2, -1, -2], [0, 1, 0, 2]], [0, 0, 1]))
+# infeasible: x1 - x2 = 1 and x1 + x2 = -1
+@example(([[1, -1], [1, 1]], [1, -1]))
+@example(([[-3, 5, 0, 7], [2, -1, 4, 0]], [-20, 0]))
+def test_lp_feasible_point_matches_fraction_tableau(system):
+    # the integer tableau pivots exactly as the Fraction tableau does, so it
+    # returns the same point, or None on the same systems
+    rows, rhs = system
+    assert lp_feasible_point(rows, rhs) == lp_feasible_point_by_fractions(rows, rhs)

@@ -17,7 +17,7 @@ from oracles import (
 )
 from test_classification import B3, C3, finite_type, from_cartan
 from satake import reconstruct
-from satake.errors import InconclusiveError, InconsistencyError, ParseError
+from satake.errors import DomainError, InconclusiveError, InconsistencyError, ParseError
 from satake.fixtures import FIXTURES
 from satake.lattice import RootDatum, cartan_matrix, cartan_type, dual_root_datum, leq_dominance, preceq
 from satake.linalg import smith_normal_form
@@ -485,6 +485,15 @@ class TestNegativeControls:
         sr, _ = dump_semiring(datum("SL3"), 4, seed=0)
         with pytest.raises(InconclusiveError):
             reconstruct_root_datum(sr, ReconstructionConfig(strict=True))
+
+    def test_no_grade_to_try_is_a_domain_error(self):
+        # a config forced past its own k_max check tries no grade: a package
+        # error, also under python -O
+        cfg = ReconstructionConfig()
+        object.__setattr__(cfg, "k_max", 1)
+        sr, _ = dump_semiring(datum("SL2"), 4, seed=0)
+        with pytest.raises(DomainError, match="k_max"):
+            reconstruct_root_datum(sr, cfg)
 
     def test_strict_never_flips_verdicts(self):
         sr, truth = dump_semiring(datum("SL2"), 6, seed=0)

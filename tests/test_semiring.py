@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from conftest import ALL_DATA, GL3, SL4, TORUS0, TORUS2, datum
 from oracles import character_by_weyl_formula, tensor_by_doubled_fold
 from test_classification import B3, C3, FINITE, finite_type, from_cartan
-from satake.errors import DomainError
+from satake import semiring
+from satake.errors import DomainError, InconsistencyError
 from satake.lattice import (
     RootDatum,
     _labels,
@@ -185,6 +186,14 @@ class TestTensor:
         rd = datum("SL3")
         zero = (0, 0)
         assert character_product_bruteforce(rd, zero, zero) == {zero: 1}
+
+    def test_bruteforce_residue_without_dominant_support(self, monkeypatch):
+        # a weight diagram that is not W-invariant leaves a residue with no
+        # dominant weight to strip: a package error, also under python -O
+        monkeypatch.setattr(semiring, "weight_multiplicities",
+                            lambda rd, lam: {tuple(-x for x in lam): 1})
+        with pytest.raises(InconsistencyError, match="without dominant support"):
+            character_product_bruteforce(datum("SL2"), (1,), (1,))
 
 
 @pytest.mark.parametrize("rd", ALL_DATA + [GL3, TORUS2, TORUS0], ids=lambda rd: rd.name)
