@@ -38,7 +38,6 @@ from .lattice import (
 )
 from .semiring import (
     Decomposition,
-    character_product_bruteforce,
     power_decompose,
     product_table,
     prv_multiplicity,
@@ -67,7 +66,6 @@ from .reconstruct import (
     dump_semiring,
     reconstruct_root_datum,
     recover_Qplus,
-    recover_leq,
     recover_monoid,
     recover_preceq,
     recover_sum,

@@ -5,8 +5,9 @@ path.  Matrices are plain lists of lists (rows), vectors are sequences.
 All functions are pure.  The determinant and the phase-1 simplex are
 fraction-free: both keep an integer matrix over the last pivot and divide
 exactly (Bareiss; Edmonds), so the simplex makes a ``Fraction`` only for
-the point it returns.  ``solve_rational`` works on ``Fraction`` rows, and
-the Smith normal form is integral by construction.
+the point it returns.  ``solve_rational`` works on ``Fraction`` rows, for
+the inverse Cartan rows; integer systems, the coroot fit of reconstruction
+included, go through the integral Smith normal form (Newman).
 """
 from __future__ import annotations
 
@@ -199,15 +200,6 @@ def integer_solutions(a: Sequence[Sequence[int]],
     x0 = mat_vec(v, y)
     basis = [[v[r][i] for r in range(n)] for i in free]
     return x0, basis
-
-
-def in_lattice_span(generators: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
-    """Whether target lies in the integer span of the generator vectors."""
-    n = len(target)
-    if not generators:
-        return all(t == 0 for t in target)
-    cols = [[g[i] for g in generators] for i in range(n)]
-    return integer_solutions(cols, list(target)) is not None
 
 
 def lp_feasible_point(rows: Sequence[Sequence[int]],

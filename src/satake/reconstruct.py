@@ -33,11 +33,10 @@ from .lattice import (
 )
 from .linalg import (
     det_int,
-    in_lattice_span,
     integer_solutions,
     lp_feasible_point,
+    mat_vec,
     smith_normal_form,
-    solve_rational,
 )
 from .semiring import product_table
 
@@ -476,25 +475,6 @@ def recover_Qplus(sr: AbstractSemiring, monoid: MonoidRecovery) -> tuple[tuple[i
     return tuple(sorted(gens))
 
 
-def recover_leq(sr: AbstractSemiring, cfg: ReconstructionConfig, a: str, b: str,
-                monoid: MonoidRecovery | None = None,
-                q_generators: tuple[tuple[int, ...], ...] | None = None) -> Verdict:
-    """Three-valued a <= b: a ⪯ b and the embedded difference lies in the
-    group generated by the recovered positive cone."""
-    if monoid is None:
-        monoid = recover_monoid(sr, cfg)
-    if q_generators is None:
-        q_generators = recover_Qplus(sr, monoid)
-    emb_a = monoid.embedding.get(a)
-    emb_b = monoid.embedding.get(b)
-    if emb_a is None or emb_b is None:
-        return None
-    diff = tuple(q - p for p, q in zip(emb_a, emb_b))
-    if not in_lattice_span([list(g) for g in q_generators], list(diff)):
-        return False
-    return recover_preceq(sr, cfg, a, b)
-
-
 def _positive_functional(gens: tuple[tuple[int, ...], ...]) -> list[int]:
     """An integer functional phi, positive on every generator.
 
@@ -579,7 +559,10 @@ def extract_simple_roots(q_generators: tuple[tuple[int, ...], ...]) -> tuple[tup
 def extract_simple_coroots(monoid: MonoidRecovery, alpha: tuple[int, ...]) -> tuple[int, ...]:
     """The coroot functional of a recovered simple root: fit the pairing
     values m(mu) = largest m with 2*mu - m*alpha still dominant, read off
-    inside the window, then verify the fit on every sample."""
+    inside the window, then verify the fit on every sample.  The fit solves
+    S x = m over the integers by the Smith form d = u S v of the n x r sample
+    matrix S: rank below r is inconclusive, then (u m)[i] != 0 for some
+    i >= r is no fit, then d[i][i] not dividing (u m)[i] is no integral fit."""
     rev = {v: x for x, v in monoid.embedding.items()}
     samples: list[tuple[tuple[int, ...], int]] = []
     for x, v in sorted(monoid.embedding.items(), key=lambda kv: kv[1]):
@@ -590,17 +573,16 @@ def extract_simple_coroots(monoid: MonoidRecovery, alpha: tuple[int, ...]) -> tu
         while tuple(d - (m + 1) * a for d, a in zip(double, alpha)) in rev:
             m += 1
         samples.append((v, m))
-    columns = [[v[i] for v, _ in samples] for i in range(monoid.rank)]
-    targets = [m for _, m in samples]
-    try:
-        coeffs = solve_rational(columns, targets)
-    except ValueError as exc:
-        raise InconclusiveError("window too small to determine a coroot") from exc
-    if coeffs is None:
+    r = monoid.rank
+    d, u, v = smith_normal_form([list(w) for w, _ in samples])
+    if len(samples) < r or any(d[i][i] == 0 for i in range(r)):
+        raise InconclusiveError("window too small to determine a coroot")
+    ub = mat_vec(u, [m for _, m in samples])
+    if any(ub[r:]):
         raise InconsistencyError("non-additive coroot functional: corrupted window")
-    if any(c.denominator != 1 for c in coeffs):
+    if any(ub[i] % d[i][i] for i in range(r)):
         raise InconsistencyError("coroot functional is not integral")
-    cov = tuple(int(c) for c in coeffs)
+    cov = tuple(mat_vec(v, [ub[i] // d[i][i] for i in range(r)]))
     if sum(a * c for a, c in zip(alpha, cov)) != 2:
         raise InconsistencyError("recovered coroot does not pair to 2 with its root")
     return cov
@@ -615,26 +597,6 @@ class RecoveredDatum:
     labeling: dict[str, Weight]
     log: tuple[str, ...]
     warnings: tuple[str, ...] = field(default=())
-
-
-def assemble_root_datum(roots: tuple[tuple[int, ...], ...],
-                        coroots: tuple[tuple[int, ...], ...],
-                        rank: int,
-                        labeling: dict[str, Weight],
-                        log: tuple[str, ...],
-                        warnings: tuple[str, ...] = ()) -> RecoveredDatum:
-    """Build and validate the recovered datum; recovered data that fails the
-    root-datum axioms signals inconsistency, not a parse problem.  The
-    simple roots come sorted from ``extract_simple_roots``."""
-    datum = RootDatum(rank=rank, simple_roots=roots, simple_coroots=coroots, name="recovered")
-    try:
-        validate_datum(datum)
-    except Exception as exc:
-        raise InconsistencyError(f"recovered datum is invalid: {exc}") from exc
-    for x, w in sorted(labeling.items()):
-        if not is_dominant(datum, w):
-            raise InconsistencyError(f"labeled id {x} embeds to a non-dominant weight")
-    return RecoveredDatum(datum=datum, labeling=dict(labeling), log=log, warnings=warnings)
 
 
 def verify_reconstruction(sr: AbstractSemiring, recovered: RecoveredDatum) -> list[str]:
@@ -679,8 +641,15 @@ def _reconstruct_at_grade(sr: AbstractSemiring, cfg: ReconstructionConfig,
         raise InconsistencyError("positive cone has no minimal elements")
     coroots = tuple(extract_simple_coroots(monoid, alpha) for alpha in roots)
     log.append("coroot functionals fitted and verified")
-    recovered = assemble_root_datum(roots, coroots, monoid.rank, monoid.embedding,
-                                    log=tuple(log), warnings=monoid.skipped)
+    datum = RootDatum(rank=monoid.rank, simple_roots=roots, simple_coroots=coroots, name="recovered")
+    try:
+        validate_datum(datum)
+    except Exception as exc:
+        raise InconsistencyError(f"recovered datum is invalid: {exc}") from exc
+    for x, w in sorted(monoid.embedding.items()):
+        if not is_dominant(datum, w):
+            raise InconsistencyError(f"labeled id {x} embeds to a non-dominant weight")
+    recovered = RecoveredDatum(datum, dict(monoid.embedding), tuple(log), warnings=monoid.skipped)
     mismatches = verify_reconstruction(sr, recovered)
     if mismatches:
         detail = "; ".join(mismatches[:5])

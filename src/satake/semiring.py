@@ -65,8 +65,6 @@ from .lattice import (
     class_mod_root_lattice,
     datum_tables,
     dominant_representative,
-    is_dominant,
-    leq_dominance,
 )
 
 Decomposition = dict[Weight, int]
@@ -254,46 +252,6 @@ def product_table(rd: RootDatum, weights: Sequence[Weight]
             found = [(index[nu], m) for nu, m in terms if nu in index]
             table[(i, j)] = (tuple(sorted(found)), len(terms), sum(m for _, m in terms))
     return table
-
-
-def character_product_bruteforce(rd: RootDatum, lam: Weight, mu: Weight) -> Decomposition:
-    """Independent oracle for tensor_decompose: convolve the two weight
-    diagrams, then strip highest weights until the character is exhausted."""
-    _dominant_labels(rd, lam)
-    _dominant_labels(rd, mu)
-    ta = weight_multiplicities(rd, lam)
-    tb = weight_multiplicities(rd, mu)
-    conv: dict[Weight, int] = {}
-    for a, ma in ta.items():
-        for b, mb in tb.items():
-            key = tuple(x + y for x, y in zip(a, b))
-            conv[key] = conv.get(key, 0) + ma * mb
-    residue = {k: v for k, v in conv.items() if v}
-    out: Decomposition = {}
-    tables: dict[Weight, WeightTable] = {}
-    while residue:
-        if any(v < 0 for v in residue.values()):
-            raise InconsistencyError("negative residue while stripping characters")
-        dominant = [w for w in residue if is_dominant(rd, w)]
-        if not dominant:
-            raise InconsistencyError("nonzero residue without dominant support")
-        maximal = [w for w in dominant
-                   if not any(w != o and leq_dominance(rd, w, o) for o in dominant)]
-        top = max(maximal)
-        m = residue[top]
-        if m < 0:
-            raise InconsistencyError("negative residue while stripping characters")
-        table = tables.get(top)
-        if table is None:
-            table = tables[top] = weight_multiplicities(rd, top)
-        for w, c in table.items():
-            left = residue.get(w, 0) - m * c
-            if left:
-                residue[w] = left
-            else:
-                residue.pop(w, None)
-        out[top] = out.get(top, 0) + m
-    return out
 
 
 def power_decompose(rd: RootDatum, lam: Weight, k: int) -> Decomposition:

@@ -29,7 +29,12 @@ each target, the reference for the label-keyed ``_label_product``; the
 ``Fraction`` simplex is the rational tableau that the integer tableau of
 ``linalg.lp_feasible_point`` scales, pivot for pivot, and the orbit hull
 test solves one such LP per point of W lam, the reference for the one LP of
-``lattice.conv_hull_leq``.
+``lattice.conv_hull_leq``.  The brute-force character product convolves two
+weight diagrams and strips highest weights until the character is
+exhausted, the reference for ``tensor_decompose`` in criterion C3.  The
+``Fraction`` coroot fit solves the samples by an exact rational solve, the
+reference for the value and the error (class and message) of the Smith-form
+fit in ``reconstruct.extract_simple_coroots``.
 """
 from __future__ import annotations
 
@@ -38,24 +43,26 @@ import json
 from fractions import Fraction
 from math import gcd
 
-from satake.errors import DomainError, InconsistencyError
+from satake.errors import DomainError, InconclusiveError, InconsistencyError
 from satake.lattice import (
     RootDatum,
     Weight,
     WeylWord,
+    _dominant_labels,
     _fold_labels,
     _subtract_roots,
     cartan_matrix,
     dual_root_datum,
     is_dominant,
+    leq_dominance,
     pairing,
     reflect,
     two_rho,
     weyl_orbit,
 )
 from satake.linalg import det_int, smith_normal_form, solve_rational
-from satake.reconstruct import AbstractSemiring
-from satake.semiring import weight_multiplicities, weyl_dim
+from satake.reconstruct import AbstractSemiring, MonoidRecovery
+from satake.semiring import Decomposition, WeightTable, weight_multiplicities, weyl_dim
 
 
 def dominant_box(rd: RootDatum, cap: int, height: int | None = None) -> list[Weight]:
@@ -191,6 +198,46 @@ def character_product(rd: RootDatum, lam: Weight, mu: Weight) -> dict[Weight, in
         for b, mb in cb.items():
             key = tuple(x + y for x, y in zip(a, b))
             out[key] = out.get(key, 0) + ma * mb
+    return out
+
+
+def character_product_bruteforce(rd: RootDatum, lam: Weight, mu: Weight) -> Decomposition:
+    """Independent oracle for tensor_decompose: convolve the two weight
+    diagrams, then strip highest weights until the character is exhausted."""
+    _dominant_labels(rd, lam)
+    _dominant_labels(rd, mu)
+    ta = weight_multiplicities(rd, lam)
+    tb = weight_multiplicities(rd, mu)
+    conv: dict[Weight, int] = {}
+    for a, ma in ta.items():
+        for b, mb in tb.items():
+            key = tuple(x + y for x, y in zip(a, b))
+            conv[key] = conv.get(key, 0) + ma * mb
+    residue = {k: v for k, v in conv.items() if v}
+    out: Decomposition = {}
+    tables: dict[Weight, WeightTable] = {}
+    while residue:
+        if any(v < 0 for v in residue.values()):
+            raise InconsistencyError("negative residue while stripping characters")
+        dominant = [w for w in residue if is_dominant(rd, w)]
+        if not dominant:
+            raise InconsistencyError("nonzero residue without dominant support")
+        maximal = [w for w in dominant
+                   if not any(w != o and leq_dominance(rd, w, o) for o in dominant)]
+        top = max(maximal)
+        m = residue[top]
+        if m < 0:
+            raise InconsistencyError("negative residue while stripping characters")
+        table = tables.get(top)
+        if table is None:
+            table = tables[top] = weight_multiplicities(rd, top)
+        for w, c in table.items():
+            left = residue.get(w, 0) - m * c
+            if left:
+                residue[w] = left
+            else:
+                residue.pop(w, None)
+        out[top] = out.get(top, 0) + m
     return out
 
 
@@ -341,6 +388,36 @@ def simple_roots_by_search(q_generators: tuple[tuple[int, ...], ...]) -> tuple[t
         if not decomposable:
             simples.append(g)
     return tuple(simples)
+
+
+def simple_coroot_by_fractions(monoid: MonoidRecovery, alpha: tuple[int, ...]) -> tuple[int, ...]:
+    """The coroot functional of a recovered simple root: fit the pairing
+    values m(mu) = largest m with 2*mu - m*alpha still dominant, read off
+    inside the window, then verify the fit on every sample."""
+    rev = {v: x for x, v in monoid.embedding.items()}
+    samples: list[tuple[tuple[int, ...], int]] = []
+    for x, v in sorted(monoid.embedding.items(), key=lambda kv: kv[1]):
+        double = tuple(2 * c for c in v)
+        if double not in rev:
+            continue
+        m = 0
+        while tuple(d - (m + 1) * a for d, a in zip(double, alpha)) in rev:
+            m += 1
+        samples.append((v, m))
+    columns = [[v[i] for v, _ in samples] for i in range(monoid.rank)]
+    targets = [m for _, m in samples]
+    try:
+        coeffs = solve_rational(columns, targets)
+    except ValueError as exc:
+        raise InconclusiveError("window too small to determine a coroot") from exc
+    if coeffs is None:
+        raise InconsistencyError("non-additive coroot functional: corrupted window")
+    if any(c.denominator != 1 for c in coeffs):
+        raise InconsistencyError("coroot functional is not integral")
+    cov = tuple(int(c) for c in coeffs)
+    if sum(a * c for a, c in zip(alpha, cov)) != 2:
+        raise InconsistencyError("recovered coroot does not pair to 2 with its root")
+    return cov
 
 
 def _half(vec: tuple[int, ...]) -> Weight:

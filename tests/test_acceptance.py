@@ -5,6 +5,7 @@ plain `pytest -s tests/test_acceptance.py` doubles as the acceptance report.
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import random
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import dominant_box
+from oracles import character_product_bruteforce, dominant_box
 from satake.cli import sample_pool
 from satake.errors import InconclusiveError
 from satake.fixtures import FIXTURES
@@ -41,7 +42,6 @@ from satake.reconstruct import (
     semiring_from_json,
 )
 from satake.semiring import (
-    character_product_bruteforce,
     prv_multiplicity,
     tensor_decompose,
     weight_multiplicities,
@@ -64,6 +64,19 @@ def _announce(number: int, name: str, started: float) -> None:
     print(f"\nCRITERION {number} ({name}): PASS  [{time.time() - started:.1f}s]")
 
 
+# sha256 prefixes of the verify-duality json reports: the reports are
+# byte-identical for equal inputs, so any change to them shows here
+C1_REPORT_DIGESTS = {
+    "SL2": "855c04cea9d8e560",
+    "PGL2": "226a1f261ade03f7",
+    "GL2": "7604a0fc2ce0a995",
+    "SL3": "c4b5644d80fd561c",
+    "PGL3": "8b5df3494b3bdd90",
+    "Sp4": "f247ec2e6bfbbd19",
+    "G2": "16ac7d337806d735",
+}
+
+
 def test_c1_round_trip_reconstruction():
     started = time.time()
     for name in ALL:
@@ -72,6 +85,7 @@ def test_c1_round_trip_reconstruction():
             capture_output=True, text=True)
         assert proc.returncode == 0, (name, proc.stderr)
         assert json.loads(proc.stdout)["summary"]["verdict"] == "pass", name
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest()[:16] == C1_REPORT_DIGESTS[name], name
     _announce(1, "round-trip reconstruction, 7 fixtures", started)
 
 

@@ -11,7 +11,6 @@ from oracles import lp_feasible_point_by_fractions
 from satake.linalg import (
     det_int,
     identity_matrix,
-    in_lattice_span,
     integer_solutions,
     lp_feasible_point,
     mat_vec,
@@ -81,15 +80,6 @@ def test_integer_solutions_basic():
     assert len(basis) == 1
     # no integer solution: 2x = 1
     assert integer_solutions([[2]], [1]) is None
-
-
-def test_in_lattice_span():
-    assert in_lattice_span([[2]], [4])
-    assert not in_lattice_span([[2]], [3])
-    assert in_lattice_span([], [0, 0])
-    assert not in_lattice_span([], [1, 0])
-    assert in_lattice_span([[1, 1], [1, -1]], [2, 0])
-    assert not in_lattice_span([[1, 1], [1, -1]], [1, 0])
 
 
 def test_lp_feasibility_point():
