@@ -49,6 +49,8 @@ from .linalg import lp_feasible_point, smith_normal_form, solve_rational
 
 Weight = tuple[int, ...]
 WeylWord = tuple[int, ...]
+# per class of equal components, per component, its walks (``CartanTables``)
+Symmetries = tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -305,7 +307,17 @@ class CartanTables:
     coroots times ``denominator``: the rows of the inverse Cartan matrix,
     kept integral.  ``name`` is the Cartan type, e.g. 'A1 x A2', and
     ``order`` the canonical node order: A[order[i]][order[j]] is the same
-    matrix for every numbering of the same diagram."""
+    matrix for every numbering of the same diagram.
+
+    ``symmetries`` generates Aut(A), the node permutations p with
+    A[p[i]][p[j]] = A[i][j].  It holds one entry per class of components
+    with equal blocks, leaving out a lone component with no automorphism:
+    for each component of the class, the depth-first walks that read its
+    block, the least first.  Sending the least walk of one component of a
+    class, node by node, onto any walk of any other (or of the same)
+    component fixes A, and Aut(A) is made of such moves, one per component,
+    that permute the components of each class.  So its order is the product
+    over the classes of w^m m!, for m components with w walks each."""
 
     roots: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     root_labels: tuple[tuple[int, ...], ...]
@@ -315,6 +327,7 @@ class CartanTables:
     denominator: int
     name: str
     order: tuple[int, ...]
+    symmetries: Symmetries
 
 
 def _check_cartan(a: Sequence[Sequence[int]]) -> None:
@@ -368,29 +381,40 @@ def _preorders(adjacent: Sequence[Sequence[int]], node: int, parent: int | None
 
 
 def _canonical_order(a: Sequence[Sequence[int]], components: Sequence[frozenset[int]]
-                     ) -> tuple[int, ...]:
+                     ) -> tuple[tuple[int, ...], Symmetries]:
     """A node order whose P A P^T depends only on the diagram, not on how
-    its nodes are numbered.  A finite-type component is a tree, so its block
-    is the least P A P^T over the depth-first walks from its leaves, as in
-    the tree canonical forms of Aho, Hopcroft and Ullman (1974, section
-    3.2); the components follow in the order of their blocks.  Ties are
-    diagram automorphisms and go to the least node order."""
+    its nodes are numbered, and the ``symmetries`` of A.  A finite-type
+    component is a tree, so its block is the least P A P^T over the
+    depth-first walks from its leaves, as in the tree canonical forms of
+    Aho, Hopcroft and Ullman (1974, section 3.2); the components follow in
+    the order of their blocks.  Ties go to the least node order.  The walks
+    that tie are the component's automorphisms applied to its least walk:
+    an automorphism maps a walk from a leaf to one that reads the same
+    block, and two walks that read the same block match nodes that A
+    cannot tell apart."""
     adjacent = [[j for j in range(len(a)) if j != i and a[i][j]] for i in range(len(a))]
     blocks = []
     for comp in components:
-        walks = [walk for leaf in sorted(comp) if len(adjacent[leaf]) <= 1
-                 for walk in _preorders(adjacent, leaf, None)]
-        blocks.append(min((tuple(tuple(a[i][j] for j in walk) for i in walk), walk) for walk in walks))
-    return tuple(itertools.chain.from_iterable(walk for _, walk in sorted(blocks)))
+        walks = sorted((tuple(tuple(a[i][j] for j in walk) for i in walk), walk)
+                       for leaf in sorted(comp) if len(adjacent[leaf]) <= 1
+                       for walk in _preorders(adjacent, leaf, None))
+        blocks.append((walks[0][0], tuple(walk for block, walk in walks if block == walks[0][0])))
+    blocks.sort()
+    symmetries = []
+    for _, group in itertools.groupby(blocks, key=lambda entry: entry[0]):
+        ties = tuple(walks for _, walks in group)
+        if len(ties) > 1 or len(ties[0]) > 1:
+            symmetries.append(ties)
+    return tuple(itertools.chain.from_iterable(walks[0] for _, walks in blocks)), tuple(symmetries)
 
 
 @lru_cache(maxsize=1024)
 def cartan_tables(a: tuple[tuple[int, ...], ...]) -> CartanTables:
     """Positive roots with coroots by orbit saturation in simple-root and
     simple-coroot coordinates, their labels and norms, the invariant form on
-    labels, the inverse Cartan rows, the Cartan type and the canonical node
-    order; the last two read the components off the maximal root supports.
-    Raises InvalidDatumError when the matrix breaks the structural rules or
+    labels, the inverse Cartan rows, the Cartan type, the canonical node
+    order and the diagram symmetries; the last three read the components
+    off the maximal root supports.  Raises InvalidDatumError when the matrix breaks the structural rules or
     is not of finite type; the saturation decides the latter, as the roots
     of any other type outgrow every finite one."""
     _check_cartan(a)
@@ -430,6 +454,7 @@ def cartan_tables(a: tuple[tuple[int, ...], ...]) -> CartanTables:
     supports = [frozenset(i for i, c in enumerate(k) if c) for k, _ in positive]
     components = [comp for comp in set(supports) if not any(comp < other for other in supports)]
     denominator = lcm(*(c.denominator for row in inverse for c in row))
+    order, symmetries = _canonical_order(a, components)
     return CartanTables(
         roots=tuple(positive),
         root_labels=tuple(labels),
@@ -438,7 +463,8 @@ def cartan_tables(a: tuple[tuple[int, ...], ...]) -> CartanTables:
         inverse_rows=tuple(tuple(int(c * denominator) for c in row) for row in inverse),
         denominator=denominator,
         name=_type_name(components, supports, norms),
-        order=_canonical_order(a, components),
+        order=order,
+        symmetries=symmetries,
     )
 
 

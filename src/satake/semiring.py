@@ -40,6 +40,20 @@ one reconstructed from its dump, whose simple roots come back sorted, do.
 the forward dump and the reconstruction self-check read, without building a
 weight vector: it matches constituents to the list by canonical labels and
 X/Q class, so its table needs no permutation back.
+
+A diagram automorphism p of the canonical Cartan matrix (``symmetries`` in
+``lattice.CartanTables``: the A_n and D_n flips, D4's triality, E6's flip
+and swaps of equal components) permutes the simple roots and leaves every
+label-level computation as it is, so V_(a p) ⊗ V_(b p) is V_a ⊗ V_b with
+every constituent's labels permuted by p.  ``product_table`` therefore
+computes one product per class of unordered pairs, at its least image
+(``_least_image``), and ``_label_diagram`` one diagram per class of
+labels.  This is exact whatever the lattice X: p acts on labels only, the
+products never see X, and ``product_table`` takes each constituent's X/Q
+class from the factors' weights, then finds it in the list by its labels
+permuted by p.  p need not be an automorphism of the datum (SL2 x PGL2's
+node swap is not).  Lists, powers and PRV keep taking their products as
+they come (``_product_terms``).
 """
 from __future__ import annotations
 
@@ -51,6 +65,7 @@ from .errors import DomainError, InconsistencyError
 from .lattice import (
     CartanTables,
     RootDatum,
+    Symmetries,
     Weight,
     WeylWord,
     _dominant_depths,
@@ -73,6 +88,39 @@ Cartan = tuple[tuple[int, ...], ...]
 Labels = tuple[int, ...]
 
 
+def _reads(symmetries: Symmetries, labels: Labels) -> tuple[tuple[tuple[Labels, ...], ...], ...]:
+    """The labels read along every walk of every component in the
+    ``symmetries`` of a Cartan matrix (``lattice.CartanTables``)."""
+    return tuple(tuple(tuple(tuple([labels[node] for node in walk]) for walk in walks) for walks in group)
+                 for group in symmetries)
+
+
+def _least_image(symmetries: Symmetries, *reads) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
+    """The least image of a tuple of label vectors under the diagram
+    automorphisms of a Cartan matrix, from the vectors' ``_reads``, as
+    (key, walks).  Per class of components, each component keeps its least
+    read over its walks, all vectors at once, and the components are
+    sorted by what they keep.  The key is those reads, the same for every
+    image of the vectors; ``walks`` holds the walk of each read, in slot
+    order.  The cost grows with the number of walks, not with |Aut(A)|."""
+    chosen = [entry for *group_reads, group in zip(*reads, symmetries)
+              for entry in sorted(map(min, map(zip, *group_reads, group)))]
+    return tuple(entry[:-1] for entry in chosen), tuple(entry[-1] for entry in chosen)
+
+
+def _image_permutation(symmetries: Symmetries, walks: tuple[tuple[int, ...], ...], rank: int
+                       ) -> tuple[int, ...]:
+    """p such that (labels[p[0]], labels[p[1]], ...) is the image that a
+    ``_least_image`` stands for: the least walk of each component reads the
+    labels along the walk chosen for it."""
+    perm = list(range(rank))
+    slots = [component[0] for group in symmetries for component in group]
+    for slot, walk in zip(slots, walks):
+        for node, source in zip(slot, walk):
+            perm[node] = source
+    return tuple(perm)
+
+
 @lru_cache(maxsize=4096)
 def _label_diagram(cartan: Cartan, labels: Labels) -> tuple[tuple[Labels, tuple[int, ...], int], ...]:
     """The weight diagram of the irreducible with the given labels, as
@@ -83,8 +131,21 @@ def _label_diagram(cartan: Cartan, labels: Labels) -> tuple[tuple[Labels, tuple[
     over the dominant nu by increasing depth.  nu + k alpha lies below lam
     only while k times alpha's coefficients stays within nu's depth, which
     bounds k; its multiplicity is that of its folded labels.
+
+    A diagram automorphism p of the Cartan matrix permutes the nodes, and
+    with them the labels and depths of every diagram, so labels that are
+    not their own least image (``_least_image``) get the diagram of that
+    image, permuted back.
     """
     tables = cartan_tables(cartan)
+    if tables.symmetries:
+        _, walks = _least_image(tables.symmetries, _reads(tables.symmetries, labels))
+        perm = _image_permutation(tables.symmetries, walks, len(labels))
+        least = tuple([labels[x] for x in perm])
+        if least != labels:
+            back = sorted(range(len(perm)), key=perm.__getitem__)
+            return tuple((tuple([w[x] for x in back]), tuple([d[x] for x in back]), m)
+                         for w, d, m in _label_diagram(cartan, least))
     form = tables.form
     # per positive root: coefficients, labels, G labels and (alpha, alpha)
     roots = []
@@ -234,21 +295,42 @@ def product_table(rd: RootDatum, weights: Sequence[Weight]
     the list by its labels and X/Q class, which fix it (labels are injective
     on Q); its class is the sum of the factors' classes.  A weight listed
     twice is matched at its last index.
+
+    A pair is computed at the least image of its unordered class under the
+    diagram automorphisms of the canonical Cartan matrix (``_least_image``),
+    so ``_label_product`` holds one entry per class.  The permutation p
+    that makes the image permutes the labels of every constituent the same
+    way and moves no X/Q class, so the constituents are matched through the
+    list's labels permuted by p, one index per p and class.
     """
     tables = datum_tables(rd)
     cartan = cartan_matrix(tables.canonical)
+    symmetries = cartan_tables(cartan).symmetries
     labels = [_dominant_labels(tables.canonical, w) for w in weights]
     classes = [class_mod_root_lattice(rd, w) for w in weights]
     divisors = tables.root_lattice_divisors
-    by_class: dict[tuple[int, ...], dict[Labels, int]] = {}
-    for k, (lab, cls) in enumerate(zip(labels, classes)):
-        by_class.setdefault(cls, {})[lab] = k
+    by_class: dict[tuple[int, ...], list[int]] = {}
+    for k, cls in enumerate(classes):
+        by_class.setdefault(cls, []).append(k)
+    reads = [_reads(symmetries, lab) for lab in labels]
+    # per choice of walks: the list's labels permuted, and per class the
+    # index of the permuted labels
+    moved: dict[tuple, list[Labels]] = {}
+    indexes: dict[tuple, dict[Labels, int]] = {}
     table = {}
-    for i, (a, ca) in enumerate(zip(labels, classes)):
+    for i, ca in enumerate(classes):
         for j in range(i, len(labels)):
             cls = tuple((x + y) % d if d else x + y for x, y, d in zip(ca, classes[j], divisors))
-            index = by_class.get(cls, {})
-            terms = _product_terms(cartan, a, labels[j])
+            _, walks = min(_least_image(symmetries, reads[i], reads[j]),
+                           _least_image(symmetries, reads[j], reads[i]))
+            if walks not in moved:
+                perm = _image_permutation(symmetries, walks, len(cartan))
+                moved[walks] = [tuple([lab[x] for x in perm]) for lab in labels]
+            images = moved[walks]
+            index = indexes.get((walks, cls))
+            if index is None:
+                index = indexes[walks, cls] = {images[k]: k for k in by_class.get(cls, ())}
+            terms = _product_terms(cartan, images[i], images[j])
             found = [(index[nu], m) for nu, m in terms if nu in index]
             table[(i, j)] = (tuple(sorted(found)), len(terms), sum(m for _, m in terms))
     return table

@@ -22,6 +22,8 @@ ALL_DATA = ([fx.datum for fx in FIXTURES.values()]
 GL3 = RootDatum(3, ((1, -1, 0), (0, 1, -1)), ((1, -1, 0), (0, 1, -1)), name="GL3")
 TORUS2 = RootDatum(2, (), (), name="T2")
 TORUS0 = RootDatum(0, (), (), name="T0")
+# the node swap fixes the Cartan matrix of A1 x A1 but not this datum
+SL2_PGL2 = RootDatum(2, ((2, 0), (0, 1)), ((1, 0), (0, 2)), name="SL2xPGL2")
 
 
 @pytest.fixture(params=list(FIXTURES))

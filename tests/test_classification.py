@@ -192,6 +192,57 @@ def test_canonical_order_every_numbering(a):
     for p in itertools.permutations(range(n)):
         assert canonical_matrix([[a[p[i]][p[j]] for j in range(n)] for i in range(n)]) == want, p
 
+
+def diagram_automorphisms(a):
+    """Aut(A) from the symmetries cartan_tables stores, the identity first:
+    per class, the least walk of each component goes onto a walk of
+    another, in every way.  Node p[i] plays the part of node i."""
+    a = tuple(tuple(row) for row in a)
+    group = [tuple(range(len(a)))]
+    for components in cartan_tables(a).symmetries:
+        grown = []
+        for p in group:
+            for sources in itertools.permutations(components):
+                for walks in itertools.product(*sources):
+                    q = list(p)
+                    for slot, walk in zip(components, walks):
+                        for node, image in zip(slot[0], walk):
+                            q[node] = image
+                    grown.append(tuple(q))
+        group = grown
+    return group
+
+
+def automorphisms_by_search(a):
+    n = len(a)
+    return {p for p in itertools.permutations(range(n))
+            if all(a[p[i]][p[j]] == a[i][j] for i in range(n) for j in range(n))}
+
+
+AUTOMORPHISM_ORDERS = (
+    [(finite_type("A", n), 2) for n in range(2, 9)] + [(finite_type("D", n), 2) for n in range(5, 9)]
+    + [(E6, 2), (D4, 6), (finite_type("A", 1), 1), (F4, 1), (finite_type("G", 2), 1), (E7, 1), (E8, 1)]
+    + [(finite_type("B", n), 1) for n in range(2, 9)] + [(finite_type("C", n), 1) for n in range(3, 9)]
+    + [(block_sum([[2]], [[2]]), 2), (block_sum(finite_type("A", 2), finite_type("A", 2)), 8),
+       (block_sum(D4, finite_type("A", 2)), 12), (block_sum(finite_type("G", 2), [[2]]), 1), ([], 1)]
+)
+
+
+@pytest.mark.parametrize("a, order", AUTOMORPHISM_ORDERS,
+                         ids=[f"{cartan_type(from_cartan(a))}" for a, _ in AUTOMORPHISM_ORDERS])
+def test_diagram_automorphisms(a, order):
+    # the group the symmetries generate, for the canonical matrix and for
+    # a renumbering of it; small ranks are checked against an s! search
+    rng = random.Random(f"automorphisms {a}")
+    for b in (canonical_matrix(a), permuted(a, rng)):
+        group = diagram_automorphisms(b)
+        assert len(group) == len(set(group)) == order
+        for p in group:
+            assert all(b[p[i]][p[j]] == b[i][j] for i in range(len(b)) for j in range(len(b))), p
+        if len(b) <= 6:
+            assert set(group) == automorphisms_by_search(b)
+
+
 def cycle(n):
     return simply_laced(n, [(i, (i + 1) % n) for i in range(n)])
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import SL4, datum
+from conftest import SL2_PGL2, SL4, datum
 from oracles import (
     evidence_by_expansion,
     positive_functional_by_all_subsets,
@@ -16,7 +16,7 @@ from oracles import (
     simple_coroot_by_fractions,
     simple_roots_by_search,
 )
-from test_classification import B3, C3, finite_type, from_cartan
+from test_classification import B3, C3, block_sum, finite_type, from_cartan
 from satake import reconstruct
 from satake.errors import DomainError, InconclusiveError, InconsistencyError, ParseError
 from satake.fixtures import FIXTURES
@@ -182,7 +182,12 @@ class TestDump:
         (SL4, 16, "42ce87e693e27c4f"),
         (from_cartan(B3), 40, "79f570fe84e0cb7f"),
         (from_cartan(C3), 40, "287c1ff9af59bf63"),
-    ], ids=["SL3^-30", "G2^-32", "SL4-16", "B3-40", "C3-40"])
+        # data whose Cartan matrix has diagram automorphisms
+        (SL4, 20, "e39c8a273c92a7c4"),
+        (from_cartan(finite_type("D", 4)), 24, "3515f6bcd148eeed"),
+        (SL2_PGL2, 16, "3e2a9154b90cb44f"),
+        (from_cartan(block_sum(finite_type("A", 2), finite_type("A", 2))), 10, "03a3a1020131779c"),
+    ], ids=["SL3^-30", "G2^-32", "SL4-16", "B3-40", "C3-40", "SL4-20", "D4-24", "SL2xPGL2-16", "A2xA2-10"])
     def test_pinned_dump_digests(self, rd, bound, digest):
         sr, _ = dump_semiring(rd, bound, seed=0)
         assert hashlib.sha256(semiring_to_json(sr).encode()).hexdigest()[:16] == digest

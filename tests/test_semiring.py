@@ -5,19 +5,21 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_DATA, GL3, SL4, TORUS0, TORUS2, datum
+from conftest import ALL_DATA, GL3, SL2_PGL2, SL4, TORUS0, TORUS2, datum
 import oracles
 from oracles import character_by_weyl_formula, character_product_bruteforce, tensor_by_doubled_fold
-from test_classification import B3, C3, FINITE, finite_type, from_cartan
+from test_classification import (B3, C3, D4, FINITE, block_sum, canonical_matrix, diagram_automorphisms,
+                                 finite_type, from_cartan)
 from satake.errors import DomainError, InconsistencyError
 from satake.lattice import (
     RootDatum,
     _labels,
     _subtract_roots,
     cartan_matrix,
+    datum_tables,
     dominant_below,
     dominant_representative,
     dominant_window,
@@ -338,6 +340,62 @@ def test_outputs_follow_datum_node_order(rd):
         assert got == want, p
 
 
+def _moved(p, labels):
+    """Labels under a diagram automorphism: node p[i] plays the part of i."""
+    return tuple(labels[x] for x in p)
+
+
+A2_A2 = from_cartan(block_sum(finite_type("A", 2), finite_type("A", 2)))
+
+
+@pytest.mark.parametrize("a", [D4, finite_type("A", 3), finite_type("D", 5), finite_type("E", 6),
+                               block_sum(finite_type("A", 2), finite_type("A", 2)), block_sum([[2]], [[2]])],
+                         ids=["D4", "A3", "D5", "E6", "A2+A2", "A1+A1"])
+def test_diagrams_follow_diagram_automorphisms(a):
+    # in the fundamental-weight basis of the canonical matrix, weights are
+    # labels; D4's automorphisms of order 3 tell p from its inverse
+    _label_diagram.cache_clear()
+    rd = from_cartan(canonical_matrix(a))
+    group = diagram_automorphisms(cartan_matrix(rd))
+    for lam in dominant_window(rd, 3 if rd.rank < 6 else 2):
+        want = weight_multiplicities(rd, lam)
+        for p in group:
+            got = weight_multiplicities(rd, _moved(p, lam))
+            assert got == dict(sorted((_moved(p, mu), m) for mu, m in want.items())), (p, lam)
+    if a is D4:
+        for lam in dominant_window(rd, 3):
+            assert weight_multiplicities(rd, lam) == character_by_weyl_formula(rd, lam), lam
+
+
+# data whose canonical Cartan matrix has diagram automorphisms, with
+# windows of 11 to 46 weights; GL3 has a central torus
+SYMMETRIC = [(SL4, 14), (from_cartan(D4), 12), (SL2_PGL2, 8), (GL3, 4)]
+
+
+@pytest.mark.parametrize("rd, bound", SYMMETRIC, ids=["SL4", "D4", "SL2xPGL2", "GL3"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_product_table_matches_pairwise_reference(rd, bound, data):
+    # a sublist that no diagram automorphism maps onto itself, with one
+    # weight listed twice, against products taken one pair at a time and
+    # matched to the list by weight
+    window = dominant_window(rd, bound)
+    weights = data.draw(st.lists(st.sampled_from(window), min_size=2, max_size=7, unique=True))
+    canon = datum_tables(rd).canonical
+    labels = {_labels(canon, w) for w in weights}
+    assume(all({_moved(p, lab) for lab in labels} != labels
+               for p in diagram_automorphisms(cartan_matrix(canon))[1:]))
+    weights.insert(data.draw(st.integers(0, len(weights))), data.draw(st.sampled_from(weights)))
+    _label_product.cache_clear()
+    table = product_table(rd, weights)
+    assert list(table) == [(i, j) for i in range(len(weights)) for j in range(i, len(weights))]
+    last = {w: k for k, w in enumerate(weights)}
+    for (i, j), (found, count, total) in table.items():
+        dec = tensor_decompose(rd, weights[i], weights[j])
+        assert found == tuple(sorted((last[nu], m) for nu, m in dec.items() if nu in last)), (i, j)
+        assert (count, total) == (len(dec), sum(dec.values()))
+
+
 class TestProductTable:
     def test_shared_across_bases(self):
         # PGL3 is SL3 in the root basis: its weights' labels are SL3 weights
@@ -351,6 +409,22 @@ class TestProductTable:
         assert after.misses == before.misses
         assert after.hits - before.hits == n * (n + 1) // 2
         assert second == first
+
+    @pytest.mark.parametrize("rd, bound", [(SL4, 12), (from_cartan(D4), 24), (SL2_PGL2, 8), (A2_A2, 6)],
+                             ids=["SL4-12", "D4-24", "SL2xPGL2-8", "A2xA2-6"])
+    def test_one_product_per_class(self, rd, bound):
+        # a cold table computes one product per class of unordered label
+        # pairs under the diagram automorphisms, found here by brute force
+        window = dominant_window(rd, bound)
+        canon = datum_tables(rd).canonical
+        labels = [_labels(canon, w) for w in window]
+        group = diagram_automorphisms(cartan_matrix(canon))
+        pairs = {min(min((_moved(p, a), _moved(p, b)), (_moved(p, b), _moved(p, a))) for p in group)
+                 for i, a in enumerate(labels) for b in labels[i:]}
+        _label_product.cache_clear()
+        product_table(rd, window)
+        n = len(window)
+        assert _label_product.cache_info().misses == len(pairs) < n * (n + 1) // 2
 
     def test_non_dominant_rejected(self):
         with pytest.raises(DomainError):
