@@ -651,7 +651,7 @@ def datum_from_json(text: str) -> RootDatum:
             rank=json_value(doc["rank"], int),
             simple_roots=tuple(tuple(json_value(c, int) for c in v) for v in doc["simple_roots"]),
             simple_coroots=tuple(tuple(json_value(c, int) for c in v) for v in doc["simple_coroots"]),
-            name=doc.get("name"),
+            name=None if doc.get("name") is None else json_value(doc["name"], str),
         )
     except InvalidDatumError:
         raise

@@ -166,6 +166,10 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], list
                 reduce_at(i)
                 reduce_at(i + 1)
                 changed = True
+    # that pass can leave a diagonal entry negative
+    for i in range(rank):
+        if d[i][i] < 0:
+            row_negate(i)
     return d, u, v
 
 

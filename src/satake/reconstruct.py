@@ -105,8 +105,7 @@ class AbstractSemiring:
         self._rows: dict[str, list[Support]] = {}
         self._powers: dict[tuple[str, int], Support] = {}
         self._times: dict[tuple[str, int, str], Support] = {}
-        self._evidence: dict[tuple[str, str, int], tuple[str, int]] = {}
-        self._expandable: dict[int, tuple[str, ...]] = {}
+        self._evidence: dict[tuple[str, str, int], tuple[Verdict, int]] = {}
 
     @property
     def product_table(self) -> Mapping[tuple[str, str], ProductEntry]:
@@ -170,23 +169,15 @@ class AbstractSemiring:
             self._times[key] = cached
         return cached
 
-    def expandable_ids(self, k_max: int) -> tuple[str, ...]:
-        """Ids whose powers stay fully expandable up to k_max: the abstract
-        notion of 'small', used to keep witnesses honest."""
-        cached = self._expandable.get(k_max)
-        if cached is None:
-            cached = tuple(x for x in self.ids if self.power(x, k_max)[1])
-            self._expandable[k_max] = cached
-        return cached
-
-    def evidence(self, a: str, b: str, k_max: int) -> tuple[str, int]:
+    def evidence(self, a: str, b: str, k_max: int) -> tuple[Verdict, int]:
         """One-directional evidence for a ⪯ b up to exponent k_max.
 
-        Returns ('T'|'F'|'?', n) where n counts the fully expandable
-        exponents of a.  'T': some witness u contains every power's
-        constituents, found explicitly.  'F': every candidate witness fails
-        on complete data.  Containment is a test on id bitmasks: the support
-        of a^k must lie inside the support of b^k * u.
+        Returns (verdict, n) where n counts the fully expandable exponents
+        of a.  True: some witness u contains every power's constituents,
+        found explicitly.  False: every candidate witness fails on complete
+        data.  None: the window settles neither.  Containment is a test on
+        id bitmasks: the support of a^k must lie inside the support of
+        b^k * u.
         """
         key = (a, b, k_max)
         cached = self._evidence.get(key)
@@ -198,9 +189,8 @@ class AbstractSemiring:
             if complete:
                 powers_a[k] = mask
         checkable = sorted(powers_a)
-        small = set(self.expandable_ids(k_max))
-        witness_found = False
-        any_unknown = False
+        clipped = len(checkable) < k_max
+        verdict: Verdict = False
         for u in self.ids:
             failed = False
             unknown = False
@@ -214,19 +204,18 @@ class AbstractSemiring:
             if failed:
                 continue
             # when the window clips the checkable exponents, only small
-            # witnesses certify a True: a window-sized u makes many pairs
-            # look comparable at the few exponents that remain visible
-            if unknown or (u not in small and len(checkable) < k_max):
-                any_unknown = True
+            # witnesses (powers expandable up to k_max) certify a True: a
+            # window-sized u makes many pairs look comparable at the few
+            # exponents that remain visible
+            if unknown or (clipped and not self.power(u, k_max)[1]):
+                verdict = None
                 continue
-            witness_found = True
+            verdict = True
             break
         # a single checkable exponent cannot separate the two sides of a
         # pair, so strength-1 positives stay inconclusive
-        if witness_found and len(checkable) < 2:
-            witness_found = False
-            any_unknown = True
-        verdict = "T" if witness_found else ("?" if any_unknown else "F")
+        if verdict and len(checkable) < 2:
+            verdict = None
         result = (verdict, len(checkable))
         self._evidence[key] = result
         return result
@@ -261,13 +250,9 @@ def _directed_verdict(sr: AbstractSemiring, cfg: ReconstructionConfig,
     """
     va, sa = sr.evidence(a, b, cfg.k_max)
     vb, sb = sr.evidence(b, a, cfg.k_max)
-    if va == "T":
-        if vb == "T" and sb >= sa:
-            return None, sa
-        return True, sa
-    if va == "F":
-        return False, sa
-    return None, sa
+    if va and vb and sb >= sa:
+        return None, sa
+    return va, sa
 
 
 def recover_preceq(sr: AbstractSemiring, cfg: ReconstructionConfig, a: str, b: str) -> Verdict:
@@ -302,13 +287,9 @@ def _certified_sum(sr: AbstractSemiring, cfg: ReconstructionConfig,
         return names[0]
     verdicts = {(s, t): _directed_verdict(sr, cfg, s, t)
                 for s in names for t in names if s != t}
-    eliminated = set()
-    for s in names:
-        strengths = [st for t in names if t != s
-                     for v, st in [verdicts[(s, t)]] if v is True]
-        if strengths and max(strengths) >= min_grade:
-            eliminated.add(s)
-    candidates = [t for t in names if t not in eliminated]
+    candidates = [s for s in names
+                  if not any(v and st >= min_grade
+                             for v, st in (verdicts[(s, t)] for t in names if t != s))]
     if len(candidates) == 1:
         top = candidates[0]
         if any(verdicts[(s, top)][0] is False for s in names if s != top):
@@ -345,31 +326,34 @@ class MonoidRecovery:
 
 
 def recover_monoid(sr: AbstractSemiring, cfg: ReconstructionConfig,
-                   min_grade: int | None = None) -> MonoidRecovery:
+                   min_grade: int) -> MonoidRecovery:
     """Group-complete the id monoid in two stages.
 
     Seed stage: certify sums among the small (twice-expandable) ids through
-    the order evidence at the given certification grade, and present the
-    group completion of those relations by Smith normal form.  Character
-    lattices are torsion-free, so torsion here signals corrupted input.
+    the order evidence, each elimination backed by a True verdict of
+    strength at least ``min_grade``, and present the group completion of
+    those relations by Smith normal form.  Character lattices are
+    torsion-free, so torsion here signals corrupted input.
 
     Bootstrap stage: a complete product of two labeled ids has its maximal
     constituent at the sum of the labels.  When a labeled term carries that
     sum it is the maximum; when no label matches and exactly one term is
     unlabeled, that term must be the maximum and inherits the label.  Iterate
     to a fixed point; this extends the embedding across the window without
-    any further order queries.
+    any further order queries.  The relations keep the order in which they
+    were first found.
     """
-    if min_grade is None:
-        min_grade = cfg.k_max
-    nonunit = [x for x in sr.ids if x != sr.unit]
-    small = [x for x in nonunit if sr.power(x, 2)[1]]
+    # the terms of every complete product of two non-unit ids, keyed (a, b)
+    # with a <= b; sorted keys run as nested loops over the sorted ids
+    complete_products = {key: dict(terms) for key, (terms, complete) in sorted(sr.product_table.items())
+                         if complete and sr.unit not in key}
+    small = [x for x in sr.ids if x != sr.unit and sr.power(x, 2)[1]]
     small_set = set(small) | {sr.unit}
-    relations: list[tuple[str, str, str]] = []
+    relations: dict[tuple[str, str, str], None] = {}
     unresolved: list[tuple[str, str]] = []
     for i, a in enumerate(small):
         for b in small[i:]:
-            if not sr.product(a, b)[1]:
+            if (a, b) not in complete_products:
                 continue
             try:
                 c = _certified_sum(sr, cfg, a, b, min_grade=min_grade)
@@ -381,7 +365,7 @@ def recover_monoid(sr: AbstractSemiring, cfg: ReconstructionConfig,
                 # enter the lattice presentation underdetermined; leave it
                 # for the bootstrap stage instead
                 continue
-            relations.append((a, b, c))
+            relations[(a, b, c)] = None
     if not relations:
         raise InconclusiveError("no certified sums: dump too small to complete the monoid")
     related = sorted({x for rel in relations for x in rel if x != sr.unit})
@@ -412,27 +396,19 @@ def recover_monoid(sr: AbstractSemiring, cfg: ReconstructionConfig,
     rev = {v: x for x, v in embedding.items()}
     if len(rev) != len(embedding):
         raise InconsistencyError("seed embedding is not injective")
-    complete_products = [
-        (a, b) for i, a in enumerate(nonunit) for b in nonunit[i:]
-        if sr.product(a, b)[1]
-    ]
-    seen = set(relations)
     changed = True
     while changed:
         changed = False
-        for a, b in complete_products:
+        for (a, b), terms in complete_products.items():
             if a not in embedding or b not in embedding:
                 continue
             target = tuple(p + q for p, q in zip(embedding[a], embedding[b]))
-            terms, _ = sr.product(a, b)
             match = rev.get(target)
             if match is not None:
                 if match not in terms:
                     raise InconsistencyError(
                         f"maximal constituent of ({a},{b}) is missing from the dump")
-                if (a, b, match) not in seen:
-                    relations.append((a, b, match))
-                    seen.add((a, b, match))
+                relations[(a, b, match)] = None
                 continue
             unlabeled = [t for t in terms if t not in embedding]
             if not unlabeled:
@@ -442,11 +418,10 @@ def recover_monoid(sr: AbstractSemiring, cfg: ReconstructionConfig,
                 t = unlabeled[0]
                 embedding[t] = target
                 rev[target] = t
-                relations.append((a, b, t))
-                seen.add((a, b, t))
+                relations[(a, b, t)] = None
                 changed = True
 
-    resolved = {(a, b) for a, b, _ in seen}
+    resolved = {(a, b) for a, b, _ in relations}
     skipped = [f"seed sum({a},{b}) ambiguous under truncation"
                for a, b in unresolved if (a, b) not in resolved]
     return MonoidRecovery(

@@ -61,7 +61,7 @@ from satake.lattice import (
     weyl_orbit,
 )
 from satake.linalg import det_int, smith_normal_form, solve_rational
-from satake.reconstruct import AbstractSemiring, MonoidRecovery
+from satake.reconstruct import AbstractSemiring, MonoidRecovery, Verdict
 from satake.semiring import Decomposition, WeightTable, weight_multiplicities, weyl_dim
 
 
@@ -244,9 +244,10 @@ def character_product_bruteforce(rd: RootDatum, lam: Weight, mu: Weight) -> Deco
 Expansion = tuple[dict[str, int], bool]  # id -> multiplicity, fully-expanded flag
 
 
-def evidence_by_expansion(sr: AbstractSemiring, k_max: int) -> dict[tuple[str, str], tuple[str, int]]:
-    """Evidence ('T'|'F'|'?', checkable exponents) for a ⪯ b on every ordered
-    pair of ids, multiplying out powers with integer multiplicities."""
+def evidence_by_expansion(sr: AbstractSemiring, k_max: int) -> dict[tuple[str, str], tuple[Verdict, int]]:
+    """Evidence (True, False or None for inconclusive, with the number of
+    checkable exponents) for a ⪯ b on every ordered pair of ids, multiplying
+    out powers with integer multiplicities."""
     powers: dict[tuple[str, int], Expansion] = {}
     times: dict[tuple[str, int, str], Expansion] = {}
 
@@ -281,7 +282,7 @@ def evidence_by_expansion(sr: AbstractSemiring, k_max: int) -> dict[tuple[str, s
 
     small = {x for x in sr.ids if power(x, k_max)[1]}
 
-    def evidence(a: str, b: str) -> tuple[str, int]:
+    def evidence(a: str, b: str) -> tuple[Verdict, int]:
         powers_a: dict[int, dict[str, int]] = {}
         for k in range(1, k_max + 1):
             terms, complete = power(a, k)
@@ -314,7 +315,7 @@ def evidence_by_expansion(sr: AbstractSemiring, k_max: int) -> dict[tuple[str, s
         if witness_found and len(checkable) < 2:
             witness_found = False
             any_unknown = True
-        verdict = "T" if witness_found else ("?" if any_unknown else "F")
+        verdict = True if witness_found else (None if any_unknown else False)
         return verdict, len(checkable)
 
     return {(a, b): evidence(a, b) for a in sr.ids for b in sr.ids}

@@ -291,3 +291,17 @@ def test_unwritable_out(tmp_path: Path, command, target):
     assert proc.returncode == 2, (proc.returncode, proc.stderr)
     assert "error: cannot write" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["orbits", "--bound", "2"],
+    ["prv", "--trials", "1"],
+    ["decompose", "--mu", "1", "--mu", "1"],
+])
+def test_exit_code_non_string_datum_name(tmp_path: Path, command):
+    path = tmp_path / "named.json"
+    path.write_text('{"name": [1], "rank": 1, "simple_roots": [[2]], "simple_coroots": [[1]]}')
+    proc = subprocess.run(SATAKE + command[:1] + ["--datum", str(path)] + command[1:],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2, (proc.returncode, proc.stderr)
+    assert "Traceback" not in proc.stderr

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from oracles import (
     root_coefficients_by_solve,
     weyl_elements,
 )
-from satake.errors import DomainError, InvalidDatumError
+from satake.errors import DomainError, InvalidDatumError, ParseError
 from satake.fixtures import FIXTURES
 from satake.lattice import (
     RootDatum,
@@ -425,6 +426,16 @@ class TestDatumFiles:
 
         with pytest.raises(InvalidDatumError):
             datum_from_json('{"rank": 1, "simple_roots": [[1]], "simple_coroots": [[1]]}')
+
+    def test_name_must_be_string_or_null(self):
+        from satake.lattice import datum_from_json
+
+        doc = {"rank": 1, "simple_roots": [[2]], "simple_coroots": [[1]]}
+        assert datum_from_json(json.dumps({**doc, "name": None})).name is None
+        assert datum_from_json(json.dumps({**doc, "name": "SL2"})).name == "SL2"
+        for name in ([1], 7, True, {"a": "b"}):
+            with pytest.raises(ParseError):
+                datum_from_json(json.dumps({**doc, "name": name}))
 
 
 class TestRankZero:

@@ -48,12 +48,17 @@ def test_solve_rational_inconsistent():
         solve_rational([(1, 0), (2, 0)], (0, 1))
 
 
-@pytest.mark.parametrize("seed", range(25))
+@pytest.mark.parametrize("seed", list(range(25)) + ["chain-pass-sign"])
 def test_smith_normal_form_random(seed):
-    rng = random.Random(seed)
-    m = rng.randint(1, 4)
-    n = rng.randint(1, 4)
-    a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+    if seed == "chain-pass-sign":
+        # the divisibility-chain pass once left this diagonal at (1, 1, -2)
+        a = [[6, -3, 5, -3], [2, 4, -2, 0], [6, -4, 2, -5]]
+    else:
+        rng = random.Random(seed)
+        m = rng.randint(1, 4)
+        n = rng.randint(1, 4)
+        a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+    m, n = len(a), len(a[0])
     d, u, v = smith_normal_form(a)
     assert mat_mul(mat_mul(u, a), v) == d
     assert abs(det_int(u)) == 1

@@ -244,7 +244,7 @@ class TestEvidence:
     def test_truncated_window_is_unknown_somewhere(self):
         sr, _ = dump_semiring(datum("SL3"), 8, seed=0)
         verdicts = {sr.evidence(a, b, 4)[0] for a in sr.ids for b in sr.ids}
-        assert verdicts == {"T", "F", "?"}
+        assert verdicts == {True, False, None}
 
 
 class TestSum:
@@ -299,6 +299,35 @@ class TestMonoid:
         for a, b, c in monoid.relations:
             expected = tuple(x + y for x, y in zip(truth[a], truth[b]))
             assert truth[c] == expected
+
+    @pytest.mark.parametrize("rd, bound, digest", [
+        (dual_root_datum(FIXTURES["GL2"].datum), 8, "24178c7ec6f67406"),
+        (dual_root_datum(FIXTURES["SL3"].datum), 30, "c903f1a0e59d7db0"),
+        (dual_root_datum(FIXTURES["Sp4"].datum), 20, "f7dd90fa259c16c8"),
+        (dual_root_datum(FIXTURES["G2"].datum), 32, "351944199c8a4c53"),
+        (SL4, 16, "38bdb7631a5fd4a3"),
+    ], ids=["GL2^-8", "SL3^-30", "Sp4^-20", "G2^-32", "SL4-16"])
+    def test_pinned_monoid_and_sum_digests(self, rd, bound, digest):
+        # at grades 4, 3 and 2: the monoid (embedding, rank, relations in
+        # order, skipped) and the certified sum of every pair of
+        # twice-expandable ids, or the class and message of the error raised
+        sr, _ = dump_semiring(rd, bound, seed=0)
+        small = [x for x in sr.ids if sr.power(x, 2)[1]]
+        doc = []
+        for grade in (4, 3, 2):
+            try:
+                monoid = recover_monoid(sr, CFG, min_grade=grade)
+                doc.append([sorted(monoid.embedding.items()), monoid.rank,
+                            monoid.relations, monoid.skipped])
+            except (InconclusiveError, InconsistencyError) as exc:
+                doc.append([type(exc).__name__, str(exc)])
+            for i, a in enumerate(small):
+                for b in small[i:]:
+                    try:
+                        doc.append(reconstruct._certified_sum(sr, CFG, a, b, grade))
+                    except (InconclusiveError, InconsistencyError) as exc:
+                        doc.append([type(exc).__name__, str(exc)])
+        assert hashlib.sha256(json.dumps(doc).encode()).hexdigest()[:16] == digest
 
 
 class TestQplus:
