@@ -8,19 +8,22 @@ concurrent use.
 
 Root-system facts that depend only on the Cartan matrix (the positive roots
 and coroots in simple-root and simple-coroot coordinates, their Dynkin
-labels and norms, the invariant form on labels, the inverse Cartan rows,
-the Cartan type and a canonical node order) come from the one cached
+labels and norms, the invariant form on labels, the inverse Cartan rows, the
+Cartan type and a canonical node order) come from the one cached
 ``cartan_tables``, shared by every datum with that matrix whatever its
 lattice basis.  Its root saturation also decides finite type, since only a
 finite-type matrix has finitely many roots, so it is the whole of
-``validate_datum``.  Per-datum facts (positive roots and coroots as
-vectors, 2rho, 2rho^vee, the Smith form of the root lattice, the datum
-renumbered into the canonical node order) come from the one cached
-``datum_tables``, which derives its vectors from the Cartan tables;
-simple-root coordinates and X/Q classes are integer pairings with the
-tables' rows.  ``_box_points`` enumerates the integer points of a box cut
-by linear inequalities, solving the last coordinate's integer interval for
-each head of the box; it is the one enumerator behind ``dominant_window`` (a
+``validate_datum``.  Per-datum facts (positive roots and coroots as vectors,
+2rho, 2rho^vee, the Smith form of the root lattice, the datum renumbered
+into the canonical node order) come from the one cached ``datum_tables``,
+which derives its vectors from the Cartan tables and holds one integer map
+per datum for the order queries: v's pairings with ``span_rows`` are its
+simple-root coordinates times ``denominator``, and v lies in the roots'
+rational span iff it pairs to 0 with every row of ``off_span_rows``, so no
+order query calls the solver.  X/Q classes are pairings with the Smith
+form's rows.  ``_box_points`` enumerates the integer points of a box cut by
+linear inequalities, solving the last coordinate's integer interval for each
+head of the box; it is the one enumerator behind ``dominant_window`` (a
 coordinate box under a coroot-height bound) and ``_dominant_depths`` (the
 depth box below a dominant weight, shared by ``dominant_below`` and the
 weight diagrams in ``semiring``).
@@ -42,6 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import DomainError, InvalidDatumError, ParseError, json_value
@@ -58,7 +62,8 @@ class RootDatum:
     """A based root datum: ambient lattice rank plus simple roots/coroots.
 
     The full root and coroot systems are derived, never stored.  ``name`` is
-    a display label and does not participate in equality.
+    a display label and does not participate in equality.  The hash is
+    computed once, since every query looks its tables up by the datum.
     """
 
     rank: int
@@ -76,6 +81,10 @@ class RootDatum:
         for v in self.simple_roots + self.simple_coroots:
             if len(v) != self.rank:
                 raise InvalidDatumError("root/coroot length does not match rank")
+        object.__setattr__(self, "_hash", hash((self.rank, self.simple_roots, self.simple_coroots)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def semisimple_rank(self) -> int:
@@ -119,7 +128,9 @@ def validate_datum(rd: RootDatum) -> None:
 
 
 def is_dominant(rd: RootDatum, lam: Weight) -> bool:
-    return all(pairing(lam, cov) >= 0 for cov in rd.simple_coroots)
+    if len(lam) != rd.rank:
+        raise DomainError("pairing of vectors with different lengths")
+    return all(sum(map(mul, lam, cov)) >= 0 for cov in rd.simple_coroots)
 
 
 def reflect(rd: RootDatum, i: int, lam: Weight) -> Weight:
@@ -170,7 +181,7 @@ def _labels(rd: RootDatum, lam: Weight) -> tuple[int, ...]:
     without roots would otherwise never pair."""
     if len(lam) != rd.rank:
         raise DomainError(f"weight {lam} does not have length {rd.rank}")
-    return tuple(pairing(lam, cov) for cov in rd.simple_coroots)
+    return tuple(sum(map(mul, lam, cov)) for cov in rd.simple_coroots)
 
 
 def _dominant_labels(rd: RootDatum, lam: Weight) -> tuple[int, ...]:
@@ -243,20 +254,17 @@ def weyl_group_order(rd: RootDatum) -> int:
 
 
 def _root_span_coordinates(rd: RootDatum, v: Sequence[int]) -> tuple[list[int], int] | None:
-    """The simple-root coordinates of v (its labels paired with the inverse
-    Cartan rows) scaled by their denominator, with that denominator, or None
-    if v is outside the roots' rational span.  Raises DomainError on a
-    vector of the wrong length, which a datum without roots would otherwise
-    never pair."""
+    """The simple-root coordinates of v scaled by their denominator (its
+    pairings with ``DatumTables.span_rows``), with that denominator, or None
+    if v is outside the roots' rational span (a nonzero pairing with an
+    ``off_span_rows`` row).  Raises DomainError on a vector of the wrong
+    length, which a datum without roots would otherwise never pair."""
     if len(v) != rd.rank:
         raise DomainError(f"vector of length {len(v)} on a datum of rank {rd.rank}")
-    tables = cartan_tables(cartan_matrix(rd))
-    labels = [pairing(v, cov) for cov in rd.simple_coroots]
-    scaled = [pairing(row, labels) for row in tables.inverse_rows]
-    for i, x in enumerate(v):
-        if sum(n * alpha[i] for n, alpha in zip(scaled, rd.simple_roots)) != tables.denominator * x:
-            return None
-    return scaled, tables.denominator
+    tables = datum_tables(rd)
+    if any(sum(map(mul, row, v)) for row in tables.off_span_rows):
+        return None
+    return [sum(map(mul, row, v)) for row in tables.span_rows], tables.denominator
 
 
 def root_coefficients(rd: RootDatum, v: Sequence[int]) -> tuple[Fraction, ...] | None:
@@ -289,7 +297,9 @@ def class_mod_root_lattice(rd: RootDatum, lam: Weight) -> tuple[int, ...]:
     simple-root lattice.  Two weights get equal tuples iff they differ by an
     integral root-lattice element."""
     tables = datum_tables(rd)
-    classes = (pairing(row, lam) for row in tables.root_lattice_rows)
+    if len(lam) != rd.rank:
+        raise DomainError("pairing of vectors with different lengths")
+    classes = (sum(map(mul, row, lam)) for row in tables.root_lattice_rows)
     return tuple(t % d if d else t for t, d in zip(classes, tables.root_lattice_divisors))
 
 
@@ -521,7 +531,12 @@ class DatumTables:
     simple roots and coroots in the canonical node order of its Cartan
     matrix (the datum itself when that order is the identity): its labels
     are the canonical ones, and the label caches of ``semiring`` are keyed
-    by its Cartan matrix."""
+    by its Cartan matrix.  ``span_rows`` (row i = sum_j inverse_rows[i][j]
+    alpha_j^vee) pairs v to its simple-root coordinates times
+    ``denominator``.  With R the simple roots as rows, K = denominator I -
+    R^T span_rows vanishes exactly on the roots' rational span, and
+    ``off_span_rows`` keeps its nonzero rows (none when the roots span the
+    lattice, as for semisimple data)."""
 
     positive_roots_with_coroots: tuple[tuple[Weight, Weight], ...]
     two_rho: Weight
@@ -529,6 +544,9 @@ class DatumTables:
     root_lattice_rows: tuple[tuple[int, ...], ...]
     root_lattice_divisors: tuple[int, ...]
     canonical: RootDatum
+    span_rows: tuple[tuple[int, ...], ...]
+    off_span_rows: tuple[tuple[int, ...], ...]
+    denominator: int
 
 
 def _combination(rank: int, coeffs: Sequence[int], basis: Sequence[Weight]) -> Weight:
@@ -540,8 +558,9 @@ def _combination(rank: int, coeffs: Sequence[int], basis: Sequence[Weight]) -> W
 def datum_tables(rd: RootDatum) -> DatumTables:
     """Positive roots and coroots as vectors (root sum k_i alpha_i, coroot
     sum n_i alpha_i^vee from the Cartan tables), 2rho, 2rho^vee and the
-    Smith form of the root lattice and the datum in canonical node order.
-    Raises InvalidDatumError unless of finite type."""
+    Smith form of the root lattice, the datum in canonical node order and the
+    integer map onto the roots' span.  Raises InvalidDatumError unless of
+    finite type."""
     shared = cartan_tables(cartan_matrix(rd))
     positive = sorted((_combination(rd.rank, k, rd.simple_roots),
                        _combination(rd.rank, n, rd.simple_coroots)) for k, n in shared.roots)
@@ -551,6 +570,10 @@ def datum_tables(rd: RootDatum) -> DatumTables:
     order = shared.order
     canonical = rd if order == tuple(range(s)) else RootDatum(
         rd.rank, tuple(rd.simple_roots[i] for i in order), tuple(rd.simple_coroots[i] for i in order), rd.name)
+    span = tuple(_combination(rd.rank, row, rd.simple_coroots) for row in shared.inverse_rows)
+    off_span = (tuple(shared.denominator * (p == q) - x for q, x in
+                      enumerate(_combination(rd.rank, [alpha[p] for alpha in rd.simple_roots], span)))
+                for p in range(rd.rank))
     return DatumTables(
         positive_roots_with_coroots=tuple(positive),
         two_rho=tuple(map(sum, zip(zero, *(root for root, _ in positive)))),
@@ -558,6 +581,9 @@ def datum_tables(rd: RootDatum) -> DatumTables:
         root_lattice_rows=tuple(map(tuple, u)),
         root_lattice_divisors=tuple(d[i][i] if i < s else 0 for i in range(rd.rank)),
         canonical=canonical,
+        span_rows=span,
+        off_span_rows=tuple(row for row in off_span if any(row)),
+        denominator=shared.denominator,
     )
 
 

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
 import itertools
 import json
+import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_DATA, GL3, SL4, TORUS0, TORUS2, datum
+from conftest import A1SKEW, A1SKEW_DUAL, ALL_DATA, EDGE_DATA, GL3, SL4, TORUS0, TORUS2, datum
 from oracles import (
     _apply,
     class_by_smith_form,
@@ -275,7 +279,7 @@ def test_weyl_orbit_matches_group_elements(rd, vec):
     assert weyl_orbit(rd, lam) == tuple(sorted({_apply(g, lam) for g, _ in weyl_elements(rd)}))
 
 
-@pytest.mark.parametrize("rd", ALL_DATA, ids=lambda rd: rd.name)
+@pytest.mark.parametrize("rd", ALL_DATA + EDGE_DATA, ids=lambda rd: rd.name)
 @settings(max_examples=50, deadline=None)
 @given(vec=st.lists(st.integers(-20, 20), min_size=3, max_size=3))
 def test_root_coordinates_match_oracles(rd, vec):
@@ -284,7 +288,7 @@ def test_root_coordinates_match_oracles(rd, vec):
     assert class_mod_root_lattice(rd, v) == class_by_smith_form(rd, v)
 
 
-@pytest.mark.parametrize("rd", ALL_DATA + [GL3, TORUS2, TORUS0], ids=lambda rd: rd.name)
+@pytest.mark.parametrize("rd", ALL_DATA + EDGE_DATA, ids=lambda rd: rd.name)
 @settings(max_examples=50, deadline=None)
 @given(lam=st.lists(st.integers(-12, 12), min_size=3, max_size=3),
        mu=st.lists(st.integers(-12, 12), min_size=3, max_size=3))
@@ -305,17 +309,71 @@ def test_root_coefficients_off_span():
     assert root_coefficients(gl2, (3, -3)) == root_coefficients_by_solve(gl2, (3, -3)) == (3,)
 
 
+@pytest.mark.parametrize("rd", ALL_DATA + EDGE_DATA, ids=lambda rd: rd.name)
+def test_span_rows_on_simple_roots(rd):
+    # alpha_i pairs to denominator e_i with the span rows and to 0 with every
+    # off-span row, and only a datum whose roots span its lattice has none
+    tables = datum_tables(rd)
+    s = rd.semisimple_rank
+    for i, alpha in enumerate(rd.simple_roots):
+        coords = [pairing(row, alpha) for row in tables.span_rows]
+        assert coords == [tables.denominator * (i == j) for j in range(s)]
+        assert all(pairing(row, alpha) == 0 for row in tables.off_span_rows)
+    assert (tables.off_span_rows == ()) == (s == rd.rank)
+
+
+def test_root_span_is_not_the_coroot_span():
+    # (1, 1) spans A1skew's coroots but lies off its roots' span, and the
+    # dual swaps the two lines; the map's transpose would answer the other way
+    assert root_coefficients(A1SKEW, (1, 1)) is None
+    assert root_coefficients(A1SKEW, (1, 0)) == (Fraction(1, 2),)
+    assert not leq_dominance(A1SKEW, (0, 0), (1, 1))
+    assert not preceq(A1SKEW, (0, 0), (1, 1))
+    assert leq_dominance(A1SKEW, (0, 0), (2, 0))
+    assert root_coefficients(A1SKEW_DUAL, (1, 0)) is None
+    assert root_coefficients(A1SKEW_DUAL, (1, 1)) == (Fraction(1),)
+    assert leq_dominance(A1SKEW_DUAL, (0, 0), (1, 1))
+    assert not preceq(A1SKEW_DUAL, (0, 0), (2, 0))
+
 
 @pytest.mark.parametrize("call", [
     lambda rd: weyl_orbit(rd, (1,)),
     lambda rd: root_coefficients(rd, (0,)),
     lambda rd: leq_dominance(rd, (0,), (0,)),
     lambda rd: preceq(rd, (0, 0, 0), (0, 0, 0)),
-], ids=["weyl_orbit", "root_coefficients", "leq_dominance", "preceq"])
+    lambda rd: is_dominant(rd, (1,)),
+    lambda rd: class_mod_root_lattice(rd, (1,)),
+    lambda rd: coroot_height(rd, (1,)),
+], ids=["weyl_orbit", "root_coefficients", "leq_dominance", "preceq", "is_dominant",
+        "class_mod_root_lattice", "coroot_height"])
 def test_wrong_length_rejected_without_roots(call):
     # with no simple coroots, no pairing checks a weight's length
-    with pytest.raises(DomainError):
-        call(TORUS2)
+    for rd in (TORUS2, TORUS0):
+        with pytest.raises(DomainError):
+            call(rd)
+
+
+class TestDatumHash:
+    def test_name_shares_one_table_entry(self):
+        one = RootDatum(2, ((1, -1),), ((1, -1),), name="one")
+        two = RootDatum(2, ((1, -1),), ((1, -1),), name="two")
+        assert one == two and hash(one) == hash(two)
+        tables = datum_tables(one)
+        before = datum_tables.cache_info()
+        assert datum_tables(two) is tables
+        after = datum_tables.cache_info()
+        assert after.hits == before.hits + 1 and after.currsize == before.currsize
+
+    @pytest.mark.parametrize("rd", ALL_DATA + EDGE_DATA, ids=lambda rd: rd.name)
+    def test_copies_hash_equal(self, rd):
+        for twin in (dataclasses.replace(rd), copy.copy(rd), pickle.loads(pickle.dumps(rd))):
+            assert twin == rd and hash(twin) == hash(rd)
+
+    def test_replace_rehashes(self):
+        rd = RootDatum(2, ((1, -1),), ((1, -1),))
+        changed = dataclasses.replace(rd, simple_coroots=((2, -2),))
+        assert changed != rd
+        assert hash(changed) == hash(RootDatum(2, ((1, -1),), ((2, -2),)))
 
 
 @pytest.mark.parametrize("call", [

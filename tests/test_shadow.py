@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import datum
+from conftest import TORUS2, datum
 from satake.errors import DomainError
 from satake.lattice import (
     dominant_representative,
@@ -93,6 +93,14 @@ class TestSemismall:
     def test_precondition(self):
         with pytest.raises(DomainError):
             semismall_bound(ctx("SL2"), [(1,)], (3,))
+
+    def test_torus_rejects_wrong_length(self):
+        # a torus has no coroot to check a coweight's length by pairing
+        torus = SatakeContext.for_group(TORUS2)
+        with pytest.raises(DomainError):
+            semismall_bound(torus, [(1,)], (1, 0))
+        with pytest.raises(DomainError):
+            orbit_dim(torus, (1,))
 
 
 class TestConvolution:
