@@ -7,7 +7,12 @@ fraction-free: both keep an integer matrix over the last pivot and divide
 exactly (Bareiss; Edmonds), so the simplex makes a ``Fraction`` only for
 the point it returns.  ``solve_rational`` works on ``Fraction`` rows, for
 the inverse Cartan rows; integer systems, the coroot fit of reconstruction
-included, go through the integral Smith normal form (Newman).
+included, go through the integral Smith normal form (Newman).  The Smith
+form keeps v as sparse columns, since the relation matrices of
+reconstruction are wide (GL2^'s is 34 x 218) and their column operations
+leave v sparse, and it stops a pivot scan at the first unit entry.  Neither
+changes a step, so (d, u, v) is what the dense elimination gives; the
+recovered data depend on u.
 """
 from __future__ import annotations
 
@@ -82,48 +87,71 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], list
 
     Returns (d, u, v) with d = u * a * v, u and v unimodular, d diagonal with
     d[0][0] | d[1][1] | ... and nonnegative diagonal entries.
+
+    v is kept as sparse columns while it is built, so a column operation
+    touches only the nonzero entries of v and a column swap moves no entry
+    of it.  The pivot is the first entry of least absolute value in row-major
+    order; the scan stops at the first 1.
     """
     m = len(a)
     n = len(a[0]) if m else 0
     d = [list(row) for row in a]
     u = identity_matrix(m)
-    v = identity_matrix(n)
+    # column i of v as {row: entry}, zeros left out
+    v_cols = [{k: 1} for k in range(n)]
 
     def row_add(i: int, j: int, c: int) -> None:
+        if c == 0:
+            return
         for k in range(n):
             d[i][k] += c * d[j][k]
         for k in range(m):
             u[i][k] += c * u[j][k]
 
     def col_add(i: int, j: int, c: int) -> None:
-        for k in range(m):
-            d[k][i] += c * d[k][j]
-        for k in range(n):
-            v[k][i] += c * v[k][j]
+        if c == 0:
+            return
+        for row in d:
+            row[i] += c * row[j]
+        col = v_cols[i]
+        for k, x in v_cols[j].items():
+            y = col.get(k, 0) + c * x
+            if y:
+                col[k] = y
+            else:
+                del col[k]
 
     def row_swap(i: int, j: int) -> None:
         d[i], d[j] = d[j], d[i]
         u[i], u[j] = u[j], u[i]
 
     def col_swap(i: int, j: int) -> None:
-        for k in range(m):
-            d[k][i], d[k][j] = d[k][j], d[k][i]
-        for k in range(n):
-            v[k][i], v[k][j] = v[k][j], v[k][i]
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+        v_cols[i], v_cols[j] = v_cols[j], v_cols[i]
 
     def row_negate(i: int) -> None:
         d[i] = [-x for x in d[i]]
         u[i] = [-x for x in u[i]]
 
+    def pivot(t: int) -> tuple[int, int] | None:
+        """The first entry of least absolute value in the trailing submatrix."""
+        piv = None
+        best = 0
+        for i in range(t, m):
+            row = d[i]
+            for j in range(t, n):
+                x = abs(row[j])
+                if x and (not best or x < best):
+                    piv = (i, j)
+                    best = x
+                    if x == 1:
+                        return piv
+        return piv
+
     def reduce_at(t: int) -> bool:
         """Diagonalize position t against the trailing submatrix."""
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < best):
-                    piv = (i, j)
-                    best = abs(d[i][j])
+        piv = pivot(t)
         if piv is None:
             return False
         if piv[0] != t:
@@ -170,6 +198,10 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], list
     for i in range(rank):
         if d[i][i] < 0:
             row_negate(i)
+    v = [[0] * n for _ in range(n)]
+    for i, col in enumerate(v_cols):
+        for k, x in col.items():
+            v[k][i] = x
     return d, u, v
 
 

@@ -749,7 +749,10 @@ def semiring_to_json(sr: AbstractSemiring) -> str:
 def semiring_from_json(text: str) -> AbstractSemiring:
     try:
         doc = json.loads(text)
-        ids = [json_value(x, str) for x in doc["ids"]]
+        ids = [json_value(x, str) for x in json_value(doc["ids"], list)]
+        if len(set(ids)) < len(ids):
+            repeated = next(x for x in ids if ids.count(x) > 1)
+            raise ParseError(f"semiring dump lists id {repeated} twice")
         unit = json_value(doc["unit"], str)
         products = {}
         for entry in doc["products"]:

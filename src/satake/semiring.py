@@ -46,19 +46,26 @@ A diagram automorphism p of the canonical Cartan matrix (``symmetries`` in
 and swaps of equal components) permutes the simple roots and leaves every
 label-level computation as it is, so V_(a p) ⊗ V_(b p) is V_a ⊗ V_b with
 every constituent's labels permuted by p.  ``product_table`` therefore
-computes one product per class of unordered pairs, at its least image
-(``_least_image``), and ``_label_diagram`` one diagram per class of
-labels.  This is exact whatever the lattice X: p acts on labels only, the
-products never see X, and ``product_table`` takes each constituent's X/Q
-class from the factors' weights, then finds it in the list by its labels
-permuted by p.  p need not be an automorphism of the datum (SL2 x PGL2's
-node swap is not).  Lists, powers and PRV keep taking their products as
+computes one product per class of unordered pairs, and
+``_label_diagram`` one diagram per class of labels.  ``_label_diagram``
+takes the least image of the labels (``_least_image``).
+``product_table`` finds each weight's least image once per list and
+picks a pair's image from those: the factor with the lesser key leads,
+and when exactly one choice of walks reaches the lead's least image
+(``_sole_image``) the pair takes those walks with no search; data with no
+diagram automorphism take every pair as it is.  The key of a least image
+is the same for every image of the weight, so each class of pairs still
+gets one image.  This is exact whatever the lattice X: p acts on labels
+only, the products never see X, and ``product_table`` takes each
+constituent's X/Q class from the factors' weights, then finds it in the
+list by its labels permuted by p.  p need not be an automorphism of the
+datum (SL2 x PGL2's node swap is not).  Lists, powers and PRV keep taking their products as
 they come (``_product_terms``).
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, sub
+from operator import add, itemgetter, sub
 from typing import Sequence
 
 from .errors import DomainError, InconsistencyError
@@ -283,6 +290,19 @@ def tensor_decompose(rd: RootDatum, lam: Weight, mu: Weight) -> Decomposition:
     return tensor_decompose_list(rd, [lam, mu])
 
 
+def _sole_image(reads: tuple[tuple[tuple[Labels, ...], ...], ...]) -> bool:
+    """Whether exactly one choice of walks reaches the least image of
+    labels, from their ``_reads``: each component's least read is read by
+    one walk only, and no two components of a class share their least
+    read.  Then ``_least_image`` of the labels followed by any other labels
+    picks the same walks as it does for the labels alone."""
+    for group in reads:
+        least = [min(component) for component in group]
+        if len(set(least)) < len(least) or any(component.count(x) > 1 for component, x in zip(group, least)):
+            return False
+    return True
+
+
 def product_table(rd: RootDatum, weights: Sequence[Weight]
                   ) -> dict[tuple[int, int], tuple[tuple[tuple[int, int], ...], int, int]]:
     """All pairwise products of a weight list, the table behind a dump and
@@ -293,46 +313,79 @@ def product_table(rd: RootDatum, weights: Sequence[Weight]
 
     Each weight is checked for dominance once.  A constituent is matched to
     the list by its labels and X/Q class, which fix it (labels are injective
-    on Q); its class is the sum of the factors' classes.  A weight listed
-    twice is matched at its last index.
+    on Q); its class is the sum of the factors' classes, read from a table
+    of class ids.  A weight listed twice is matched at its last index.
 
-    A pair is computed at the least image of its unordered class under the
-    diagram automorphisms of the canonical Cartan matrix (``_least_image``),
-    so ``_label_product`` holds one entry per class.  The permutation p
-    that makes the image permutes the labels of every constituent the same
-    way and moves no X/Q class, so the constituents are matched through the
-    list's labels permuted by p, one index per p and class.
+    A pair is computed at one image of its unordered class under the
+    diagram automorphisms of the canonical Cartan matrix, so
+    ``_label_product`` holds one entry per class.  Each weight's own least
+    image (``_least_image``) is found once; its key is the same for every
+    image of the weight.  With no automorphism a pair is computed as it
+    is, with no ``_least_image`` call.  Otherwise the factor with the
+    lesser key leads, and the pair goes to the least image of (lead,
+    other): the walks of the lead's own least image when no other choice
+    of walks reaches it (``_sole_image``), else one ``_least_image`` call.
+    Equal keys take the least image over both orders.  The keys do not
+    move under Aut(A), so each class still gets one image.  The
+    permutation p that makes the image permutes the labels of every
+    constituent the same way and moves no X/Q class, so the constituents
+    are matched through the list's labels permuted by p, one index per p
+    and class, and each constituent is looked up once.
     """
     tables = datum_tables(rd)
     cartan = cartan_matrix(tables.canonical)
     symmetries = cartan_tables(cartan).symmetries
     labels = [_dominant_labels(tables.canonical, w) for w in weights]
-    classes = [class_mod_root_lattice(rd, w) for w in weights]
+    # X/Q classes as ids; sums[c][e] is the id of class c + class e, or
+    # len(ids) when no weight of the list is in that class
+    ids: dict[tuple[int, ...], int] = {}
+    class_ids = [ids.setdefault(class_mod_root_lattice(rd, w), len(ids)) for w in weights]
+    members: list[list[int]] = [[] for _ in range(len(ids) + 1)]
+    for k, c in enumerate(class_ids):
+        members[c].append(k)
     divisors = tables.root_lattice_divisors
-    by_class: dict[tuple[int, ...], list[int]] = {}
-    for k, cls in enumerate(classes):
-        by_class.setdefault(cls, []).append(k)
+    sums = [[ids.get(tuple((x + y) % d if d else x + y for x, y, d in zip(ca, cb, divisors)), len(ids))
+             for cb in ids] for ca in ids]
+    # per choice of walks: the list's labels permuted, and per class id the
+    # index of the permuted labels, made when a pair first needs it
+    views: dict[tuple[tuple[int, ...], ...], tuple[list[Labels], list[dict[Labels, int] | None]]] = {}
+
+    def view(walks: tuple[tuple[int, ...], ...]) -> tuple[list[Labels], list[dict[Labels, int] | None]]:
+        if walks not in views:
+            perm = _image_permutation(symmetries, walks, len(cartan))
+            views[walks] = ([tuple([lab[x] for x in perm]) for lab in labels], [None] * len(members))
+        return views[walks]
+
+    # per weight: its reads, the rank of its least image's key among the
+    # list's keys, and its view when exactly one choice of walks reaches
+    # that image
     reads = [_reads(symmetries, lab) for lab in labels]
-    # per choice of walks: the list's labels permuted, and per class the
-    # index of the permuted labels
-    moved: dict[tuple, list[Labels]] = {}
-    indexes: dict[tuple, dict[Labels, int]] = {}
+    least = [_least_image(symmetries, r) for r in reads]
+    position = {key: r for r, key in enumerate(sorted({key for key, _ in least}))}
+    keys = [position[key] for key, _ in least]
+    sole = [view(walks) if _sole_image(r) else None for (_, walks), r in zip(least, reads)]
+    # with no automorphism every pair keeps the identity's view
+    images, indexes = view(())
     table = {}
-    for i, ca in enumerate(classes):
+    for i, ci in enumerate(class_ids):
+        row = sums[ci]
         for j in range(i, len(labels)):
-            cls = tuple((x + y) % d if d else x + y for x, y, d in zip(ca, classes[j], divisors))
-            _, walks = min(_least_image(symmetries, reads[i], reads[j]),
-                           _least_image(symmetries, reads[j], reads[i]))
-            if walks not in moved:
-                perm = _image_permutation(symmetries, walks, len(cartan))
-                moved[walks] = [tuple([lab[x] for x in perm]) for lab in labels]
-            images = moved[walks]
-            index = indexes.get((walks, cls))
+            if symmetries:
+                if keys[i] == keys[j]:
+                    images, indexes = view(min(_least_image(symmetries, reads[i], reads[j]),
+                                               _least_image(symmetries, reads[j], reads[i]))[1])
+                else:
+                    lead, other = (i, j) if keys[i] < keys[j] else (j, i)
+                    images, indexes = sole[lead] or view(_least_image(symmetries, reads[lead], reads[other])[1])
+            cls = row[class_ids[j]]
+            index = indexes[cls]
             if index is None:
-                index = indexes[walks, cls] = {images[k]: k for k in by_class.get(cls, ())}
-            terms = _product_terms(cartan, images[i], images[j])
-            found = [(index[nu], m) for nu, m in terms if nu in index]
-            table[(i, j)] = (tuple(sorted(found)), len(terms), sum(m for _, m in terms))
+                index = indexes[cls] = {images[k]: k for k in members[cls]}
+            a, b = images[i], images[j]
+            terms = _label_product(cartan, a, b) if a <= b else _label_product(cartan, b, a)
+            get = index.get
+            found = sorted([(k, m) for nu, m in terms if (k := get(nu)) is not None])
+            table[(i, j)] = (tuple(found), len(terms), sum(map(itemgetter(1), terms)))
     return table
 
 

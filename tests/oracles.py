@@ -34,7 +34,10 @@ weight diagrams and strips highest weights until the character is
 exhausted, the reference for ``tensor_decompose`` in criterion C3.  The
 ``Fraction`` coroot fit solves the samples by an exact rational solve, the
 reference for the value and the error (class and message) of the Smith-form
-fit in ``reconstruct.extract_simple_coroots``.
+fit in ``reconstruct.extract_simple_coroots``.  The dense Smith normal
+form keeps v as rows and scans the whole trailing submatrix for each
+pivot, the reference for the exact (d, u, v) of ``linalg.smith_normal_form``,
+which keeps v as sparse columns.
 """
 from __future__ import annotations
 
@@ -42,6 +45,7 @@ import itertools
 import json
 from fractions import Fraction
 from math import gcd
+from typing import Sequence
 
 from satake.errors import DomainError, InconclusiveError, InconsistencyError
 from satake.lattice import (
@@ -60,7 +64,7 @@ from satake.lattice import (
     two_rho,
     weyl_orbit,
 )
-from satake.linalg import det_int, smith_normal_form, solve_rational
+from satake.linalg import det_int, identity_matrix, smith_normal_form, solve_rational
 from satake.reconstruct import AbstractSemiring, MonoidRecovery, Verdict
 from satake.semiring import Decomposition, WeightTable, weight_multiplicities, weyl_dim
 
@@ -541,3 +545,101 @@ def conv_hull_leq_by_orbit(rd: RootDatum, lam: Weight, mu: Weight) -> bool:
         if lp_feasible_point_by_fractions(rows, rhs) is None:
             return False
     return True
+
+
+def smith_normal_form_dense(a: Sequence[Sequence[int]]
+                            ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Smith normal form of an integer matrix, with v kept as dense rows and
+    a pivot scan over the whole trailing submatrix.
+
+    Returns (d, u, v) with d = u * a * v, u and v unimodular, d diagonal with
+    d[0][0] | d[1][1] | ... and nonnegative diagonal entries.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    d = [list(row) for row in a]
+    u = identity_matrix(m)
+    v = identity_matrix(n)
+
+    def row_add(i: int, j: int, c: int) -> None:
+        for k in range(n):
+            d[i][k] += c * d[j][k]
+        for k in range(m):
+            u[i][k] += c * u[j][k]
+
+    def col_add(i: int, j: int, c: int) -> None:
+        for k in range(m):
+            d[k][i] += c * d[k][j]
+        for k in range(n):
+            v[k][i] += c * v[k][j]
+
+    def row_swap(i: int, j: int) -> None:
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+
+    def col_swap(i: int, j: int) -> None:
+        for k in range(m):
+            d[k][i], d[k][j] = d[k][j], d[k][i]
+        for k in range(n):
+            v[k][i], v[k][j] = v[k][j], v[k][i]
+
+    def row_negate(i: int) -> None:
+        d[i] = [-x for x in d[i]]
+        u[i] = [-x for x in u[i]]
+
+    def reduce_at(t: int) -> bool:
+        """Diagonalize position t against the trailing submatrix."""
+        piv = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if d[i][j] != 0 and (best is None or abs(d[i][j]) < best):
+                    piv = (i, j)
+                    best = abs(d[i][j])
+        if piv is None:
+            return False
+        if piv[0] != t:
+            row_swap(t, piv[0])
+        if piv[1] != t:
+            col_swap(t, piv[1])
+        while True:
+            i = next((i for i in range(t + 1, m) if d[i][t] != 0), None)
+            if i is not None:
+                q = d[i][t] // d[t][t]
+                row_add(i, t, -q)
+                if d[i][t] != 0:
+                    row_swap(t, i)
+                continue
+            j = next((j for j in range(t + 1, n) if d[t][j] != 0), None)
+            if j is not None:
+                q = d[t][j] // d[t][t]
+                col_add(j, t, -q)
+                if d[t][j] != 0:
+                    col_swap(t, j)
+                continue
+            break
+        if d[t][t] < 0:
+            row_negate(t)
+        return True
+
+    rank = 0
+    for t in range(min(m, n)):
+        if not reduce_at(t):
+            break
+        rank = t + 1
+
+    # enforce the divisibility chain
+    changed = True
+    while changed:
+        changed = False
+        for i in range(rank - 1):
+            if d[i + 1][i + 1] % d[i][i] != 0:
+                col_add(i, i + 1, 1)
+                reduce_at(i)
+                reduce_at(i + 1)
+                changed = True
+    # that pass can leave a diagonal entry negative
+    for i in range(rank):
+        if d[i][i] < 0:
+            row_negate(i)
+    return d, u, v

@@ -172,6 +172,29 @@ def test_exit_code_duplicate_term(tmp_path: Path):
     assert "Traceback" not in proc.stderr
 
 
+def _one_letter_dump(tmp_path: Path) -> tuple[Path, dict]:
+    """SL2's dump at bound 4 with its five tokens renamed a, b, c, d, e;
+    it reconstructs with exit 0."""
+    dump_file = tmp_path / "sl2.json"
+    run_cli("dump", "--datum", "SL2", "--bound", "4", "--out", str(dump_file))
+    text = dump_file.read_text()
+    for token, letter in zip(json.loads(text)["ids"], "abcde"):
+        text = text.replace(json.dumps(token), json.dumps(letter))
+    dump_file.write_text(text)
+    run_cli("reconstruct", "--dump", str(dump_file))
+    return dump_file, json.loads(text)
+
+
+@pytest.mark.parametrize("ids", ["abcde", list("abcdde")], ids=["string", "repeated"])
+def test_exit_code_malformed_ids(tmp_path: Path, ids):
+    dump_file, doc = _one_letter_dump(tmp_path)
+    doc["ids"] = ids
+    dump_file.write_text(json.dumps(doc))
+    proc = subprocess.run(SATAKE + ["reconstruct", "--dump", str(dump_file)], capture_output=True, text=True)
+    assert proc.returncode == 2, (proc.returncode, proc.stderr)
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_exit_code_numeric_token(tmp_path: Path):
     dump_file = tmp_path / "sl2.json"
     run_cli("dump", "--datum", "SL2", "--bound", "4", "--out", str(dump_file))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import lp_feasible_point_by_fractions
+from oracles import lp_feasible_point_by_fractions, smith_normal_form_dense
 from satake.linalg import (
     det_int,
     identity_matrix,
@@ -74,6 +74,38 @@ def test_smith_normal_form_random(seed):
         else:
             assert y == 0
     assert all(x >= 0 for x in diag)
+
+
+@st.composite
+def relation_matrices(draw):
+    """Wide matrices like the relation matrix of monoid recovery: up to 8
+    rows and 3 to 6 times as many columns, each column with at most three
+    entries in {-1, 1}, some columns repeated or zero."""
+    m = draw(st.integers(1, 8))
+    columns = []
+    for _ in range(draw(st.integers(3 * m, 6 * m))):
+        if columns and draw(st.integers(0, 4)) == 0:
+            columns.append(draw(st.sampled_from(columns)))
+            continue
+        column = [0] * m
+        for i in draw(st.lists(st.integers(0, m - 1), max_size=3)):
+            column[i] += draw(st.sampled_from([-1, 1]))
+        columns.append(column)
+    return [list(row) for row in zip(*columns)]
+
+
+small_matrices = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=1, max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_matrices, relation_matrices()))
+@example([[6, -3, 5, -3], [2, 4, -2, 0], [6, -4, 2, -5]])
+@example([[0, 0], [0, 0]])
+def test_smith_normal_form_matches_dense_reference(a):
+    # the sparse columns of v and the early pivot stop change no step, so
+    # the same (d, u, v) comes out; the recovered data depend on u
+    assert smith_normal_form(a) == smith_normal_form_dense(a)
 
 
 def test_integer_solutions_basic():

@@ -171,6 +171,33 @@ class TestDump:
             semiring_from_json(json.dumps(doc))
         assert str(info.value) == f"product ({entry['a']},{entry['b']}) lists term {term['id']} twice"
 
+    @staticmethod
+    def one_letter_dump() -> dict:
+        """SL2's dump at bound 4 with its five tokens renamed a, b, c, d, e."""
+        sr, _ = dump_semiring(datum("SL2"), 4, seed=0)
+        text = semiring_to_json(sr)
+        for token, letter in zip(sr.ids, "abcde"):
+            text = text.replace(json.dumps(token), json.dumps(letter))
+        doc = json.loads(text)
+        assert doc["ids"] == list("abcde")
+        return doc
+
+    def test_ids_given_as_a_string_rejected(self):
+        # iterating the string "abcde" gives the five ids one by one
+        doc = self.one_letter_dump()
+        assert semiring_from_json(json.dumps(doc)).ids == tuple("abcde")
+        doc["ids"] = "abcde"
+        with pytest.raises(ParseError, match="expected a json list"):
+            semiring_from_json(json.dumps(doc))
+
+    def test_duplicate_id_rejected(self):
+        # a set of ids would keep one copy and read back as the clean dump
+        doc = self.one_letter_dump()
+        doc["ids"].insert(2, "d")
+        with pytest.raises(ParseError) as info:
+            semiring_from_json(json.dumps(doc))
+        assert str(info.value) == "semiring dump lists id d twice"
+
     def test_stray_product_key_rejected(self):
         products = {("e", "e"): ({"e": 1}, True), ("e", "ghost"): ({"e": 1}, True)}
         with pytest.raises(ParseError, match="outside the id set"):

@@ -346,6 +346,10 @@ def _moved(p, labels):
 
 
 A2_A2 = from_cartan(block_sum(finite_type("A", 2), finite_type("A", 2)))
+# equal components tie for their least reads, so product_table falls back
+# to a search for some leading factors and meets pairs with equal keys
+A1_A1_A1 = from_cartan(block_sum(block_sum([[2]], [[2]]), [[2]]))
+A1_A1_A2 = from_cartan(block_sum(block_sum([[2]], [[2]]), finite_type("A", 2)))
 
 
 @pytest.mark.parametrize("a", [D4, finite_type("A", 3), finite_type("D", 5), finite_type("E", 6),
@@ -369,10 +373,10 @@ def test_diagrams_follow_diagram_automorphisms(a):
 
 # data whose canonical Cartan matrix has diagram automorphisms, with
 # windows of 11 to 46 weights; GL3 has a central torus
-SYMMETRIC = [(SL4, 14), (from_cartan(D4), 12), (SL2_PGL2, 8), (GL3, 4)]
+SYMMETRIC = [(SL4, 14), (from_cartan(D4), 12), (SL2_PGL2, 8), (GL3, 4), (A1_A1_A1, 4)]
 
 
-@pytest.mark.parametrize("rd, bound", SYMMETRIC, ids=["SL4", "D4", "SL2xPGL2", "GL3"])
+@pytest.mark.parametrize("rd, bound", SYMMETRIC, ids=["SL4", "D4", "SL2xPGL2", "GL3", "A1xA1xA1"])
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_product_table_matches_pairwise_reference(rd, bound, data):
@@ -410,8 +414,9 @@ class TestProductTable:
         assert after.hits - before.hits == n * (n + 1) // 2
         assert second == first
 
-    @pytest.mark.parametrize("rd, bound", [(SL4, 12), (from_cartan(D4), 24), (SL2_PGL2, 8), (A2_A2, 6)],
-                             ids=["SL4-12", "D4-24", "SL2xPGL2-8", "A2xA2-6"])
+    @pytest.mark.parametrize("rd, bound", [(SL4, 12), (from_cartan(D4), 24), (SL2_PGL2, 8), (A2_A2, 6),
+                                           (A1_A1_A1, 6), (A1_A1_A2, 4)],
+                             ids=["SL4-12", "D4-24", "SL2xPGL2-8", "A2xA2-6", "A1xA1xA1-6", "A1xA1xA2-4"])
     def test_one_product_per_class(self, rd, bound):
         # a cold table computes one product per class of unordered label
         # pairs under the diagram automorphisms, found here by brute force
