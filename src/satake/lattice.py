@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import mul
+from operator import index, mul
 from typing import Sequence
 
 from .errors import DomainError, InvalidDatumError, ParseError, json_value
@@ -72,10 +72,14 @@ class RootDatum:
     name: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "rank", index(self.rank))
+            for part in ("simple_roots", "simple_coroots"):
+                object.__setattr__(self, part, tuple(tuple(index(c) for c in v) for v in getattr(self, part)))
+        except TypeError as exc:
+            raise InvalidDatumError(f"rank and root entries must be integers: {exc}") from exc
         if self.rank < 0:
             raise InvalidDatumError("rank must be nonnegative")
-        object.__setattr__(self, "simple_roots", tuple(tuple(int(c) for c in v) for v in self.simple_roots))
-        object.__setattr__(self, "simple_coroots", tuple(tuple(int(c) for c in v) for v in self.simple_coroots))
         if len(self.simple_roots) != len(self.simple_coroots):
             raise InvalidDatumError("simple roots and coroots must pair up")
         for v in self.simple_roots + self.simple_coroots:
@@ -135,6 +139,8 @@ def is_dominant(rd: RootDatum, lam: Weight) -> bool:
 
 def reflect(rd: RootDatum, i: int, lam: Weight) -> Weight:
     """Simple reflection s_i acting on a weight."""
+    if not 0 <= i < rd.semisimple_rank:
+        raise DomainError(f"Weyl letter {i} out of range")
     c = pairing(lam, rd.simple_coroots[i])
     alpha = rd.simple_roots[i]
     return tuple(x - c * a for x, a in zip(lam, alpha))
@@ -144,8 +150,6 @@ def apply_word(rd: RootDatum, word: Sequence[int], lam: Weight) -> Weight:
     """Apply a Weyl word, rightmost letter first: word=(i, j) acts as s_i s_j."""
     v = tuple(lam)
     for letter in reversed(word):
-        if not 0 <= letter < rd.semisimple_rank:
-            raise DomainError(f"Weyl letter {letter} out of range")
         v = reflect(rd, letter, v)
     return v
 

@@ -6,9 +6,9 @@ Truncation semantics: every universally quantified comparison is evaluated
 three-valued (True / False / None-for-inconclusive).  A False needs a fully
 expandable counterexample; a True needs a witness that passes every
 checkable exponent; anything the window cannot settle stays None and is
-never silently resolved.  Mutual-witness conflicts (both directions claiming
-True) are resolved by evidence strength or suppressed entirely, so windowed
-artifacts degrade to None instead of to wrong verdicts.
+never silently resolved.  The grade and suppression rules that turn order
+evidence into a verdict live in ``_verdict`` alone, so windowed artifacts
+degrade to None instead of to wrong verdicts.
 """
 from __future__ import annotations
 
@@ -183,6 +183,8 @@ class AbstractSemiring:
         cached = self._evidence.get(key)
         if cached is not None:
             return cached
+        if a not in self.id_set or b not in self.id_set:
+            raise DomainError("evidence needs ids from the semiring")
         powers_a: dict[int, int] = {}
         for k in range(1, k_max + 1):
             mask, complete = self.power(a, k)
@@ -241,42 +243,40 @@ def dump_semiring(rd: RootDatum, height_bound: int, seed: int) -> tuple[Abstract
     return semiring, {token: w for w, token in label.items()}
 
 
-def _directed_verdict(sr: AbstractSemiring, cfg: ReconstructionConfig,
-                      a: str, b: str) -> tuple[Verdict, int]:
-    """Suppression-resolved verdict for a ⪯ b with the evidence strength.
-
-    Opposing witness claims are ranked by how many exponents each side could
-    actually check; ties suppress both claims to inconclusive.
-    """
-    va, sa = sr.evidence(a, b, cfg.k_max)
-    vb, sb = sr.evidence(b, a, cfg.k_max)
-    if va and vb and sb >= sa:
-        return None, sa
-    return va, sa
+def _verdict(sr: AbstractSemiring, cfg: ReconstructionConfig,
+             a: str, b: str, grade: int) -> Verdict:
+    """a ⪯ b at a certification grade, the one reader of evidence strength:
+    True when the evidence for a ⪯ b is True with strength >= ``grade`` and no
+    True for b ⪯ a of at least that strength suppresses it, False when that
+    evidence is False, None otherwise."""
+    verdict, strength = sr.evidence(a, b, cfg.k_max)
+    if verdict is not True:
+        return verdict
+    if strength < grade:
+        return None
+    back, back_strength = sr.evidence(b, a, cfg.k_max)
+    return None if back and back_strength >= strength else True
 
 
 def recover_preceq(sr: AbstractSemiring, cfg: ReconstructionConfig, a: str, b: str) -> Verdict:
     """Three-valued a ⪯ b on ids: search a witness u whose products contain
     the constituents of every power of a up to k_max.
 
-    A True demands that every exponent up to k_max was fully checkable: a
-    window can make non-comparable pairs look comparable at the few
-    exponents it leaves visible, so partially checked positives stay None.
+    This is ``_verdict`` at grade k_max: a True demands that every exponent
+    up to k_max was fully checkable, since a window can make non-comparable
+    pairs look comparable at the few exponents it leaves visible.
     """
     if a not in sr.id_set or b not in sr.id_set:
         raise DomainError("recover_preceq needs ids from the semiring")
-    if a == b:
-        return True
-    verdict, strength = _directed_verdict(sr, cfg, a, b)
-    if verdict is True and strength < cfg.k_max:
-        return None
-    return verdict
+    return True if a == b else _verdict(sr, cfg, a, b, cfg.k_max)
 
 
 def _certified_sum(sr: AbstractSemiring, cfg: ReconstructionConfig,
                    a: str, b: str, min_grade: int) -> str:
-    """recover_sum with a certification grade: each non-maximal constituent
-    must be eliminated by a True edge of strength >= min_grade."""
+    """recover_sum with a certification grade: each other constituent drops
+    out at its first ``_verdict`` True at ``min_grade``.  Verdicts are asked
+    only when read: the scan stops at a second survivor, and the contradiction
+    check reads only the verdicts into the one survivor."""
     if not sr.has_product(a, b):
         raise InconclusiveError(f"product ({a},{b}) is not in the dump")
     terms, complete = sr.product(a, b)
@@ -285,20 +285,16 @@ def _certified_sum(sr: AbstractSemiring, cfg: ReconstructionConfig,
     names = sorted(terms)
     if len(names) == 1:
         return names[0]
-    verdicts = {(s, t): _directed_verdict(sr, cfg, s, t)
-                for s in names for t in names if s != t}
-    candidates = [s for s in names
-                  if not any(v and st >= min_grade
-                             for v, st in (verdicts[(s, t)] for t in names if t != s))]
-    if len(candidates) == 1:
-        top = candidates[0]
-        if any(verdicts[(s, top)][0] is False for s in names if s != top):
-            raise InconsistencyError(
-                f"constituent order of ({a},{b}) contradicts a unique maximum")
-        return top
-    if not candidates:
+    survivors = (s for s in names
+                 if not any(_verdict(sr, cfg, s, t, min_grade) for t in names if t != s))
+    top = next(survivors, None)
+    if top is None:
         raise InconsistencyError(f"no maximal constituent left in ({a},{b})")
-    raise InconclusiveError(f"ambiguous maximum in product ({a},{b})")
+    if next(survivors, None) is not None:
+        raise InconclusiveError(f"ambiguous maximum in product ({a},{b})")
+    if any(_verdict(sr, cfg, s, top, min_grade) is False for s in names if s != top):
+        raise InconsistencyError(f"constituent order of ({a},{b}) contradicts a unique maximum")
+    return top
 
 
 def recover_sum(sr: AbstractSemiring, cfg: ReconstructionConfig, a: str, b: str) -> str:
@@ -310,6 +306,8 @@ def recover_sum(sr: AbstractSemiring, cfg: ReconstructionConfig, a: str, b: str)
     certify a unique maximum, InconsistencyError when complete data
     contradicts having one.
     """
+    if a not in sr.id_set or b not in sr.id_set:
+        raise DomainError("recover_sum needs ids from the semiring")
     return _certified_sum(sr, cfg, a, b, min_grade=cfg.k_max)
 
 
@@ -330,8 +328,8 @@ def recover_monoid(sr: AbstractSemiring, cfg: ReconstructionConfig,
     """Group-complete the id monoid in two stages.
 
     Seed stage: certify sums among the small (twice-expandable) ids through
-    the order evidence, each elimination backed by a True verdict of
-    strength at least ``min_grade``, and present the group completion of
+    the order evidence, each elimination backed by a ``_verdict`` True at
+    ``min_grade``, and present the group completion of
     those relations by Smith normal form.  Character lattices are
     torsion-free, so torsion here signals corrupted input.
 

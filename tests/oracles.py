@@ -16,7 +16,11 @@ oracles solve each query from scratch (an exact rational solve, a Smith
 normal form), the references for the per-datum tables in ``lattice``.  The
 expansion oracle recomputes order evidence from multiplicity dicts built on
 the public ``product``, the reference for the id-bitmask supports of
-``AbstractSemiring.evidence``; the all-subsets oracle tries every rank-sized
+``AbstractSemiring.evidence``.  The directed-verdict oracle reads both
+directions' evidence for every ordered pair of a product's constituents
+into a full verdict matrix before it picks the maximum, the reference for
+the lazy ``_verdict`` queries behind ``recover_preceq`` and
+``reconstruct._certified_sum``; the all-subsets oracle tries every rank-sized
 subset of the rays by Cramer's rule, deciding independently of the simplex
 behind ``reconstruct._positive_functional`` whether the cone is pointed; the
 unpruned semigroup search takes its functional from the all-subsets oracle
@@ -65,7 +69,7 @@ from satake.lattice import (
     weyl_orbit,
 )
 from satake.linalg import det_int, identity_matrix, smith_normal_form, solve_rational
-from satake.reconstruct import AbstractSemiring, MonoidRecovery, Verdict
+from satake.reconstruct import AbstractSemiring, MonoidRecovery, ReconstructionConfig, Verdict
 from satake.semiring import Decomposition, WeightTable, weight_multiplicities, weyl_dim
 
 
@@ -323,6 +327,61 @@ def evidence_by_expansion(sr: AbstractSemiring, k_max: int) -> dict[tuple[str, s
         return verdict, len(checkable)
 
     return {(a, b): evidence(a, b) for a in sr.ids for b in sr.ids}
+
+
+def directed_verdict(sr: AbstractSemiring, cfg: ReconstructionConfig,
+                     a: str, b: str) -> tuple[Verdict, int]:
+    """Suppression-resolved verdict for a ⪯ b with the evidence strength.
+
+    Opposing witness claims are ranked by how many exponents each side could
+    actually check; ties suppress both claims to inconclusive.
+    """
+    va, sa = sr.evidence(a, b, cfg.k_max)
+    vb, sb = sr.evidence(b, a, cfg.k_max)
+    if va and vb and sb >= sa:
+        return None, sa
+    return va, sa
+
+
+def preceq_by_directed_verdict(sr: AbstractSemiring, cfg: ReconstructionConfig, a: str, b: str) -> Verdict:
+    """a ⪯ b on ids: the directed verdict, with a True kept only at strength
+    k_max."""
+    if a == b:
+        return True
+    verdict, strength = directed_verdict(sr, cfg, a, b)
+    if verdict is True and strength < cfg.k_max:
+        return None
+    return verdict
+
+
+def certified_sum_by_matrix(sr: AbstractSemiring, cfg: ReconstructionConfig,
+                            a: str, b: str, min_grade: int) -> str:
+    """The certified maximal constituent of a complete product from the
+    directed verdicts of every ordered pair of its constituents: each
+    non-maximal constituent must be eliminated by a True edge of strength
+    >= min_grade."""
+    if not sr.has_product(a, b):
+        raise InconclusiveError(f"product ({a},{b}) is not in the dump")
+    terms, complete = sr.product(a, b)
+    if not complete:
+        raise InconclusiveError(f"incomplete product ({a},{b})")
+    names = sorted(terms)
+    if len(names) == 1:
+        return names[0]
+    verdicts = {(s, t): directed_verdict(sr, cfg, s, t)
+                for s in names for t in names if s != t}
+    candidates = [s for s in names
+                  if not any(v and st >= min_grade
+                             for v, st in (verdicts[(s, t)] for t in names if t != s))]
+    if len(candidates) == 1:
+        top = candidates[0]
+        if any(verdicts[(s, top)][0] is False for s in names if s != top):
+            raise InconsistencyError(
+                f"constituent order of ({a},{b}) contradicts a unique maximum")
+        return top
+    if not candidates:
+        raise InconsistencyError(f"no maximal constituent left in ({a},{b})")
+    raise InconclusiveError(f"ambiguous maximum in product ({a},{b})")
 
 
 def positive_functional_by_all_subsets(gens: tuple[tuple[int, ...], ...]) -> list[int]:

@@ -43,6 +43,7 @@ from satake.lattice import (
     positive_roots,
     positive_roots_with_coroots,
     preceq,
+    reflect,
     root_coefficients,
     saturation_set,
     two_rho,
@@ -104,6 +105,25 @@ class TestValidation:
         with pytest.raises(InvalidDatumError):
             RootDatum(2, ((2,),), ((1,),))
 
+    @pytest.mark.parametrize("args", [
+        (1, ((2.9,),), ((1,),)),
+        (1, (("2",),), ((1,),)),
+        (1, ((2,),), ((Fraction(1),),)),
+        (2.0, ((1, -1),), ((1, -1),)),
+        ("1", ((2,),), ((1,),)),
+        (1, 2, ((1,),)),
+    ], ids=["float-root", "str-root", "fraction-coroot", "float-rank", "str-rank", "scalar-roots"])
+    def test_non_integers_rejected(self, args):
+        # int() truncates 2.9 to 2 and parses "2", and a float rank passes
+        # validation only to fail later with a bare TypeError
+        with pytest.raises(InvalidDatumError, match="must be integers"):
+            RootDatum(*args)
+
+    def test_integer_like_entries_become_ints(self):
+        rd = RootDatum(True, ((2,),), ((1,),))
+        assert (rd.rank, type(rd.rank)) == (1, int)
+        assert rd == datum("SL2")
+
     def test_types(self):
         assert cartan_type(datum("SL2")) == "A1"
         assert cartan_type(datum("SL3")) == "A2"
@@ -153,6 +173,14 @@ class TestReflections:
     def test_dominant_input_fixed(self, fixture_datum):
         lam = two_rho(fixture_datum)
         assert dominant_representative(fixture_datum, lam) == (lam, ())
+
+    @pytest.mark.parametrize("i", [-1, 2, 7])
+    def test_reflect_rejects_letters_out_of_range(self, i):
+        # a negative index would otherwise wrap round to the last simple root
+        with pytest.raises(DomainError, match=f"Weyl letter {i} out of range"):
+            reflect(datum("SL3"), i, (0, 1))
+        with pytest.raises(DomainError, match=f"Weyl letter {i} out of range"):
+            apply_word(datum("SL3"), (0, i), (0, 1))
 
     def test_orbits(self):
         assert set(weyl_orbit(datum("SL2"), (1,))) == {(1,), (-1,)}

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from conftest import SL2_PGL2, SL4, datum
 from oracles import (
+    certified_sum_by_matrix,
     evidence_by_expansion,
     positive_functional_by_all_subsets,
+    preceq_by_directed_verdict,
     semiring_to_json_by_dumps,
     simple_coroot_by_fractions,
     simple_roots_by_search,
@@ -66,6 +68,14 @@ def assert_same_text(new: str, old: str) -> None:
     pytest.fail(f"line {k + 1}: {a!r} != {b!r}")
 
 
+def sum_outcome(certify, sr, cfg, a, b, grade):
+    """The certified sum, or the class and message of the error raised."""
+    try:
+        return certify(sr, cfg, a, b, grade)
+    except (InconclusiveError, InconsistencyError) as exc:
+        return type(exc), str(exc)
+
+
 def coroot_fit_outcome(fit, monoid, alpha):
     """The fitted coroot, or the class and message of the error raised."""
     try:
@@ -85,6 +95,23 @@ def sl2_with_edited_multiplicity():
     products = {k: (dict(v[0]), v[1]) for k, v in sr.product_table.items()}
     products[key] = (terms, complete)
     return AbstractSemiring(ids=sr.ids, unit=sr.unit, products=products)
+
+
+def toy_with_every_sum_outcome():
+    """A four-id table, the dump of no datum, on which ``_certified_sum``
+    meets every outcome: a sum, an incomplete product, an ambiguous maximum,
+    no maximal constituent and a maximum that the order contradicts."""
+    ids = ("i0", "i1", "i2", "i3")
+    products = {(x, "i0"): ({x: 1}, True) for x in ids}
+    products.update({
+        ("i1", "i1"): ({"i0": 1, "i2": 1, "i3": 1}, True),
+        ("i1", "i2"): ({"i0": 1, "i1": 1, "i2": 1, "i3": 1}, True),
+        ("i1", "i3"): ({"i1": 1, "i2": 1, "i3": 1}, True),
+        ("i2", "i2"): ({"i0": 1, "i3": 1}, True),
+        ("i2", "i3"): ({"i1": 1}, False),
+        ("i3", "i3"): ({"i1": 1, "i3": 1}, True),
+    })
+    return AbstractSemiring(ids=ids, unit="i0", products=products)
 
 
 class TestDump:
@@ -254,6 +281,42 @@ class TestOrderRecovery:
                         continue
                     assert verdict == preceq(rd, truth[a], truth[b]), (name, truth[a], truth[b])
 
+    @pytest.mark.parametrize("make", [
+        lambda: dump_semiring(dual_root_datum(datum("GL2")), 8, seed=0)[0],
+        lambda: dump_semiring(dual_root_datum(datum("Sp4")), FIXTURES["Sp4"].dump_bound, seed=0)[0],
+        lambda: dump_semiring(dual_root_datum(datum("G2")), 32, seed=0)[0],
+        lambda: dump_semiring(dual_root_datum(datum("SL3")), 24, seed=0)[0],
+        sl2_with_edited_multiplicity,
+        toy_with_every_sum_outcome,
+    ], ids=["GL2^-8", "Sp4^", "G2^-32", "SL3^-24", "SL2-edited", "toy"])
+    def test_verdicts_match_directed_verdict_oracle(self, make):
+        # the lazily asked verdicts give what the full verdict matrix gave:
+        # recover_preceq on every pair at k_max 2, 3 and 4, and the certified
+        # sum (or its error) of every product at grades 4, 3 and 2
+        sr = make()
+        for k_max in (2, 3, 4):
+            cfg = ReconstructionConfig(k_max=k_max)
+            for a in sr.ids:
+                for b in sr.ids:
+                    assert recover_preceq(sr, cfg, a, b) == preceq_by_directed_verdict(sr, cfg, a, b), \
+                        (k_max, a, b)
+        for grade in (4, 3, 2):
+            for a, b in sr.product_table:
+                assert sum_outcome(reconstruct._certified_sum, sr, CFG, a, b, grade) == \
+                    sum_outcome(certified_sum_by_matrix, sr, CFG, a, b, grade), (grade, a, b)
+
+
+    def test_toy_meets_every_sum_outcome(self):
+        sr = toy_with_every_sum_outcome()
+        outcomes = {(grade, a, b): sum_outcome(reconstruct._certified_sum, sr, CFG, a, b, grade)
+                    for grade in (4, 3, 2) for a, b in sr.product_table}
+        assert outcomes[(4, "i3", "i3")] == "i3"
+        assert outcomes[(4, "i2", "i3")] == (InconclusiveError, "incomplete product (i2,i3)")
+        assert outcomes[(4, "i2", "i2")] == (InconclusiveError, "ambiguous maximum in product (i2,i2)")
+        assert outcomes[(2, "i1", "i3")] == (InconsistencyError, "no maximal constituent left in (i1,i3)")
+        assert outcomes[(3, "i1", "i3")] == \
+            (InconsistencyError, "constituent order of (i1,i3) contradicts a unique maximum")
+
 
 class TestEvidence:
     @pytest.mark.parametrize("make", [
@@ -267,6 +330,12 @@ class TestEvidence:
         for k_max in (2, 3, 4):
             evidence = {(a, b): sr.evidence(a, b, k_max) for a in sr.ids for b in sr.ids}
             assert evidence == evidence_by_expansion(sr, k_max), k_max
+
+    def test_id_outside_semiring_rejected(self):
+        sr, _, _ = sl2_dump()
+        for a, b in [("nope", sr.unit), (sr.unit, "nope")]:
+            with pytest.raises(DomainError, match="ids from the semiring"):
+                sr.evidence(a, b, 4)
 
     def test_truncated_window_is_unknown_somewhere(self):
         sr, _ = dump_semiring(datum("SL3"), 8, seed=0)
@@ -284,6 +353,13 @@ class TestSum:
         sr, truth = dump_semiring(datum("SL3"), 8, seed=0)
         inv = {w: t for t, w in truth.items()}
         assert truth[recover_sum(sr, CFG, inv[(1, 0)], inv[(0, 1)])] == (1, 1)
+
+    def test_id_outside_semiring_rejected(self):
+        # not InconclusiveError, whose exit 4 would report a truncated window
+        sr, _, _ = sl2_dump()
+        for a, b in [("nope", sr.unit), (sr.unit, "nope")]:
+            with pytest.raises(DomainError, match="ids from the semiring"):
+                recover_sum(sr, CFG, a, b)
 
     def test_incomplete_rejected(self):
         sr, truth, inv = sl2_dump()
