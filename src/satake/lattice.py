@@ -1,5 +1,5 @@
 """Root data, Weyl group combinatorics, and dominance orders, all in exact
-integer/rational arithmetic.
+integer arithmetic; only ``root_coefficients`` returns ``Fraction`` values.
 
 Weights and coweights are plain integer tuples in a fixed lattice basis; a
 coweight of one datum is a weight of its dual, so every operation here takes
@@ -8,8 +8,8 @@ concurrent use.
 
 Root-system facts that depend only on the Cartan matrix (the positive roots
 and coroots in simple-root and simple-coroot coordinates, their Dynkin
-labels and norms, the invariant form on labels, the inverse Cartan rows, the
-Cartan type and a canonical node order) come from the one cached
+labels and norms, the invariant form on labels and the inverse Cartan rows it
+gives, the Cartan type and a canonical node order) come from the one cached
 ``cartan_tables``, shared by every datum with that matrix whatever its
 lattice basis.  Its root saturation also decides finite type, since only a
 finite-type matrix has finitely many roots, so it is the whole of
@@ -44,12 +44,12 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import index, mul
 from typing import Sequence
 
 from .errors import DomainError, InvalidDatumError, ParseError, json_value
-from .linalg import lp_feasible_point, smith_normal_form, solve_rational
+from .linalg import lp_feasible_point, smith_normal_form
 
 Weight = tuple[int, ...]
 WeylWord = tuple[int, ...]
@@ -139,11 +139,13 @@ def is_dominant(rd: RootDatum, lam: Weight) -> bool:
 
 def reflect(rd: RootDatum, i: int, lam: Weight) -> Weight:
     """Simple reflection s_i acting on a weight."""
+    try:
+        i = index(i)
+    except TypeError as exc:
+        raise DomainError(f"Weyl letters must be integers, not {i!r}") from exc
     if not 0 <= i < rd.semisimple_rank:
         raise DomainError(f"Weyl letter {i} out of range")
-    c = pairing(lam, rd.simple_coroots[i])
-    alpha = rd.simple_roots[i]
-    return tuple(x - c * a for x, a in zip(lam, alpha))
+    return _subtract_roots(rd, lam, [0] * i + [_labels(rd, lam)[i]])
 
 
 def apply_word(rd: RootDatum, word: Sequence[int], lam: Weight) -> Weight:
@@ -182,9 +184,13 @@ def _fold_labels(cartan: Sequence[Sequence[int]], labels: Sequence[int]
 def _labels(rd: RootDatum, lam: Weight) -> tuple[int, ...]:
     """The Dynkin labels of a weight: its pairings with the simple coroots.
     Raises DomainError on a weight of the wrong length, which a datum
-    without roots would otherwise never pair."""
+    without roots would otherwise never pair, or with a non-integer entry."""
     if len(lam) != rd.rank:
         raise DomainError(f"weight {lam} does not have length {rd.rank}")
+    try:
+        lam = tuple(map(index, lam))
+    except TypeError as exc:
+        raise DomainError(f"weight entries must be integers: {exc}") from exc
     return tuple(sum(map(mul, lam, cov)) for cov in rd.simple_coroots)
 
 
@@ -317,11 +323,11 @@ class CartanTables:
     sum over positive coroots of n n^T, so the W-invariant form B(x, y) =
     sum over positive coroots c of <x, c><y, c> is labels(x)^T G labels(y),
     and ``root_norms[r]`` is root r's (alpha, alpha).  ``inverse_rows[j]``
-    holds the coefficients of the fundamental coweight w_j in the simple
-    coroots times ``denominator``: the rows of the inverse Cartan matrix,
-    kept integral.  ``name`` is the Cartan type, e.g. 'A1 x A2', and
-    ``order`` the canonical node order: A[order[i]][order[j]] is the same
-    matrix for every numbering of the same diagram.
+    holds the fundamental coweight w_j in the simple coroots, times
+    ``denominator``: row j of G over (alpha_j, alpha_j)/2, as G A is diagonal.
+    ``name`` is the Cartan type, e.g. 'A1 x A2', and ``order`` the canonical
+    node order: A[order[i]][order[j]] is the same matrix for every numbering
+    of the same diagram.
 
     ``symmetries`` generates Aut(A), the node permutations p with
     A[p[i]][p[j]] = A[i][j].  It holds one entry per class of components
@@ -460,21 +466,19 @@ def cartan_tables(a: tuple[tuple[int, ...], ...]) -> CartanTables:
     labels = [tuple(sum(x * y for x, y in zip(row, k)) for row in a) for k, _ in positive]
     form = tuple(tuple(sum(n[i] * n[j] for _, n in positive) for j in range(s)) for i in range(s))
     norms = tuple(sum(x * g * y for x, row in zip(lab, form) for g, y in zip(row, lab)) for lab in labels)
-    # w_j = sum_k m_k alpha_k^vee solves sum_k m_k A[k][i] = delta_ij; a
-    # finite-type A is invertible and the m_k are nonnegative
-    inverse = [solve_rational(a, [int(i == j) for i in range(s)]) for j in range(s)]
-    if not all(row is not None and all(c >= 0 for c in row) for row in inverse):
-        raise InvalidDatumError("inverse Cartan must be nonnegative")
+    # B(x, alpha_j) = (alpha_j, alpha_j)/2 <x, alpha_j^vee> gives G A = D =
+    # diag(half), so A^-1 = D^-1 G: w_j = sum_k G[j][k] / half[j] alpha_k^vee
+    half = [sum(a[k][j] * form[k][j] for k in range(s)) for j in range(s)]
+    denominator = lcm(*(h // gcd(h, *row) for h, row in zip(half, form)))
     supports = [frozenset(i for i, c in enumerate(k) if c) for k, _ in positive]
     components = [comp for comp in set(supports) if not any(comp < other for other in supports)]
-    denominator = lcm(*(c.denominator for row in inverse for c in row))
     order, symmetries = _canonical_order(a, components)
     return CartanTables(
         roots=tuple(positive),
         root_labels=tuple(labels),
         form=form,
         root_norms=norms,
-        inverse_rows=tuple(tuple(int(c * denominator) for c in row) for row in inverse),
+        inverse_rows=tuple(tuple(g * denominator // h for g in row) for h, row in zip(half, form)),
         denominator=denominator,
         name=_type_name(components, supports, norms),
         order=order,

@@ -4,15 +4,15 @@ Everything is fraction- or integer-exact; no floating point enters any code
 path.  Matrices are plain lists of lists (rows), vectors are sequences.
 All functions are pure.  The determinant and the phase-1 simplex are
 fraction-free: both keep an integer matrix over the last pivot and divide
-exactly (Bareiss; Edmonds), so the simplex makes a ``Fraction`` only for
-the point it returns.  ``solve_rational`` works on ``Fraction`` rows, for
-the inverse Cartan rows; integer systems, the coroot fit of reconstruction
-included, go through the integral Smith normal form (Newman).  The Smith
-form keeps v as sparse columns, since the relation matrices of
-reconstruction are wide (GL2^'s is 34 x 218) and their column operations
-leave v sparse, and it stops a pivot scan at the first unit entry.  Neither
-changes a step, so (d, u, v) is what the dense elimination gives; the
-recovered data depend on u.
+exactly (Bareiss; Edmonds), and the simplex returns its point as integer
+numerators over that pivot.  ``solve_rational`` works on ``Fraction`` rows;
+the library no longer calls it.  Integer systems, the coroot fit of
+reconstruction included, go through the integral Smith normal form
+(Newman).  The Smith form keeps v as sparse columns, since the relation
+matrices of reconstruction are wide (GL2^'s is 34 x 218) and their column
+operations leave v sparse, and it stops a pivot scan at the first unit
+entry.  Neither changes a step, so (d, u, v) is what the dense elimination
+gives; the recovered data depend on u.
 """
 from __future__ import annotations
 
@@ -55,9 +55,9 @@ def solve_rational(columns: Sequence[Sequence[int]],
                    target: Sequence[int | Fraction]) -> tuple[Fraction, ...] | None:
     """Solve sum_j x_j * columns[j] = target exactly over the rationals.
 
-    Returns the coefficient tuple, or None when the system is inconsistent.
-    Raises ValueError if the columns are linearly dependent (the callers all
-    supply independent columns).
+    Returns the coefficients, or None for an inconsistent system; raises
+    ValueError on dependent columns.  No library code calls it: it is the
+    tests' rational reference, and the benchmark's tracer wraps it by name.
     """
     k = len(columns)
     n = len(target)
@@ -239,10 +239,11 @@ def integer_solutions(a: Sequence[Sequence[int]],
 
 
 def lp_feasible_point(rows: Sequence[Sequence[int]],
-                      rhs: Sequence[int]) -> list[Fraction] | None:
+                      rhs: Sequence[int]) -> tuple[list[int], int] | None:
     """Exact feasibility for {x >= 0 : rows * x = rhs} by phase-1 simplex.
 
-    Returns a feasible point, or None.  Bland's rule guarantees termination.
+    Returns a feasible point as (x, d), the integer numerators x over one
+    denominator d > 0, or None.  Bland's rule guarantees termination.
 
     The tableau stays integral (Edmonds' fraction-free pivoting, as in
     Bareiss elimination): it holds d times the rational tableau, where d > 0
@@ -250,13 +251,12 @@ def lp_feasible_point(rows: Sequence[Sequence[int]],
     and the objective row by (p * x - f * y) // d, a division that is exact
     by Sylvester's identity, and sets d = p.  Bland's rule reads only signs,
     which d > 0 keeps, and the ratio test cross-multiplies, so the pivots
-    are those of the rational tableau and the point is the same.  Only that
-    point, tab[i][-1] / d, is a ``Fraction``.
+    are those of the rational tableau and x / d is its point.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     if m == 0:
-        return [Fraction(0)] * n
+        return [0] * n, 1
     # tableau: n structural columns, m artificial columns, rhs; plus objective row
     tab: list[list[int]] = []
     for i in range(m):
@@ -299,8 +299,8 @@ def lp_feasible_point(rows: Sequence[Sequence[int]],
 
     if obj[-1] != 0:
         return None
-    x = [Fraction(0)] * n
+    x = [0] * n
     for i, bv in enumerate(basis):
         if bv < n:
-            x[bv] = Fraction(tab[i][-1], d)
-    return x
+            x[bv] = tab[i][-1]
+    return x, d

@@ -18,10 +18,10 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from math import gcd, lcm
+from math import gcd
 from types import MappingProxyType
 
-from .errors import DomainError, InconclusiveError, InconsistencyError, ParseError, json_value
+from .errors import DomainError, InconclusiveError, InconsistencyError, InvalidDatumError, ParseError, json_value
 from .lattice import (
     RootDatum,
     Weight,
@@ -454,8 +454,8 @@ def _positive_functional(gens: tuple[tuple[int, ...], ...]) -> list[int]:
     Only irreducible ("tight") primitive rays become rows: a ray that is the
     sum of two rays is positive once both are.  With phi = p - n and a
     surplus s_g >= 0 per tight ray g, phi(g) - s_g = 1 is one feasibility LP
-    for the exact simplex; its point, scaled by the lcm of its denominators,
-    gives phi.  phi is accepted only if positive on every ray, so a cone that
+    for the exact simplex; its point's numerators over its pivot d > 0
+    give phi.  phi is accepted only if positive on every ray, so a cone that
     is not pointed, or has no tight ray, is rejected.  ``extract_simple_roots``
     uses phi only to prune rests below the least generator value and to rule
     out cycles, both exact for any phi positive on the generators, so its
@@ -469,8 +469,7 @@ def _positive_functional(gens: tuple[tuple[int, ...], ...]) -> list[int]:
             for i, g in enumerate(tight)]
     point = lp_feasible_point(rows, [1] * len(tight)) if tight else None
     if point is not None:
-        scale = lcm(*(x.denominator for x in point))
-        phi = [int((point[i] - point[r + i]) * scale) for i in range(r)]
+        phi = [p - n for p, n in zip(point[0][:r], point[0][r:])]
         if all(pairing(phi, g) > 0 for g in rays):
             return phi
     raise InconsistencyError("harvested root cone is not pointed")
@@ -617,7 +616,7 @@ def _reconstruct_at_grade(sr: AbstractSemiring, cfg: ReconstructionConfig,
     datum = RootDatum(rank=monoid.rank, simple_roots=roots, simple_coroots=coroots, name="recovered")
     try:
         validate_datum(datum)
-    except Exception as exc:
+    except InvalidDatumError as exc:
         raise InconsistencyError(f"recovered datum is invalid: {exc}") from exc
     for x, w in sorted(monoid.embedding.items()):
         if not is_dominant(datum, w):

@@ -153,17 +153,12 @@ def _label_diagram(cartan: Cartan, labels: Labels) -> tuple[tuple[Labels, tuple[
             back = sorted(range(len(perm)), key=perm.__getitem__)
             return tuple((tuple([w[x] for x in back]), tuple([d[x] for x in back]), m)
                          for w, d, m in _label_diagram(cartan, least))
-    form = tables.form
-    # per positive root: coefficients, labels, G labels and (alpha, alpha)
-    roots = []
-    for (coeffs, _), root_labels, length in zip(tables.roots, tables.root_labels, tables.root_norms):
-        pulled = tuple(sum(g * r for g, r in zip(row, root_labels)) for row in form)
-        roots.append((coeffs, root_labels, pulled, length))
+    roots = tuple(zip(tables.roots, tables.root_labels, tables.root_norms))
 
     def shifted_norm(nu: Labels) -> int:
         # (nu + rho, nu + rho): rho's labels are all 1
         v = [x + 1 for x in nu]
-        return sum(x * sum(g * y for g, y in zip(row, v)) for x, row in zip(v, form))
+        return sum(x * sum(g * y for g, y in zip(row, v)) for x, row in zip(v, tables.form))
 
     top = shifted_norm(labels)
     mult: dict[Labels, int] = {}
@@ -174,8 +169,9 @@ def _label_diagram(cartan: Cartan, labels: Labels) -> tuple[tuple[Labels, tuple[
             mult[nu] = 1
             continue
         acc = 0
-        for coeffs, root_labels, pulled, length in roots:
-            base = sum(x * y for x, y in zip(nu, pulled))
+        for (coeffs, coroot), root_labels, length in roots:
+            # (nu, alpha) = (alpha, alpha)/2 <nu, alpha^vee>
+            base = length // 2 * sum(x * y for x, y in zip(nu, coroot))
             reach = min(d // c for d, c in zip(depth, coeffs) if c)
             for k in range(1, reach + 1):
                 shifted = tuple(x + k * r for x, r in zip(nu, root_labels))

@@ -13,8 +13,10 @@ top weight.  The reflection oracle folds a weight vector one reflection at
 a time, the reference for the Dynkin-label fold behind
 ``dominant_representative``.  The root-coordinate and X/Q
 oracles solve each query from scratch (an exact rational solve, a Smith
-normal form), the references for the per-datum tables in ``lattice``.  The
-expansion oracle recomputes order evidence from multiplicity dicts built on
+normal form), the references for the per-datum tables in ``lattice``; the
+inverse-Cartan oracle solves one exact rational system per row, the
+reference for the rows that ``lattice.cartan_tables`` reads off its
+invariant form.  The expansion oracle recomputes order evidence from multiplicity dicts built on
 the public ``product``, the reference for the id-bitmask supports of
 ``AbstractSemiring.evidence``.  The directed-verdict oracle reads both
 directions' evidence for every ordered pair of a product's constituents
@@ -31,7 +33,8 @@ is the Klimyk product keyed by weights, walking the weight diagram from
 each target, the reference for the label-keyed ``_label_product``; the
 ``json.dumps`` writer is the reference for the dump writer.  The
 ``Fraction`` simplex is the rational tableau that the integer tableau of
-``linalg.lp_feasible_point`` scales, pivot for pivot, and the orbit hull
+``linalg.lp_feasible_point`` scales, pivot for pivot, so its point is the
+integer point over its last pivot, and the orbit hull
 test solves one such LP per point of W lam, the reference for the one LP of
 ``lattice.conv_hull_leq``.  The brute-force character product convolves two
 weight diagrams and strips highest weights until the character is
@@ -48,7 +51,7 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from satake.errors import DomainError, InconclusiveError, InconsistencyError
@@ -99,6 +102,16 @@ def dominant_representative_by_reflection(rd: RootDatum, lam: Weight) -> tuple[W
 def root_coefficients_by_solve(rd: RootDatum, v: Weight) -> tuple[Fraction, ...] | None:
     """Simple-root coordinates of v by one exact solve, or None off their span."""
     return solve_rational(rd.simple_roots, v)
+
+
+def inverse_cartan_by_solve(a: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The rows of the inverse Cartan matrix over their least common
+    denominator, with that denominator, by one exact solve per row: w_j =
+    sum_k m_k alpha_k^vee solves sum_k m_k A[k][i] = delta_ij."""
+    s = len(a)
+    inverse = [solve_rational(a, [int(i == j) for i in range(s)]) for j in range(s)]
+    denominator = lcm(*(c.denominator for row in inverse for c in row))
+    return tuple(tuple(int(c * denominator) for c in row) for row in inverse), denominator
 
 
 def class_by_smith_form(rd: RootDatum, lam: Weight) -> tuple[int, ...]:

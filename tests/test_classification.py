@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from oracles import inverse_cartan_by_solve
 from satake.errors import InvalidDatumError
 from satake.lattice import RootDatum, cartan_matrix, cartan_tables, cartan_type, datum_tables, weyl_group_order
 
@@ -151,6 +152,27 @@ def test_block_sums_permuted(first, second):
     a = block_sum(finite_type(*first), finite_type(*second))
     expected = " x ".join(sorted(f"{f}{n}" for f, n in (first, second)))
     assert cartan_type(from_cartan(permuted(a, rng))) == expected
+
+
+# the matrices above: each finite type, numbered along its diagram and
+# renumbered, and each block sum, renumbered
+MATRICES = ([(f"{f}{n}", finite_type(f, n)) for f, n in FINITE]
+            + [(f"{f}{n}-permuted", permuted(finite_type(f, n), random.Random(f"{f}{n}"))) for f, n in FINITE]
+            + [(f"{f}{n}+{g}{m}", permuted(block_sum(finite_type(f, n), finite_type(g, m)),
+                                           random.Random(str(((f, n), (g, m))))))
+               for (f, n), (g, m) in BLOCK_SUMS])
+
+
+@pytest.mark.parametrize("a", [a for _, a in MATRICES], ids=[name for name, _ in MATRICES])
+def test_fundamental_rows_invert_cartan(a):
+    # the rows come from the invariant form G, which inverts A up to the
+    # diagonal of half root norms; the oracle solves each row
+    a = tuple(map(tuple, a))
+    tables = cartan_tables(a)
+    assert (tables.inverse_rows, tables.denominator) == inverse_cartan_by_solve(a)
+    s = len(a)
+    ga = [[sum(tables.form[j][k] * a[k][i] for k in range(s)) for i in range(s)] for j in range(s)]
+    assert all((ga[j][i] > 0) if i == j else (ga[j][i] == 0) for i in range(s) for j in range(s))
 
 
 

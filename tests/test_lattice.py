@@ -18,6 +18,7 @@ from oracles import (
     conv_hull_leq_by_orbit,
     dominant_box,
     dominant_representative_by_reflection,
+    inverse_cartan_by_solve,
     root_coefficients_by_solve,
     weyl_elements,
 )
@@ -147,6 +148,7 @@ class TestCartan:
         a = cartan_matrix(fixture_datum)
         tables = cartan_tables(a)
         s = fixture_datum.semisimple_rank
+        assert (tables.inverse_rows, tables.denominator) == inverse_cartan_by_solve(a)
         for j, row in enumerate(tables.inverse_rows):
             assert min(row) >= 0
             assert [sum(row[k] * a[k][i] for k in range(s)) for i in range(s)] == \
@@ -181,6 +183,19 @@ class TestReflections:
             reflect(datum("SL3"), i, (0, 1))
         with pytest.raises(DomainError, match=f"Weyl letter {i} out of range"):
             apply_word(datum("SL3"), (0, i), (0, 1))
+
+    @pytest.mark.parametrize("query", [
+        lambda rd: weyl_orbit(rd, (0.5, 1)),
+        lambda rd: dominant_representative(rd, (0.5, 1)),
+        lambda rd: dominant_below(rd, (Fraction(1, 2), 1)),
+        lambda rd: reflect(rd, 1.0, (0, 1)),
+        lambda rd: reflect(rd, 1, (0.5, 1)),
+    ], ids=["weyl_orbit", "dominant_representative", "dominant_below", "float-letter", "float-weight"])
+    def test_non_integers_rejected(self, query):
+        # a float weight used to give a float orbit, or pass as its own
+        # dominant representative; a float letter, a bare TypeError
+        with pytest.raises(DomainError, match="must be integers"):
+            query(datum("SL3"))
 
     def test_orbits(self):
         assert set(weyl_orbit(datum("SL2"), (1,))) == {(1,), (-1,)}

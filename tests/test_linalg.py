@@ -121,14 +121,16 @@ def test_integer_solutions_basic():
 
 def test_lp_feasibility_point():
     # x1 + x2 = 1 with x >= 0: feasible
-    point = lp_feasible_point([[1, 1]], [1])
-    assert point is not None and sum(point) == 1 and all(x >= 0 for x in point)
+    x, d = lp_feasible_point([[1, 1]], [1])
+    assert d > 0 and sum(x) == d and all(v >= 0 for v in x)
     # x1 - x2 = 1, x1 + x2 = -1 infeasible over x >= 0
     assert lp_feasible_point([[1, -1], [1, 1]], [1, -1]) is None
     # convex combination reaching an interior point
-    point = lp_feasible_point([[2, -2], [1, 1]], [1, 1])
-    assert point is not None
-    assert 2 * point[0] - 2 * point[1] == 1
+    x, d = lp_feasible_point([[2, -2], [1, 1]], [1, 1])
+    assert d > 0 and all(v >= 0 for v in x)
+    assert 2 * x[0] - 2 * x[1] == d and x[0] + x[1] == d
+    # no rows: the origin
+    assert lp_feasible_point([], []) == ([], 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -140,9 +142,11 @@ def test_lp_feasible_point_planted(data, m, n):
     planted = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     rhs = mat_vec(rows, planted)
     point = lp_feasible_point(rows, rhs)
-    assert point is not None and len(point) == n
-    assert all(x >= 0 for x in point)
-    assert [sum(a * x for a, x in zip(row, point)) for row in rows] == rhs
+    assert point is not None
+    x, d = point
+    assert len(x) == n and all(type(v) is int and v >= 0 for v in x)
+    assert type(d) is int and d > 0
+    assert [sum(a * v for a, v in zip(row, x)) for row in rows] == [d * b for b in rhs]
     # the sum of all rows cannot reach one more than the sum of rhs
     total = [sum(col) for col in zip(*rows)]
     assert lp_feasible_point(rows + [total], rhs + [sum(rhs) + 1]) is None
@@ -186,7 +190,14 @@ def lp_systems(draw):
 @example(([[1, -1], [1, 1]], [1, -1]))
 @example(([[-3, 5, 0, 7], [2, -1, 4, 0]], [-20, 0]))
 def test_lp_feasible_point_matches_fraction_tableau(system):
-    # the integer tableau pivots exactly as the Fraction tableau does, so it
-    # returns the same point, or None on the same systems
+    # the integer tableau pivots exactly as the Fraction tableau does, so its
+    # numerators over its denominator are the same point, or None on the
+    # same systems
     rows, rhs = system
-    assert lp_feasible_point(rows, rhs) == lp_feasible_point_by_fractions(rows, rhs)
+    point = lp_feasible_point(rows, rhs)
+    expected = lp_feasible_point_by_fractions(rows, rhs)
+    if point is None:
+        assert expected is None
+    else:
+        x, d = point
+        assert d > 0 and [Fraction(v, d) for v in x] == expected

@@ -20,7 +20,7 @@ from oracles import (
 )
 from test_classification import B3, C3, block_sum, finite_type, from_cartan
 from satake import reconstruct
-from satake.errors import DomainError, InconclusiveError, InconsistencyError, ParseError
+from satake.errors import DomainError, InconclusiveError, InconsistencyError, InvalidDatumError, ParseError
 from satake.fixtures import FIXTURES
 from satake.lattice import RootDatum, cartan_matrix, cartan_type, dual_root_datum, preceq
 from satake.linalg import smith_normal_form
@@ -486,6 +486,26 @@ class TestRoundTrip:
         sr, _ = dump_semiring(dual_root_datum(fx.datum), fx.dump_bound, seed=0)
         recovered = reconstruct_root_datum(sr, CFG)
         assert cartan_type(recovered.datum) == "G2"
+
+    def test_validation_bug_propagates(self, monkeypatch):
+        # only InvalidDatumError means "recovered datum is invalid" (exit 5);
+        # a bug in the validation surfaces as itself
+        def broken(rd):
+            raise TypeError("bug in validation")
+
+        monkeypatch.setattr(reconstruct, "validate_datum", broken)
+        sr, _ = dump_semiring(dual_root_datum(datum("SL2")), 8, seed=0)
+        with pytest.raises(TypeError, match="bug in validation"):
+            reconstruct_root_datum(sr, CFG)
+
+    def test_invalid_recovered_datum_is_inconsistent(self, monkeypatch):
+        def invalid(rd):
+            raise InvalidDatumError("not finite type")
+
+        monkeypatch.setattr(reconstruct, "validate_datum", invalid)
+        sr, _ = dump_semiring(dual_root_datum(datum("SL2")), 8, seed=0)
+        with pytest.raises(InconsistencyError, match="recovered datum is invalid: not finite type"):
+            reconstruct_root_datum(sr, CFG)
 
     def test_sl3_recovered_vs_dual_uses_diagram_flip(self):
         # reconstruction is blind to the outer automorphism; based_iso must
