@@ -181,16 +181,23 @@ def _fold_labels(cartan: Sequence[Sequence[int]], labels: Sequence[int]
         applied.append(i)
 
 
+def _integers(v: Sequence) -> tuple[int, ...]:
+    """The entries of v read with ``operator.index``; raises DomainError on
+    a non-integer entry, which would otherwise pass through the dot products
+    as a float or a Fraction."""
+    try:
+        return tuple(map(index, v))
+    except TypeError as exc:
+        raise DomainError(f"weight entries must be integers: {exc}") from exc
+
+
 def _labels(rd: RootDatum, lam: Weight) -> tuple[int, ...]:
     """The Dynkin labels of a weight: its pairings with the simple coroots.
     Raises DomainError on a weight of the wrong length, which a datum
     without roots would otherwise never pair, or with a non-integer entry."""
     if len(lam) != rd.rank:
         raise DomainError(f"weight {lam} does not have length {rd.rank}")
-    try:
-        lam = tuple(map(index, lam))
-    except TypeError as exc:
-        raise DomainError(f"weight entries must be integers: {exc}") from exc
+    lam = _integers(lam)
     return tuple(sum(map(mul, lam, cov)) for cov in rd.simple_coroots)
 
 
@@ -268,9 +275,11 @@ def _root_span_coordinates(rd: RootDatum, v: Sequence[int]) -> tuple[list[int], 
     pairings with ``DatumTables.span_rows``), with that denominator, or None
     if v is outside the roots' rational span (a nonzero pairing with an
     ``off_span_rows`` row).  Raises DomainError on a vector of the wrong
-    length, which a datum without roots would otherwise never pair."""
+    length, which a datum without roots would otherwise never pair, or with
+    a non-integer entry."""
     if len(v) != rd.rank:
         raise DomainError(f"vector of length {len(v)} on a datum of rank {rd.rank}")
+    v = _integers(v)
     tables = datum_tables(rd)
     if any(sum(map(mul, row, v)) for row in tables.off_span_rows):
         return None
@@ -309,6 +318,7 @@ def class_mod_root_lattice(rd: RootDatum, lam: Weight) -> tuple[int, ...]:
     tables = datum_tables(rd)
     if len(lam) != rd.rank:
         raise DomainError("pairing of vectors with different lengths")
+    lam = _integers(lam)
     classes = (sum(map(mul, row, lam)) for row in tables.root_lattice_rows)
     return tuple(t % d if d else t for t, d in zip(classes, tables.root_lattice_divisors))
 

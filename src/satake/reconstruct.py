@@ -15,10 +15,11 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from math import gcd
+from operator import itemgetter, or_
 from types import MappingProxyType
 
 from .errors import DomainError, InconclusiveError, InconsistencyError, InvalidDatumError, ParseError, json_value
@@ -68,15 +69,20 @@ class AbstractSemiring:
     fall outside the id window.
 
     Order evidence reads only which ids occur in a product, never with what
-    multiplicity, so powers and their products with a witness are kept as
-    supports: an int whose bit i marks ``ids[i]``, with the fully-expanded
-    flag.  Every dump multiplicity is at least 1, so the support of a product
-    of sums is the union of the supports of its term products.  One row per
-    right factor x holds the supports of ``ids[i] * x``.
+    multiplicity, so it works on supports.  A support is one int: bit i
+    marks ``ids[i]``, and the open bit n = len(ids) marks a product that is
+    not fully expanded.  Every dump multiplicity is at least 1, so the
+    support of a product of sums is the OR of the supports of its term
+    products, and the OR also carries the open bit.  The rows hold the
+    support of every pairwise product (a product missing from the dump is
+    empty and open), built in one pass over the table on the first support
+    query; an extra all-open row n lets an open support pass its bit on.
+    The column of (b, k) holds the support of b^k * u for every witness u,
+    the OR of the rows of the ids in supp(b^k), built once and shared by
+    every ``evidence(a, b, ...)``.
 
-    The row, power, witness-product and evidence caches are owned by this
-    class, filled lazily, and only ever grow; entries are immutable once
-    written.
+    The row, power, column and evidence caches are owned by this class,
+    filled lazily, and only ever grow; entries are immutable once written.
     """
 
     def __init__(self, ids, unit: str, products) -> None:
@@ -86,25 +92,27 @@ class AbstractSemiring:
         if unit not in self.id_set:
             raise ParseError("semiring unit is not among the ids")
         self._products: dict[tuple[str, str], ProductEntry] = {}
-        for (a, b), (terms, complete) in products.items():
-            if a not in self.id_set or b not in self.id_set:
+        id_set = self.id_set
+        for ab, (terms, complete) in products.items():
+            a, b = ab
+            if a not in id_set or b not in id_set:
                 raise ParseError(f"product ({a},{b}) names an id outside the id set")
-            key = (a, b) if a <= b else (b, a)
-            canon = tuple(sorted(terms.items()))
-            if any(t not in self.id_set for t, _ in canon) or any(m < 1 for _, m in canon):
+            key = ab if a <= b else (b, a)
+            if not id_set.issuperset(terms) or min(terms.values(), default=1) < 1:
                 raise ParseError(f"product ({a},{b}) has terms outside the id set")
-            prior = self._products.get(key)
-            if prior is not None and prior != (canon, bool(complete)):
+            entry = (tuple(sorted(terms.items())), bool(complete))
+            prior = self._products.setdefault(key, entry)
+            if prior is not entry and prior != entry:
                 raise ParseError(f"conflicting product entries for ({a},{b})")
-            self._products[key] = (canon, bool(complete))
         for a in self.ids:
             entry = self._products.get((a, unit) if a <= unit else (unit, a))
             if entry is None or dict(entry[0]) != {a: 1} or not entry[1]:
                 raise ParseError(f"unit product for {a} is missing or wrong")
-        self._bit = {x: 1 << i for i, x in enumerate(self.ids)}
-        self._rows: dict[str, list[Support]] = {}
-        self._powers: dict[tuple[str, int], Support] = {}
-        self._times: dict[tuple[str, int, str], Support] = {}
+        self._index = {x: i for i, x in enumerate(self.ids)}
+        self._open = 1 << len(self.ids)
+        self._rows: list[list[int]] | None = None
+        self._powers: dict[tuple[str, int], int] = {}
+        self._columns: dict[tuple[str, int], list[int]] = {}
         self._evidence: dict[tuple[str, str, int], tuple[Verdict, int]] = {}
 
     @property
@@ -124,50 +132,57 @@ class AbstractSemiring:
         key = (a, b) if a <= b else (b, a)
         return key in self._products
 
-    def _row(self, x: str) -> list[Support]:
-        """Supports of ids[i] * x; a product missing from the dump is (0, False)."""
-        row = self._rows.get(x)
-        if row is None:
-            bit = self._bit
-            row = []
-            for y in self.ids:
-                entry = self._products.get((y, x) if y <= x else (x, y))
-                if entry is None:
-                    row.append((0, False))
-                else:
-                    row.append((sum(bit[t] for t, _ in entry[0]), entry[1]))
-            self._rows[x] = row
-        return row
+    def _support_rows(self) -> list[list[int]]:
+        """rows[i][j] is the support of ids[i] * ids[j]; row n is all open."""
+        rows = self._rows
+        if rows is None:
+            index = self._index
+            bit = {x: 1 << i for x, i in index.items()}.__getitem__
+            term_id = itemgetter(0)
+            rows = [[self._open] * len(self.ids) for _ in range(len(self.ids) + 1)]
+            for (a, b), (terms, complete) in self._products.items():
+                support = sum(map(bit, map(term_id, terms))) | (0 if complete else self._open)
+                i, j = index[a], index[b]
+                rows[i][j] = rows[j][i] = support
+            self._rows = rows
+        return rows
 
-    def _multiply(self, support: Support, x: str) -> Support:
-        mask, complete = support
-        row = self._row(x)
-        out = 0
-        while mask:
-            low = mask & -mask
-            pmask, pcomplete = row[low.bit_length() - 1]
-            out |= pmask
-            complete = complete and pcomplete
-            mask ^= low
-        return out, complete
+    def _power(self, a: str, k: int) -> int:
+        """The support of a^k for k >= 1."""
+        key = (a, k)
+        support = self._powers.get(key)
+        if support is None:
+            j = self._index[a]
+            if k == 1:
+                support = 1 << j
+            else:
+                rows = self._support_rows()
+                support = 0
+                for i in _bits(self._power(a, k - 1)):
+                    support |= rows[i][j]
+            self._powers[key] = support
+        return support
+
+    def _column(self, b: str, k: int) -> list[int]:
+        """The supports of b^k * ids[j] for every j."""
+        key = (b, k)
+        column = self._columns.get(key)
+        if column is None:
+            rows = self._support_rows()
+            positions = _bits(self._power(b, k))
+            first = next(positions, None)
+            column = [0] * len(self.ids) if first is None else rows[first]
+            for i in positions:
+                column = list(map(or_, column, rows[i]))
+            self._columns[key] = column
+        return column
 
     def power(self, a: str, k: int) -> Support:
+        """The support of a^k as (id bitmask, fully expanded); a^0 is the unit."""
         if k < 1:
-            return self._bit[self.unit], True
-        key = (a, k)
-        cached = self._powers.get(key)
-        if cached is None:
-            cached = (self._bit[a], True) if k == 1 else self._multiply(self.power(a, k - 1), a)
-            self._powers[key] = cached
-        return cached
-
-    def power_times(self, b: str, k: int, u: str) -> Support:
-        key = (b, k, u)
-        cached = self._times.get(key)
-        if cached is None:
-            cached = self._multiply(self.power(b, k), u)
-            self._times[key] = cached
-        return cached
+            return 1 << self._index[self.unit], True
+        support = self._power(a, k)
+        return support & ~self._open, not support & self._open
 
     def evidence(self, a: str, b: str, k_max: int) -> tuple[Verdict, int]:
         """One-directional evidence for a ⪯ b up to exponent k_max.
@@ -176,8 +191,8 @@ class AbstractSemiring:
         of a.  True: some witness u contains every power's constituents,
         found explicitly.  False: every candidate witness fails on complete
         data.  None: the window settles neither.  Containment is a test on
-        id bitmasks: the support of a^k must lie inside the support of
-        b^k * u.
+        supports: the support of a^k must lie inside the support of
+        b^k * u, read off the column of (b, k).
         """
         key = (a, b, k_max)
         cached = self._evidence.get(key)
@@ -185,21 +200,21 @@ class AbstractSemiring:
             return cached
         if a not in self.id_set or b not in self.id_set:
             raise DomainError("evidence needs ids from the semiring")
-        powers_a: dict[int, int] = {}
+        open_bit = self._open
+        checks: list[tuple[int, list[int]]] = []  # per checkable exponent k: a^k, column of (b, k)
         for k in range(1, k_max + 1):
-            mask, complete = self.power(a, k)
-            if complete:
-                powers_a[k] = mask
-        checkable = sorted(powers_a)
-        clipped = len(checkable) < k_max
+            need = self._power(a, k)
+            if not need & open_bit:
+                checks.append((need, self._column(b, k)))
+        clipped = len(checks) < k_max
         verdict: Verdict = False
-        for u in self.ids:
+        for j, u in enumerate(self.ids):
             failed = False
             unknown = False
-            for k in checkable:
-                prod_mask, prod_complete = self.power_times(b, k, u)
-                if powers_a[k] & ~prod_mask:
-                    if prod_complete:
+            for need, column in checks:
+                support = column[j]
+                if need & support != need:
+                    if not support & open_bit:
                         failed = True
                         break
                     unknown = True
@@ -209,18 +224,26 @@ class AbstractSemiring:
             # witnesses (powers expandable up to k_max) certify a True: a
             # window-sized u makes many pairs look comparable at the few
             # exponents that remain visible
-            if unknown or (clipped and not self.power(u, k_max)[1]):
+            if unknown or (clipped and self._power(u, k_max) & open_bit):
                 verdict = None
                 continue
             verdict = True
             break
         # a single checkable exponent cannot separate the two sides of a
         # pair, so strength-1 positives stay inconclusive
-        if verdict and len(checkable) < 2:
+        if verdict and len(checks) < 2:
             verdict = None
-        result = (verdict, len(checkable))
+        result = (verdict, len(checks))
         self._evidence[key] = result
         return result
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def dump_semiring(rd: RootDatum, height_bound: int, seed: int) -> tuple[AbstractSemiring, dict[str, Weight]]:
@@ -574,24 +597,35 @@ class RecoveredDatum:
 def verify_reconstruction(sr: AbstractSemiring, recovered: RecoveredDatum) -> list[str]:
     """Recompute every certified product from the recovered datum and diff it
     against the dump.  Any mismatch (including a single edited multiplicity)
-    is reported."""
+    is reported.  Only a product whose dump terms differ from the recomputed
+    ones is diffed term by term; the totals are checked for every product."""
     mism: list[str] = []
     labeling = recovered.labeling
     core = sorted(labeling)
+    dump = sr.product_table
     table = product_table(recovered.datum, [labeling[x] for x in core])
+    # each distinct (index, multiplicity) term of the table as an id term
+    named = {(k, m): (core[k], m)
+             for k, m in set(itertools.chain.from_iterable(found for found, _, _ in table.values()))}
     for (i, j), (found, _, true_total) in table.items():
         a, b = core[i], core[j]
-        if not sr.has_product(a, b):
+        entry = dump.get((a, b))
+        if entry is None:
             continue
-        terms, complete = sr.product(a, b)
-        visible = {core[k]: m for k, m in found}
-        for t, m in terms.items():
-            if t in labeling and visible.get(t) != m:
-                mism.append(f"product ({a},{b}): term {t} has multiplicity {m}, expected {visible.get(t, 0)}")
-        for t, m in visible.items():
-            if t not in terms:
-                mism.append(f"product ({a},{b}): expected term {t} (multiplicity {m}) missing")
-        dump_total = sum(terms.values())
+        canon, complete = entry
+        # found is sorted by index and core by id, so a dump entry that
+        # agrees term for term is equal as a tuple and needs no diff
+        expected = tuple(map(named.__getitem__, found))
+        if canon != expected:
+            terms = dict(canon)
+            visible = dict(expected)
+            for t, m in terms.items():
+                if t in labeling and visible.get(t) != m:
+                    mism.append(f"product ({a},{b}): term {t} has multiplicity {m}, expected {visible.get(t, 0)}")
+            for t, m in visible.items():
+                if t not in terms:
+                    mism.append(f"product ({a},{b}): expected term {t} (multiplicity {m}) missing")
+        dump_total = sum(map(itemgetter(1), canon))
         if complete and dump_total != true_total:
             mism.append(f"product ({a},{b}): complete but totals {dump_total} != {true_total}")
         if not complete and dump_total >= true_total:
@@ -716,31 +750,30 @@ def based_iso(rd1: RootDatum, rd2: RootDatum) -> tuple[tuple[int, ...], ...] | N
 
 
 def _json_array(items: list[str], indent: str) -> str:
-    """Encoded items as a json array in the ``indent=2`` layout, opened at
-    the given indentation."""
-    if not items:
-        return "[]"
-    inner = ",\n".join(f"{indent}  {item}" for item in items)
-    return f"[\n{inner}\n{indent}]"
+    """Encoded items, each led by a newline and its indentation, as a json
+    array in the ``indent=2`` layout closed at the given indentation."""
+    return f'[{",".join(items)}\n{indent}]' if items else "[]"
 
 
 def semiring_to_json(sr: AbstractSemiring) -> str:
     """The dump file: the bytes ``json.dumps(doc, indent=2, sort_keys=True)``
     gives for {"ids", "products": [{"a", "b", "complete", "terms": [{"id",
     "mult"}]}], "unit"}, written directly because with ``indent`` the stdlib
-    falls back to its pure-Python encoder."""
-    quote = encode_basestring_ascii
-    products = []
-    for (a, b), (terms, complete) in sorted(sr.product_table.items()):
-        term_items = [f'{{\n          "id": {quote(t)},\n          "mult": {m}\n        }}'
-                      for t, m in terms]
-        products.append(
-            f'{{\n      "a": {quote(a)},\n      "b": {quote(b)},\n'
-            f'      "complete": {"true" if complete else "false"},\n'
-            f'      "terms": {_json_array(term_items, "      ")}\n    }}')
-    ids = _json_array([quote(x) for x in sr.ids], "  ")
+    falls back to its pure-Python encoder.  Each id is quoted once, and each
+    distinct (id, multiplicity) term is written once."""
+    quote = dict(zip(sr.ids, map(encode_basestring_ascii, sr.ids)))
+    table = sorted(sr.product_table.items())
+    distinct = set(itertools.chain.from_iterable(terms for _, (terms, _) in table))
+    term_text = {(t, m): f'\n        {{\n          "id": {quote[t]},\n          "mult": {m}\n        }}'
+                 for t, m in distinct}
+    products = [
+        f'\n    {{\n      "a": {quote[a]},\n      "b": {quote[b]},\n'
+        f'      "complete": {"true" if complete else "false"},\n'
+        f'      "terms": {_json_array(list(map(term_text.__getitem__, terms)), "      ")}\n    }}'
+        for (a, b), (terms, complete) in table]
+    ids = _json_array([f"\n    {q}" for q in quote.values()], "  ")
     return (f'{{\n  "ids": {ids},\n  "products": {_json_array(products, "  ")},\n'
-            f'  "unit": {quote(sr.unit)}\n}}\n')
+            f'  "unit": {quote[sr.unit]}\n}}\n')
 
 
 def semiring_from_json(text: str) -> AbstractSemiring:

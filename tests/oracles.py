@@ -18,7 +18,10 @@ inverse-Cartan oracle solves one exact rational system per row, the
 reference for the rows that ``lattice.cartan_tables`` reads off its
 invariant form.  The expansion oracle recomputes order evidence from multiplicity dicts built on
 the public ``product``, the reference for the id-bitmask supports of
-``AbstractSemiring.evidence``.  The directed-verdict oracle reads both
+``AbstractSemiring.evidence``; the witness kernel multiplies out the
+support of b^k * u as its loop over witnesses reaches u, the reference for
+the whole columns behind ``evidence`` and, run through the same pipeline,
+``recover_monoid``.  The directed-verdict oracle reads both
 directions' evidence for every ordered pair of a product's constituents
 into a full verdict matrix before it picks the maximum, the reference for
 the lazy ``_verdict`` queries behind ``recover_preceq`` and
@@ -31,8 +34,10 @@ reference for ``reconstruct.extract_simple_roots``.  The doubled-fold oracle
 is the Klimyk product keyed by weights, walking the weight diagram from
 ``weight_multiplicities``, folding twice the rho-shifted labels and halving
 each target, the reference for the label-keyed ``_label_product``; the
-``json.dumps`` writer is the reference for the dump writer.  The
-``Fraction`` simplex is the rational tableau that the integer tableau of
+``json.dumps`` writer is the reference for the dump writer.  The full
+self-check diff compares every labeled product term by term, the reference
+for the mismatches that ``verify_reconstruction`` gives by diffing only the
+products whose term tuple differs.  The ``Fraction`` simplex is the rational tableau that the integer tableau of
 ``linalg.lp_feasible_point`` scales, pivot for pivot, so its point is the
 integer point over its last pivot, and the orbit hull
 test solves one such LP per point of W lam, the reference for the one LP of
@@ -72,8 +77,15 @@ from satake.lattice import (
     weyl_orbit,
 )
 from satake.linalg import det_int, identity_matrix, smith_normal_form, solve_rational
-from satake.reconstruct import AbstractSemiring, MonoidRecovery, ReconstructionConfig, Verdict
-from satake.semiring import Decomposition, WeightTable, weight_multiplicities, weyl_dim
+from satake.reconstruct import (
+    AbstractSemiring,
+    MonoidRecovery,
+    ReconstructionConfig,
+    RecoveredDatum,
+    Support,
+    Verdict,
+)
+from satake.semiring import Decomposition, WeightTable, product_table, weight_multiplicities, weyl_dim
 
 
 def dominant_box(rd: RootDatum, cap: int, height: int | None = None) -> list[Weight]:
@@ -342,6 +354,117 @@ def evidence_by_expansion(sr: AbstractSemiring, k_max: int) -> dict[tuple[str, s
     return {(a, b): evidence(a, b) for a in sr.ids for b in sr.ids}
 
 
+class WitnessSemiring(AbstractSemiring):
+    """``AbstractSemiring`` with the evidence kernel that works one witness
+    at a time: a support is an (id bitmask, fully expanded) pair, each row
+    holds the supports of ``ids[i] * x`` for one right factor x, and the
+    support of b^k * u is multiplied out and cached per (b, k, u) as the
+    loop over witnesses reaches u."""
+
+    def __init__(self, ids, unit: str, products) -> None:
+        super().__init__(ids, unit, products)
+        self._bit = {x: 1 << i for i, x in enumerate(self.ids)}
+        self._witness_rows: dict[str, list[Support]] = {}
+        self._witness_powers: dict[tuple[str, int], Support] = {}
+        self._times: dict[tuple[str, int, str], Support] = {}
+        self._witness_evidence: dict[tuple[str, str, int], tuple[Verdict, int]] = {}
+
+    def _row(self, x: str) -> list[Support]:
+        row = self._witness_rows.get(x)
+        if row is None:
+            bit = self._bit
+            row = []
+            for y in self.ids:
+                entry = self.product_table.get((y, x) if y <= x else (x, y))
+                if entry is None:
+                    row.append((0, False))
+                else:
+                    row.append((sum(bit[t] for t, _ in entry[0]), entry[1]))
+            self._witness_rows[x] = row
+        return row
+
+    def _multiply(self, support: Support, x: str) -> Support:
+        mask, complete = support
+        row = self._row(x)
+        out = 0
+        while mask:
+            low = mask & -mask
+            pmask, pcomplete = row[low.bit_length() - 1]
+            out |= pmask
+            complete = complete and pcomplete
+            mask ^= low
+        return out, complete
+
+    def power(self, a: str, k: int) -> Support:
+        if k < 1:
+            return self._bit[self.unit], True
+        key = (a, k)
+        cached = self._witness_powers.get(key)
+        if cached is None:
+            cached = (self._bit[a], True) if k == 1 else self._multiply(self.power(a, k - 1), a)
+            self._witness_powers[key] = cached
+        return cached
+
+    def power_times(self, b: str, k: int, u: str) -> Support:
+        key = (b, k, u)
+        cached = self._times.get(key)
+        if cached is None:
+            cached = self._multiply(self.power(b, k), u)
+            self._times[key] = cached
+        return cached
+
+    def evidence(self, a: str, b: str, k_max: int) -> tuple[Verdict, int]:
+        key = (a, b, k_max)
+        cached = self._witness_evidence.get(key)
+        if cached is not None:
+            return cached
+        if a not in self.id_set or b not in self.id_set:
+            raise DomainError("evidence needs ids from the semiring")
+        powers_a: dict[int, int] = {}
+        for k in range(1, k_max + 1):
+            mask, complete = self.power(a, k)
+            if complete:
+                powers_a[k] = mask
+        checkable = sorted(powers_a)
+        clipped = len(checkable) < k_max
+        verdict: Verdict = False
+        for u in self.ids:
+            failed = False
+            unknown = False
+            for k in checkable:
+                prod_mask, prod_complete = self.power_times(b, k, u)
+                if powers_a[k] & ~prod_mask:
+                    if prod_complete:
+                        failed = True
+                        break
+                    unknown = True
+            if failed:
+                continue
+            if unknown or (clipped and not self.power(u, k_max)[1]):
+                verdict = None
+                continue
+            verdict = True
+            break
+        if verdict and len(checkable) < 2:
+            verdict = None
+        result = (verdict, len(checkable))
+        self._witness_evidence[key] = result
+        return result
+
+
+def witness_semiring(sr: AbstractSemiring) -> WitnessSemiring:
+    """The same dump as a ``WitnessSemiring``."""
+    products = {key: (dict(terms), complete) for key, (terms, complete) in sr.product_table.items()}
+    return WitnessSemiring(sr.ids, sr.unit, products)
+
+
+def evidence_by_witness(sr: AbstractSemiring, k_max: int) -> dict[tuple[str, str], tuple[Verdict, int]]:
+    """Evidence for a ⪯ b on every ordered pair of ids from the
+    witness-by-witness kernel."""
+    oracle = witness_semiring(sr)
+    return {(a, b): oracle.evidence(a, b, k_max) for a in sr.ids for b in sr.ids}
+
+
 def directed_verdict(sr: AbstractSemiring, cfg: ReconstructionConfig,
                      a: str, b: str) -> tuple[Verdict, int]:
     """Suppression-resolved verdict for a ⪯ b with the evidence strength.
@@ -542,6 +665,34 @@ def semiring_to_json_by_dumps(sr: AbstractSemiring) -> str:
         })
     doc = {"unit": sr.unit, "ids": list(sr.ids), "products": products}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def verify_reconstruction_by_diff(sr: AbstractSemiring, recovered: RecoveredDatum) -> list[str]:
+    """The self-check's mismatches from a full diff of every labeled
+    product, the reference for the term-tuple shortcut of
+    ``verify_reconstruction``."""
+    mism: list[str] = []
+    labeling = recovered.labeling
+    core = sorted(labeling)
+    table = product_table(recovered.datum, [labeling[x] for x in core])
+    for (i, j), (found, _, true_total) in table.items():
+        a, b = core[i], core[j]
+        if not sr.has_product(a, b):
+            continue
+        terms, complete = sr.product(a, b)
+        visible = {core[k]: m for k, m in found}
+        for t, m in terms.items():
+            if t in labeling and visible.get(t) != m:
+                mism.append(f"product ({a},{b}): term {t} has multiplicity {m}, expected {visible.get(t, 0)}")
+        for t, m in visible.items():
+            if t not in terms:
+                mism.append(f"product ({a},{b}): expected term {t} (multiplicity {m}) missing")
+        dump_total = sum(terms.values())
+        if complete and dump_total != true_total:
+            mism.append(f"product ({a},{b}): complete but totals {dump_total} != {true_total}")
+        if not complete and dump_total >= true_total:
+            mism.append(f"product ({a},{b}): marked incomplete but already full")
+    return mism
 
 
 def lp_feasible_point_by_fractions(rows, rhs) -> list[Fraction] | None:

@@ -259,6 +259,25 @@ class TestOrders:
                            and class_mod_root_lattice(rd, lam) == class_mod_root_lattice(rd, mu))
                     assert lhs == rhs, (name, lam, mu)
 
+    @pytest.mark.parametrize("query", [
+        lambda rd: class_mod_root_lattice(rd, (0.5, 1)),
+        lambda rd: preceq(rd, (0, 0), (0.5, 1)),
+        lambda rd: leq_dominance(rd, (0.5, 1), (1, 1)),
+        lambda rd: root_coefficients(rd, (0.5, 1)),
+        lambda rd: root_coefficients(rd, (Fraction(1, 2), 1)),
+        lambda rd: class_mod_root_lattice(rd, ("1", 1)),
+    ], ids=["class", "preceq", "leq_dominance", "root_coefficients", "fraction", "str"])
+    def test_non_integers_rejected(self, query):
+        # a float weight used to get the class (0.5, 2.0) and to pass as
+        # above the origin; root_coefficients raised a bare TypeError
+        with pytest.raises(DomainError, match="must be integers"):
+            query(datum("SL3"))
+
+    def test_integer_like_entries_accepted(self):
+        rd = datum("SL3")
+        assert class_mod_root_lattice(rd, (True, 1)) == class_mod_root_lattice(rd, (1, 1))
+        assert preceq(rd, (0, 0), (True, 1)) and leq_dominance(rd, (False, 0), (1, True))
+
 
 class TestRoots:
     def test_positive_roots(self):

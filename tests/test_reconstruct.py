@@ -12,11 +12,14 @@ from conftest import SL2_PGL2, SL4, datum
 from oracles import (
     certified_sum_by_matrix,
     evidence_by_expansion,
+    evidence_by_witness,
     positive_functional_by_all_subsets,
     preceq_by_directed_verdict,
     semiring_to_json_by_dumps,
     simple_coroot_by_fractions,
     simple_roots_by_search,
+    verify_reconstruction_by_diff,
+    witness_semiring,
 )
 from test_classification import B3, C3, block_sum, finite_type, from_cartan
 from satake import reconstruct
@@ -29,6 +32,7 @@ from satake.reconstruct import (
     AbstractSemiring,
     MonoidRecovery,
     ReconstructionConfig,
+    RecoveredDatum,
     based_iso,
     dump_semiring,
     extract_simple_coroots,
@@ -76,6 +80,14 @@ def sum_outcome(certify, sr, cfg, a, b, grade):
         return type(exc), str(exc)
 
 
+def monoid_outcome(sr, cfg, grade):
+    """The recovered monoid, or the class and message of the error raised."""
+    try:
+        return recover_monoid(sr, cfg, grade)
+    except (InconclusiveError, InconsistencyError) as exc:
+        return type(exc), str(exc)
+
+
 def coroot_fit_outcome(fit, monoid, alpha):
     """The fitted coroot, or the class and message of the error raised."""
     try:
@@ -95,6 +107,24 @@ def sl2_with_edited_multiplicity():
     products = {k: (dict(v[0]), v[1]) for k, v in sr.product_table.items()}
     products[key] = (terms, complete)
     return AbstractSemiring(ids=sr.ids, unit=sr.unit, products=products)
+
+
+def single_edits(sr):
+    """Every single edit of a product entry without the unit: one
+    multiplicity +1 or -1 (kept >= 1), one term dropped, or the completeness
+    flag flipped, each as its own semiring."""
+    products = {k: (dict(terms), complete) for k, (terms, complete) in sr.product_table.items()}
+    for key, (terms, complete) in products.items():
+        if sr.unit in key:
+            continue
+        variants = [(terms, not complete)]
+        for t, m in terms.items():
+            variants.append(({**terms, t: m + 1}, complete))
+            if m > 1:
+                variants.append(({**terms, t: m - 1}, complete))
+            variants.append(({s: n for s, n in terms.items() if s != t}, complete))
+        for variant in variants:
+            yield AbstractSemiring(ids=sr.ids, unit=sr.unit, products={**products, key: variant})
 
 
 def toy_with_every_sum_outcome():
@@ -343,6 +373,68 @@ class TestEvidence:
         assert verdicts == {True, False, None}
 
 
+class TestSupportColumns:
+    CASES = [
+        lambda: dump_semiring(dual_root_datum(datum("SL3")), 30, seed=0)[0],
+        lambda: dump_semiring(dual_root_datum(datum("PGL3")), FIXTURES["PGL3"].dump_bound, seed=0)[0],
+        lambda: dump_semiring(SL4, 16, seed=0)[0],
+        lambda: dump_semiring(dual_root_datum(datum("Sp4")), FIXTURES["Sp4"].dump_bound, seed=0)[0],
+        lambda: dump_semiring(dual_root_datum(datum("G2")), FIXTURES["G2"].dump_bound, seed=0)[0],
+        sl2_with_edited_multiplicity,
+    ]
+    IDS = ["SL3^-30", "PGL3^", "SL4-16", "Sp4^", "G2^", "SL2-edited"]
+
+    @pytest.mark.parametrize("make", CASES, ids=IDS)
+    def test_evidence_matches_witness_kernel(self, make):
+        # the whole-column supports give the witness-by-witness verdicts and
+        # strengths on every ordered pair, and the same powers
+        sr = make()
+        for k_max in (2, 3, 4):
+            evidence = {(a, b): sr.evidence(a, b, k_max) for a in sr.ids for b in sr.ids}
+            assert evidence == evidence_by_witness(sr, k_max), k_max
+        oracle = witness_semiring(sr)
+        for x in sr.ids:
+            assert [sr.power(x, k) for k in range(5)] == [oracle.power(x, k) for k in range(5)], x
+
+    @pytest.mark.parametrize("make", CASES, ids=IDS)
+    def test_monoid_matches_witness_kernel(self, make):
+        sr = make()
+        oracle = witness_semiring(sr)
+        for grade in (4, 3, 2):
+            assert monoid_outcome(sr, CFG, grade) == monoid_outcome(oracle, CFG, grade), grade
+
+    def test_rows_wait_for_the_first_support_query(self):
+        # a dump that is only written never pays for the support rows
+        sr, _ = dump_semiring(datum("SL3"), 8, seed=0)
+        semiring_to_json(sr)
+        assert sr._rows is None
+        sr.power(sr.ids[1], 2)
+        assert sr._rows is not None
+
+    def test_missing_product_is_open_and_empty(self):
+        # x * x is not in the table: the square and its products are open
+        products = {(x, "e"): ({x: 1}, True) for x in ("e", "x")}
+        sr = AbstractSemiring(ids=["e", "x"], unit="e", products=products)
+        assert sr.power("x", 1) == (0b10, True)
+        assert sr.power("x", 2) == (0, False)
+        assert sr.power("x", 3) == (0, False)
+        assert sr.evidence("e", "x", 4) == witness_semiring(sr).evidence("e", "x", 4)
+
+    def test_empty_complete_product(self):
+        # x * x is listed complete with no terms, so every power of x from
+        # the square on is empty, and so is each of its witness products
+        products = {(t, "e"): ({t: 1}, True) for t in ("e", "x", "y")}
+        products.update({("x", "x"): ({}, True), ("x", "y"): ({"y": 1}, True), ("y", "y"): ({"e": 1}, False)})
+        sr = AbstractSemiring(ids=["e", "x", "y"], unit="e", products=products)
+        assert sr.power("x", 3) == (0, True)
+        oracle = witness_semiring(sr)
+        for k_max in (2, 3, 4):
+            evidence = {(a, b): sr.evidence(a, b, k_max) for a in sr.ids for b in sr.ids}
+            assert evidence == evidence_by_witness(sr, k_max), k_max
+        assert [sr.power(x, k) for x in sr.ids for k in range(5)] == \
+            [oracle.power(x, k) for x in sr.ids for k in range(5)]
+
+
 class TestSum:
     def test_examples(self):
         sr, truth, inv = sl2_dump()
@@ -574,29 +666,16 @@ class TestNegativeControls:
 
     @pytest.mark.parametrize("name, edits, min_inconsistent", [("SL2", 84, 80), ("PGL2", 268, 266)])
     def test_single_edit_census(self, name, edits, min_inconsistent):
-        # every single edit of a product entry without the unit: one
-        # multiplicity +1 or -1 (kept >= 1), one term dropped, or the
-        # completeness flag flipped; none may pass as a datum
+        # none of the single edits may pass as a datum
         sr, _ = dump_semiring(dual_root_datum(datum(name)), 8, seed=0)
-        products = {k: (dict(terms), complete) for k, (terms, complete) in sr.product_table.items()}
         exits = []
-        for key, (terms, complete) in products.items():
-            if sr.unit in key:
-                continue
-            variants = [(terms, not complete)]
-            for t, m in terms.items():
-                variants.append(({**terms, t: m + 1}, complete))
-                if m > 1:
-                    variants.append(({**terms, t: m - 1}, complete))
-                variants.append(({s: n for s, n in terms.items() if s != t}, complete))
-            for variant in variants:
-                edited = AbstractSemiring(ids=sr.ids, unit=sr.unit, products={**products, key: variant})
-                try:
-                    reconstruct_root_datum(edited, CFG)
-                except (InconclusiveError, InconsistencyError) as exc:
-                    exits.append(exc.exit_code)
-                else:
-                    exits.append(0)
+        for edited in single_edits(sr):
+            try:
+                reconstruct_root_datum(edited, CFG)
+            except (InconclusiveError, InconsistencyError) as exc:
+                exits.append(exc.exit_code)
+            else:
+                exits.append(0)
         assert len(exits) == edits
         assert 0 not in exits
         assert exits.count(5) >= min_inconsistent
@@ -675,6 +754,33 @@ class TestVerify:
         rec = reconstruct_root_datum(sr, CFG)
         assert cartan_matrix(rec.datum) != cartan_matrix(rd)
         assert added[-1] == 0
+
+
+class TestSelfCheckShortcut:
+    @pytest.mark.parametrize("name", ["SL2", "PGL2"])
+    def test_matches_full_diff_on_single_edits(self, name):
+        # every single edit of the census dumps, checked against the clean
+        # reconstruction: the same mismatches, in the same order
+        sr, _ = dump_semiring(dual_root_datum(datum(name)), 8, seed=0)
+        recovered = reconstruct_root_datum(sr, CFG)
+        assert verify_reconstruction(sr, recovered) == verify_reconstruction_by_diff(sr, recovered) == []
+        kinds = set()
+        for edited in single_edits(sr):
+            mismatches = verify_reconstruction(edited, recovered)
+            assert mismatches, "a single edit passed the self-check"
+            assert mismatches == verify_reconstruction_by_diff(edited, recovered)
+            kinds.update(m.split(": ", 1)[1].split()[0] for m in mismatches)
+        assert kinds == {"term", "expected", "complete", "marked"}
+
+    def test_unlabeled_term_is_not_a_mismatch(self):
+        # a labeling that leaves out an id: terms on it are skipped, the
+        # totals still count them
+        sr, _ = dump_semiring(dual_root_datum(datum("SL2")), 8, seed=0)
+        recovered = reconstruct_root_datum(sr, CFG)
+        top = max(recovered.labeling, key=recovered.labeling.get)
+        partial = RecoveredDatum(recovered.datum, {x: w for x, w in recovered.labeling.items() if x != top},
+                                 recovered.log)
+        assert verify_reconstruction(sr, partial) == verify_reconstruction_by_diff(sr, partial)
 
 
 class TestExtraction:
