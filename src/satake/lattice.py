@@ -3,8 +3,9 @@ integer arithmetic; only ``root_coefficients`` returns ``Fraction`` values.
 
 Weights and coweights are plain integer tuples in a fixed lattice basis; a
 coweight of one datum is a weight of its dual, so every operation here takes
-the datum it should act through.  All functions are pure and safe for
-concurrent use.
+the datum it should act through.  Queries read a weight through ``_vector``
+(its length and entries) and a count through ``_count``, and raise
+DomainError on anything else.  All functions are pure and thread-safe.
 
 Root-system facts that depend only on the Cartan matrix (the positive roots
 and coroots in simple-root and simple-coroot coordinates, their Dynkin
@@ -132,8 +133,7 @@ def validate_datum(rd: RootDatum) -> None:
 
 
 def is_dominant(rd: RootDatum, lam: Weight) -> bool:
-    if len(lam) != rd.rank:
-        raise DomainError("pairing of vectors with different lengths")
+    lam = _vector(rd, lam)
     return all(sum(map(mul, lam, cov)) >= 0 for cov in rd.simple_coroots)
 
 
@@ -181,23 +181,31 @@ def _fold_labels(cartan: Sequence[Sequence[int]], labels: Sequence[int]
         applied.append(i)
 
 
-def _integers(v: Sequence) -> tuple[int, ...]:
-    """The entries of v read with ``operator.index``; raises DomainError on
-    a non-integer entry, which would otherwise pass through the dot products
+def _vector(rd: RootDatum, v: Sequence) -> tuple[int, ...]:
+    """The entries of a weight of rd read with ``operator.index``.  Raises
+    DomainError on a wrong length, which a datum without roots would never
+    pair, or a non-integer entry, which would pass through the dot products
     as a float or a Fraction."""
+    if len(v) != rd.rank:
+        raise DomainError(f"weight {tuple(v)} does not have length {rd.rank}")
     try:
         return tuple(map(index, v))
     except TypeError as exc:
         raise DomainError(f"weight entries must be integers: {exc}") from exc
 
 
+def _count(value, name: str) -> int:
+    """A bound or exponent read with ``operator.index``; raises DomainError
+    on a non-integer, which would otherwise pass or raise a bare TypeError."""
+    try:
+        return index(value)
+    except TypeError as exc:
+        raise DomainError(f"{name} = {value!r}: counts must be integers") from exc
+
+
 def _labels(rd: RootDatum, lam: Weight) -> tuple[int, ...]:
-    """The Dynkin labels of a weight: its pairings with the simple coroots.
-    Raises DomainError on a weight of the wrong length, which a datum
-    without roots would otherwise never pair, or with a non-integer entry."""
-    if len(lam) != rd.rank:
-        raise DomainError(f"weight {lam} does not have length {rd.rank}")
-    lam = _integers(lam)
+    """The Dynkin labels of a weight: its pairings with the simple coroots."""
+    lam = _vector(rd, lam)
     return tuple(sum(map(mul, lam, cov)) for cov in rd.simple_coroots)
 
 
@@ -274,12 +282,8 @@ def _root_span_coordinates(rd: RootDatum, v: Sequence[int]) -> tuple[list[int], 
     """The simple-root coordinates of v scaled by their denominator (its
     pairings with ``DatumTables.span_rows``), with that denominator, or None
     if v is outside the roots' rational span (a nonzero pairing with an
-    ``off_span_rows`` row).  Raises DomainError on a vector of the wrong
-    length, which a datum without roots would otherwise never pair, or with
-    a non-integer entry."""
-    if len(v) != rd.rank:
-        raise DomainError(f"vector of length {len(v)} on a datum of rank {rd.rank}")
-    v = _integers(v)
+    ``off_span_rows`` row)."""
+    v = _vector(rd, v)
     tables = datum_tables(rd)
     if any(sum(map(mul, row, v)) for row in tables.off_span_rows):
         return None
@@ -316,9 +320,7 @@ def class_mod_root_lattice(rd: RootDatum, lam: Weight) -> tuple[int, ...]:
     simple-root lattice.  Two weights get equal tuples iff they differ by an
     integral root-lattice element."""
     tables = datum_tables(rd)
-    if len(lam) != rd.rank:
-        raise DomainError("pairing of vectors with different lengths")
-    lam = _integers(lam)
+    lam = _vector(rd, lam)
     classes = (sum(map(mul, row, lam)) for row in tables.root_lattice_rows)
     return tuple(t % d if d else t for t, d in zip(classes, tables.root_lattice_divisors))
 
@@ -623,13 +625,14 @@ def coroot_height(rd: RootDatum, lam: Weight) -> int:
     """Pairing of lam with the sum of all positive coroots.  Nonnegative on
     dominant weights; the natural size measure for enumeration bounds.  On
     the root lattice it is twice the height, since <alpha_i, rho^vee> = 1."""
-    return pairing(lam, datum_tables(rd).two_rho_check)
+    return sum(map(mul, _vector(rd, lam), datum_tables(rd).two_rho_check))
 
 
 def dominant_window(rd: RootDatum, bound: int) -> tuple[Weight, ...]:
     """Dominant weights with coordinates in [-bound, bound] and coroot height
     at most bound, in lexicographic order: the points of that box cut by
     <w, alpha_i^vee> >= 0 and bound - <w, 2rho^vee> >= 0."""
+    bound = _count(bound, "bound")
     height = datum_tables(rd).two_rho_check
     cuts = [(cov, 0) for cov in rd.simple_coroots] + [(tuple(-h for h in height), bound)]
     return tuple(_box_points([(-bound, bound)] * rd.rank, cuts))
@@ -657,8 +660,6 @@ def conv_hull_leq(rd: RootDatum, lam: Weight, mu: Weight) -> bool:
     LP.  Conv(W mu) is W-stable, so it contains all of W lam as soon as it
     contains lam, and the LP asks only whether lam is a convex combination of
     the points of W mu.  Deliberately independent of preceq."""
-    if len(lam) != rd.rank or len(mu) != rd.rank:
-        raise DomainError(f"conv_hull_leq needs weights of length {rd.rank}")
     if not is_dominant(rd, lam) or not is_dominant(rd, mu):
         raise DomainError("conv_hull_leq needs dominant weights")
     hull_points = weyl_orbit(rd, mu)

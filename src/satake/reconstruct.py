@@ -26,6 +26,7 @@ from .errors import DomainError, InconclusiveError, InconsistencyError, InvalidD
 from .lattice import (
     RootDatum,
     Weight,
+    _count,
     cartan_matrix,
     dominant_window,
     is_dominant,
@@ -59,7 +60,7 @@ class ReconstructionConfig:
     strict: bool = False
 
     def __post_init__(self) -> None:
-        if self.k_max < 2:
+        if _count(self.k_max, "k_max") < 2:
             raise DomainError("k_max must be at least 2")
 
 
@@ -81,8 +82,10 @@ class AbstractSemiring:
     the OR of the rows of the ids in supp(b^k), built once and shared by
     every ``evidence(a, b, ...)``.
 
-    The row, power, column and evidence caches are owned by this class,
-    filled lazily, and only ever grow; entries are immutable once written.
+    Every stage reads a product as its ``product_table`` entry; ``product``
+    returns a dict copy.  The row, power, column and evidence caches are
+    owned by this class, filled lazily, and only ever grow; entries are
+    immutable once written.
     """
 
     def __init__(self, ids, unit: str, products) -> None:
@@ -106,7 +109,7 @@ class AbstractSemiring:
                 raise ParseError(f"conflicting product entries for ({a},{b})")
         for a in self.ids:
             entry = self._products.get((a, unit) if a <= unit else (unit, a))
-            if entry is None or dict(entry[0]) != {a: 1} or not entry[1]:
+            if entry is None or entry[0] != ((a, 1),) or not entry[1]:
                 raise ParseError(f"unit product for {a} is missing or wrong")
         self._index = {x: i for i, x in enumerate(self.ids)}
         self._open = 1 << len(self.ids)
@@ -122,15 +125,8 @@ class AbstractSemiring:
         return MappingProxyType(self._products)
 
     def product(self, a: str, b: str) -> tuple[dict[str, int], bool]:
-        key = (a, b) if a <= b else (b, a)
-        entry = self._products.get(key)
-        if entry is None:
-            return {}, False
-        return dict(entry[0]), entry[1]
-
-    def has_product(self, a: str, b: str) -> bool:
-        key = (a, b) if a <= b else (b, a)
-        return key in self._products
+        terms, complete = self._products.get((a, b) if a <= b else (b, a), ((), False))
+        return dict(terms), complete
 
     def _support_rows(self) -> list[list[int]]:
         """rows[i][j] is the support of ids[i] * ids[j]; row n is all open."""
@@ -253,7 +249,7 @@ def dump_semiring(rd: RootDatum, height_bound: int, seed: int) -> tuple[Abstract
     Tokens come from a seeded pseudorandom shuffle, so identical inputs give
     identical dumps and different seeds give differently labeled ones.
     """
-    if height_bound < 0:
+    if _count(height_bound, "height bound") < 0:
         raise DomainError("height bound must be nonnegative")
     window = dominant_window(rd, height_bound)
     tokens = [f"x{i:03d}" for i in range(len(window))]
@@ -300,12 +296,12 @@ def _certified_sum(sr: AbstractSemiring, cfg: ReconstructionConfig,
     out at its first ``_verdict`` True at ``min_grade``.  Verdicts are asked
     only when read: the scan stops at a second survivor, and the contradiction
     check reads only the verdicts into the one survivor."""
-    if not sr.has_product(a, b):
+    terms, complete = sr.product_table.get((a, b) if a <= b else (b, a), (None, False))
+    if terms is None:
         raise InconclusiveError(f"product ({a},{b}) is not in the dump")
-    terms, complete = sr.product(a, b)
     if not complete:
         raise InconclusiveError(f"incomplete product ({a},{b})")
-    names = sorted(terms)
+    names = [t for t, _ in terms]
     if len(names) == 1:
         return names[0]
     survivors = (s for s in names
@@ -366,7 +362,7 @@ def recover_monoid(sr: AbstractSemiring, cfg: ReconstructionConfig,
     """
     # the terms of every complete product of two non-unit ids, keyed (a, b)
     # with a <= b; sorted keys run as nested loops over the sorted ids
-    complete_products = {key: dict(terms) for key, (terms, complete) in sorted(sr.product_table.items())
+    complete_products = {key: terms for key, (terms, complete) in sorted(sr.product_table.items())
                          if complete and sr.unit not in key}
     small = [x for x in sr.ids if x != sr.unit and sr.power(x, 2)[1]]
     small_set = set(small) | {sr.unit}
@@ -426,12 +422,12 @@ def recover_monoid(sr: AbstractSemiring, cfg: ReconstructionConfig,
             target = tuple(p + q for p, q in zip(embedding[a], embedding[b]))
             match = rev.get(target)
             if match is not None:
-                if match not in terms:
+                if all(t != match for t, _ in terms):
                     raise InconsistencyError(
                         f"maximal constituent of ({a},{b}) is missing from the dump")
                 relations[(a, b, match)] = None
                 continue
-            unlabeled = [t for t in terms if t not in embedding]
+            unlabeled = [t for t, _ in terms if t not in embedding]
             if not unlabeled:
                 raise InconsistencyError(
                     f"no constituent of ({a},{b}) can carry its maximum")
@@ -461,8 +457,7 @@ def recover_Qplus(sr: AbstractSemiring, monoid: MonoidRecovery) -> tuple[tuple[i
     gens: set[tuple[int, ...]] = set()
     embedding = monoid.embedding
     for a in embedding:
-        terms, _ = sr.product(a, a)
-        for c in terms:
+        for c, _ in sr.product_table.get((a, a), ((), False))[0]:
             if c not in embedding:
                 continue
             delta = tuple(2 * p - q for p, q in zip(embedding[a], embedding[c]))
@@ -643,8 +638,6 @@ def _reconstruct_at_grade(sr: AbstractSemiring, cfg: ReconstructionConfig,
     log.append(f"positive cone: {len(q_gens)} harvested generators")
     roots = extract_simple_roots(q_gens)
     log.append(f"simple roots: {len(roots)}")
-    if q_gens and not roots:
-        raise InconsistencyError("positive cone has no minimal elements")
     coroots = tuple(extract_simple_coroots(monoid, alpha) for alpha in roots)
     log.append("coroot functionals fitted and verified")
     datum = RootDatum(rank=monoid.rank, simple_roots=roots, simple_coroots=coroots, name="recovered")
@@ -793,7 +786,9 @@ def semiring_from_json(text: str) -> AbstractSemiring:
                 if tid in terms:
                     raise ParseError(f"product ({key[0]},{key[1]}) lists term {tid} twice")
                 terms[tid] = json_value(t["mult"], int)
-            products[key] = (terms, json_value(entry["complete"], bool))
+            value = (terms, json_value(entry["complete"], bool))
+            if products.setdefault(key, value) != value:
+                raise ParseError(f"conflicting product entries for ({key[0]},{key[1]})")
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ParseError(f"malformed semiring dump: {exc}") from exc
     return AbstractSemiring(ids=ids, unit=unit, products=products)

@@ -75,6 +75,7 @@ from .lattice import (
     Symmetries,
     Weight,
     WeylWord,
+    _count,
     _dominant_depths,
     _dominant_labels,
     _fold_labels,
@@ -387,7 +388,7 @@ def product_table(rd: RootDatum, weights: Sequence[Weight]
 
 def power_decompose(rd: RootDatum, lam: Weight, k: int) -> Decomposition:
     """k-fold tensor power of V_lam, by iterated decomposition."""
-    if k < 0:
+    if _count(k, "k") < 0:
         raise DomainError("tensor power needs k >= 0")
     _dominant_labels(rd, lam)
     return tensor_decompose_list(rd, [tuple(lam)] * k)

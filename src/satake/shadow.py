@@ -16,6 +16,7 @@ from .errors import DomainError, InconsistencyError
 from .lattice import (
     RootDatum,
     Weight,
+    coroot_height,
     dominant_representative,
     dual_root_datum,
     is_dominant,
@@ -112,9 +113,9 @@ def convolution_decompose(ctx: SatakeContext, mus: Sequence[Weight]) -> Decompos
 
 
 def component_parity(ctx: SatakeContext, mu: Weight) -> int:
-    """Parity of the connected component holding the mu-orbit:
-    <2rho, mu> mod 2, well defined on coweights modulo the coroot lattice."""
-    return pairing(two_rho(ctx.rd_group), tuple(mu)) % 2
+    """Parity of the connected component holding the mu-orbit: <2rho, mu>
+    mod 2 (2rho is the dual's 2rho^vee), well defined modulo coroots."""
+    return coroot_height(ctx.rd_dual, mu) % 2
 
 
 def global_sections_dim(ctx: SatakeContext, mu: Weight) -> int:

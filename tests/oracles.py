@@ -496,7 +496,7 @@ def certified_sum_by_matrix(sr: AbstractSemiring, cfg: ReconstructionConfig,
     directed verdicts of every ordered pair of its constituents: each
     non-maximal constituent must be eliminated by a True edge of strength
     >= min_grade."""
-    if not sr.has_product(a, b):
+    if ((a, b) if a <= b else (b, a)) not in sr.product_table:
         raise InconclusiveError(f"product ({a},{b}) is not in the dump")
     terms, complete = sr.product(a, b)
     if not complete:
@@ -676,8 +676,8 @@ def verify_reconstruction_by_diff(sr: AbstractSemiring, recovered: RecoveredDatu
     core = sorted(labeling)
     table = product_table(recovered.datum, [labeling[x] for x in core])
     for (i, j), (found, _, true_total) in table.items():
-        a, b = core[i], core[j]
-        if not sr.has_product(a, b):
+        a, b = core[i], core[j]  # i <= j and core is sorted, so a <= b
+        if (a, b) not in sr.product_table:
             continue
         terms, complete = sr.product(a, b)
         visible = {core[k]: m for k, m in found}

@@ -147,6 +147,7 @@ BLOCK_SUMS = [(FINITE[k], random.Random(k).choice(FINITE)) for k in range(len(FI
 
 @pytest.mark.parametrize("first, second", BLOCK_SUMS,
                          ids=[f"{f}{n}+{g}{m}" for (f, n), (g, m) in BLOCK_SUMS])
+@pytest.mark.hashseed
 def test_block_sums_permuted(first, second):
     rng = random.Random(str((first, second)))
     a = block_sum(finite_type(*first), finite_type(*second))
@@ -200,6 +201,7 @@ def test_canonical_order_finite_types(family, n):
 
 @pytest.mark.parametrize("first, second", BLOCK_SUMS,
                          ids=[f"{f}{n}+{g}{m}" for (f, n), (g, m) in BLOCK_SUMS])
+@pytest.mark.hashseed
 def test_canonical_order_block_sums(first, second):
     a = block_sum(finite_type(*first), finite_type(*second))
     assert_canonical_under_permutations(a, random.Random(f"canonical {first} {second}"), 2)

@@ -278,6 +278,7 @@ def test_json_reports_deterministic():
     (("decompose", "--datum", "G2", "--mu", "2,1", "--mu", "5,3", "--mu", "3,2"), "0ffcec9314e62a00"),
     (("decompose", "--datum", "GL2", "--mu", "2,1", "--mu", "1,0"), "3ae6c0014fed3119"),
 ], ids=["prv-SL2", "prv-Sp4", "prv-G2", "decompose-Sp4", "decompose-G2", "decompose-GL2"])
+@pytest.mark.hashseed
 def test_pinned_report_digests(args, digest):
     out = run_cli(*args, "--format", "json")
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest

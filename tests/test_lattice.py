@@ -266,10 +266,16 @@ class TestOrders:
         lambda rd: root_coefficients(rd, (0.5, 1)),
         lambda rd: root_coefficients(rd, (Fraction(1, 2), 1)),
         lambda rd: class_mod_root_lattice(rd, ("1", 1)),
-    ], ids=["class", "preceq", "leq_dominance", "root_coefficients", "fraction", "str"])
+        lambda rd: is_dominant(rd, (0.5, 0)),
+        lambda rd: conv_hull_leq(rd, (0.5, 0), (1, 1)),
+        lambda rd: coroot_height(rd, (0.5, 0)),
+        lambda rd: dominant_window(rd, 2.5),
+    ], ids=["class", "preceq", "leq_dominance", "root_coefficients", "fraction", "str",
+            "is_dominant", "conv_hull_leq", "coroot_height", "window-bound"])
     def test_non_integers_rejected(self, query):
-        # a float weight used to get the class (0.5, 2.0) and to pass as
-        # above the origin; root_coefficients raised a bare TypeError
+        # a float weight used to get the class (0.5, 2.0), to pass as above
+        # the origin, as dominant and below (1, 1), and to get height 1.0;
+        # root_coefficients and a float window bound raised a bare TypeError
         with pytest.raises(DomainError, match="must be integers"):
             query(datum("SL3"))
 

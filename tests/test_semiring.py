@@ -456,6 +456,9 @@ class TestPower:
     def test_sl2(self):
         assert power_decompose(datum("SL2"), (1,), 2) == {(2,): 1, (0,): 1}
         assert power_decompose(datum("SL2"), (1,), 3) == {(3,): 1, (1,): 2}
+        # a float exponent used to raise a bare TypeError
+        with pytest.raises(DomainError, match="must be integers"):
+            power_decompose(datum("SL3"), (1, 0), 2.0)
 
 
 class TestPRV:

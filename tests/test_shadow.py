@@ -41,6 +41,9 @@ class TestOrbitDim:
     def test_non_dominant(self):
         with pytest.raises(DomainError):
             orbit_dim(ctx("SL2"), (-1,))
+        # a float coweight used to pass as dominant, of dimension 2.0
+        with pytest.raises(DomainError, match="must be integers"):
+            orbit_dim(ctx("SL2"), (1.0,))
 
 
 class TestClosure:
@@ -142,6 +145,9 @@ class TestParity:
         assert component_parity(ctx("PGL2"), (0,)) == 0
         assert component_parity(ctx("PGL2"), (1,)) == 1
         assert all(component_parity(ctx("SL2"), (n,)) == 0 for n in range(-3, 4))
+        # a float coweight used to get the parity 1.0
+        with pytest.raises(DomainError, match="must be integers"):
+            component_parity(ctx("SL2"), (0.5,))
 
     def test_well_defined_mod_coroots(self):
         c = ctx("PGL2")
