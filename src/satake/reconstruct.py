@@ -18,7 +18,6 @@ import random
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from math import gcd
 from operator import itemgetter, or_
 from types import MappingProxyType
 
@@ -111,6 +110,7 @@ class AbstractSemiring:
             entry = self._products.get((a, unit) if a <= unit else (unit, a))
             if entry is None or entry[0] != ((a, 1),) or not entry[1]:
                 raise ParseError(f"unit product for {a} is missing or wrong")
+        self._products = dict(sorted(self._products.items()))
         self._index = {x: i for i, x in enumerate(self.ids)}
         self._open = 1 << len(self.ids)
         self._rows: list[list[int]] | None = None
@@ -120,8 +120,9 @@ class AbstractSemiring:
 
     @property
     def product_table(self) -> Mapping[tuple[str, str], ProductEntry]:
-        """Read-only view of the canonical entries: (a, b) with a <= b maps
-        to the sorted (id, multiplicity) terms and the completeness flag."""
+        """Read-only view of the canonical entries in key order: (a, b) with
+        a <= b maps to the sorted (id, multiplicity) terms and the
+        completeness flag."""
         return MappingProxyType(self._products)
 
     def product(self, a: str, b: str) -> tuple[dict[str, int], bool]:
@@ -360,17 +361,13 @@ def recover_monoid(sr: AbstractSemiring, cfg: ReconstructionConfig,
     any further order queries.  The relations keep the order in which they
     were first found.
     """
-    # the terms of every complete product of two non-unit ids, keyed (a, b)
-    # with a <= b; sorted keys run as nested loops over the sorted ids
-    complete_products = {key: terms for key, (terms, complete) in sorted(sr.product_table.items())
-                         if complete and sr.unit not in key}
     small = [x for x in sr.ids if x != sr.unit and sr.power(x, 2)[1]]
     small_set = set(small) | {sr.unit}
     relations: dict[tuple[str, str, str], None] = {}
     unresolved: list[tuple[str, str]] = []
     for i, a in enumerate(small):
         for b in small[i:]:
-            if (a, b) not in complete_products:
+            if not sr.product_table.get((a, b), (None, False))[1]:
                 continue
             try:
                 c = _certified_sum(sr, cfg, a, b, min_grade=min_grade)
@@ -405,19 +402,16 @@ def recover_monoid(sr: AbstractSemiring, cfg: ReconstructionConfig,
     for x in related:
         j = index[x]
         embedding[x] = tuple(u[i][j] for i in free_rows)
-    for a, b, c in relations:
-        left = tuple(p + q for p, q in zip(embedding[a], embedding[b]))
-        if left != embedding.get(c, (0,) * rank):
-            raise InconsistencyError("relation lattice failed to close")
-
+    # the free rows of u annihilate the relation matrix, so the embedding
+    # satisfies every relation exactly
     rev = {v: x for x, v in embedding.items()}
     if len(rev) != len(embedding):
         raise InconsistencyError("seed embedding is not injective")
     changed = True
     while changed:
         changed = False
-        for (a, b), terms in complete_products.items():
-            if a not in embedding or b not in embedding:
+        for (a, b), (terms, complete) in sr.product_table.items():
+            if not complete or sr.unit in (a, b) or a not in embedding or b not in embedding:
                 continue
             target = tuple(p + q for p, q in zip(embedding[a], embedding[b]))
             match = rev.get(target)
@@ -466,53 +460,57 @@ def recover_Qplus(sr: AbstractSemiring, monoid: MonoidRecovery) -> tuple[tuple[i
     return tuple(sorted(gens))
 
 
-def _positive_functional(gens: tuple[tuple[int, ...], ...]) -> list[int]:
-    """An integer functional phi, positive on every generator.
+def _positive_functional(gens: tuple[tuple[int, ...], ...]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """An integer functional phi, positive on every generator, and the
+    irreducible generators: those g for which no generator h makes g - h a
+    generator.
 
-    Only irreducible ("tight") primitive rays become rows: a ray that is the
-    sum of two rays is positive once both are.  With phi = p - n and a
-    surplus s_g >= 0 per tight ray g, phi(g) - s_g = 1 is one feasibility LP
-    for the exact simplex; its point's numerators over its pivot d > 0
-    give phi.  phi is accepted only if positive on every ray, so a cone that
-    is not pointed, or has no tight ray, is rejected.  ``extract_simple_roots``
-    uses phi only to prune rests below the least generator value and to rule
-    out cycles, both exact for any phi positive on the generators, so its
-    simple roots do not depend on which such phi the simplex returns.
+    Under any functional positive on the generators, a generator that is
+    the sum of two is larger than both, so every generator is a sum of
+    irreducible ones and only those become rows.  With phi = p - n and a
+    surplus s_g >= 0 per irreducible g, phi(g) - s_g = 1 is one feasibility
+    LP for the exact simplex; its point's numerators over its pivot d > 0
+    give phi.  phi is accepted only if positive on every generator, so a
+    cone that is not pointed, or has no irreducible generator, is rejected.
+    ``extract_simple_roots`` uses phi only to order the irreducible
+    generators and to rule out cycles, both exact for any phi positive on
+    the generators, so its simple roots do not depend on which such phi the
+    simplex returns.
     """
     r = len(gens[0])
-    rays = sorted({tuple(c // gcd(*(abs(x) for x in g)) for c in g) for g in gens})
-    ray_set = set(rays)
-    tight = [g for g in rays if not any(tuple(x - y for x, y in zip(g, h)) in ray_set for h in rays)]
-    rows = [list(g) + [-x for x in g] + [-int(i == j) for j in range(len(tight))]
-            for i, g in enumerate(tight)]
-    point = lp_feasible_point(rows, [1] * len(tight)) if tight else None
+    gen_set = set(gens)
+    irreducible = [g for g in gens if not any(tuple(x - y for x, y in zip(g, h)) in gen_set for h in gens)]
+    rows = [list(g) + [-x for x in g] + [-int(i == j) for j in range(len(irreducible))]
+            for i, g in enumerate(irreducible)]
+    point = lp_feasible_point(rows, [1] * len(irreducible)) if irreducible else None
     if point is not None:
         phi = [p - n for p, n in zip(point[0][:r], point[0][r:])]
-        if all(pairing(phi, g) > 0 for g in rays):
-            return phi
+        if all(pairing(phi, g) > 0 for g in gens):
+            return phi, irreducible
     raise InconsistencyError("harvested root cone is not pointed")
 
 
 def extract_simple_roots(q_generators: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """Minimal nonzero elements of the semigroup generated by the harvested
-    cone vectors: the simple roots of the recovered datum."""
+    cone vectors: the simple roots of the recovered datum, sorted.
+
+    Every atom is an irreducible generator.  Taken in order of phi, an
+    irreducible generator is an atom exactly when it is no sum of the atoms
+    found before it, since every atom of smaller phi is found by then."""
     gens = sorted(set(g for g in q_generators if any(g)))
     if not gens:
         return ()
-    phi = _positive_functional(tuple(gens))
-
-    def phi_val(v: tuple[int, ...]) -> int:
-        return sum(p * c for p, c in zip(phi, v))
-
-    min_phi = min(phi_val(g) for g in gens)
-    # every generator is in the semigroup; the depth-first search below
-    # would find that only after descending through earlier generators
+    phi, irreducible = _positive_functional(tuple(gens))
+    atoms: list[tuple[int, ...]] = []
+    # a vector asked about has smaller phi than the generator under test, so
+    # it lies in the semigroup exactly when it is a sum of the atoms found so
+    # far: a generator's True and every verdict the search stores stay valid
     memo: dict[tuple[int, ...], bool] = dict.fromkeys(gens, True)
 
     def in_semigroup(v: tuple[int, ...]) -> bool:
-        """Nonempty nonnegative-integer combination reaching v.  Depth-first
-        on an explicit stack of [vector, next generator index] frames, so a
-        long chain of subtractions cannot exhaust the interpreter stack."""
+        """Nonempty sum of atoms reaching v.  Depth-first on an explicit
+        stack of [vector, next atom index] frames, so a long chain of
+        subtractions cannot exhaust the interpreter stack."""
         if v in memo:
             return memo[v]
         memo[v] = False  # cycle guard; phi strictly decreases so cycles are vacuous
@@ -520,30 +518,25 @@ def extract_simple_roots(q_generators: tuple[tuple[int, ...], ...]) -> tuple[tup
         while stack:
             frame = stack[-1]
             u, k = frame
-            if k == len(gens):
-                stack.pop()  # no generator reaches u: memo[u] stays False
+            if k == len(atoms):
+                stack.pop()  # no atom reaches u: memo[u] stays False
                 continue
-            w = tuple(x - y for x, y in zip(u, gens[k]))
-            if not any(w) or (memo.get(w) and phi_val(w) >= min_phi):
+            w = tuple(x - y for x, y in zip(u, atoms[k]))
+            if not any(w) or memo.get(w):
                 memo[u] = True
                 stack.pop()
-            elif w not in memo and phi_val(w) >= min_phi:
+            elif w not in memo and pairing(phi, w) > 0:
                 memo[w] = False
-                stack.append([w, 0])  # frame u retries gens[k] once w is decided
+                stack.append([w, 0])  # frame u retries atoms[k] once w is decided
             else:
                 frame[1] += 1
         return memo[v]
 
-    simples = []
-    for g in gens:
-        # a rest already known to lie in the semigroup, such as a generator,
-        # decides g without a search: it is nonzero with phi >= min_phi
-        if any(memo.get(tuple(x - y for x, y in zip(g, h))) for h in gens):
-            continue
-        rests = (tuple(x - y for x, y in zip(g, h)) for h in gens)
-        if not any(any(rest) and phi_val(rest) >= min_phi and in_semigroup(rest) for rest in rests):
-            simples.append(g)
-    return tuple(simples)
+    for g in sorted(irreducible, key=lambda v: pairing(phi, v)):
+        rests = (tuple(x - y for x, y in zip(g, a)) for a in atoms)
+        if not any(pairing(phi, rest) > 0 and in_semigroup(rest) for rest in rests):
+            atoms.append(g)
+    return tuple(sorted(atoms))
 
 
 def extract_simple_coroots(monoid: MonoidRecovery, alpha: tuple[int, ...]) -> tuple[int, ...]:
@@ -755,7 +748,7 @@ def semiring_to_json(sr: AbstractSemiring) -> str:
     falls back to its pure-Python encoder.  Each id is quoted once, and each
     distinct (id, multiplicity) term is written once."""
     quote = dict(zip(sr.ids, map(encode_basestring_ascii, sr.ids)))
-    table = sorted(sr.product_table.items())
+    table = sr.product_table.items()
     distinct = set(itertools.chain.from_iterable(terms for _, (terms, _) in table))
     term_text = {(t, m): f'\n        {{\n          "id": {quote[t]},\n          "mult": {m}\n        }}'
                  for t, m in distinct}

@@ -29,8 +29,10 @@ the lazy ``_verdict`` queries behind ``recover_preceq`` and
 subset of the rays by Cramer's rule, deciding independently of the simplex
 behind ``reconstruct._positive_functional`` whether the cone is pointed; the
 unpruned semigroup search takes its functional from the all-subsets oracle
-and tests every difference of two generators by depth-first search, the
-reference for ``reconstruct.extract_simple_roots``.  The doubled-fold oracle
+and tests every difference of two generators by depth-first search over all
+generators, the reference for ``reconstruct.extract_simple_roots``, which
+tests only the irreducible generators, in order of its functional, against
+the atoms found before each.  The doubled-fold oracle
 is the Klimyk product keyed by weights, walking the weight diagram from
 ``weight_multiplicities``, folding twice the rho-shifted labels and halving
 each target, the reference for the label-keyed ``_label_product``; the

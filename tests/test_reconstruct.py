@@ -88,6 +88,14 @@ def monoid_outcome(sr, cfg, grade):
         return type(exc), str(exc)
 
 
+def simple_roots_outcome(extract, gens):
+    """The simple roots, or the class and message of the error raised."""
+    try:
+        return extract(gens)
+    except InconsistencyError as exc:
+        return type(exc), str(exc)
+
+
 def coroot_fit_outcome(fit, monoid, alpha):
     """The fitted coroot, or the class and message of the error raised."""
     try:
@@ -839,6 +847,10 @@ class TestExtraction:
         # rays spanning a proper subspace of Z^3
         assert extract_simple_roots(((1, -1, 0), (0, 1, -1), (1, 0, -1), (2, -1, -1))) == \
             ((0, 1, -1), (1, -1, 0))
+        # (1, 2) = (1, 0) + 2 (0, 1) is irreducible, as no difference of two
+        # generators is (0, 2) or (1, 1), but it is not an atom: the search
+        # descends one level below it
+        assert extract_simple_roots(((1, 0), (0, 1), (1, 2))) == ((0, 1), (1, 0))
 
     def test_simple_roots_long_chain(self):
         from satake.reconstruct import extract_simple_roots
@@ -877,7 +889,7 @@ class TestExtraction:
             with pytest.raises(InconsistencyError):
                 _positive_functional(gens)
             return
-        phi = _positive_functional(gens)
+        phi, _ = _positive_functional(gens)
         assert len(phi) == dim and all(type(p) is int for p in phi)
         assert all(sum(p * x for p, x in zip(phi, g)) > 0 for g in gens)
 
@@ -899,31 +911,53 @@ class TestExtraction:
         pairs = data.draw(st.lists(st.tuples(st.integers(0, len(rays) - 1), st.integers(0, len(rays) - 1)),
                                    max_size=6))
         rays += [tuple(x + y for x, y in zip(rays[i], rays[j])) for i, j in pairs]
-        gens = tuple(sorted(set(rays)))
-        assert extract_simple_roots(gens) == simple_roots_by_search(gens)
+        # negating some rays puts a line in the cone: both sides must reject it
+        negated = data.draw(st.lists(st.sampled_from(rays), max_size=2))
+        gens = tuple(sorted(set(rays) | {tuple(-x for x in g) for g in negated}))
+        assert simple_roots_outcome(extract_simple_roots, gens) == \
+            simple_roots_outcome(simple_roots_by_search, gens)
+
+    @pytest.mark.parametrize("name", ["SL3", "PGL3", "Sp4", "G2"])
+    def test_simple_roots_match_search_on_harvests(self, name):
+        from satake.reconstruct import extract_simple_roots
+
+        fx = FIXTURES[name]
+        sr, _ = dump_semiring(dual_root_datum(fx.datum), fx.dump_bound, seed=0)
+        harvests = []
+        for grade in range(CFG.k_max, 1, -1):
+            try:
+                monoid = recover_monoid(sr, CFG, min_grade=grade)
+            except (InconclusiveError, InconsistencyError):
+                continue
+            harvests.append(recover_Qplus(sr, monoid))
+        assert harvests
+        for gens in harvests:
+            assert extract_simple_roots(gens) == simple_roots_by_search(gens)
 
     def test_hexagon_rejected(self):
         from satake.reconstruct import extract_simple_roots
 
-        # the A2 roots: every ray is the sum of two others, so none is tight
+        # the A2 roots: every generator is the sum of two others, so none is
+        # irreducible
         gens = tuple(sorted({(1, 0), (0, 1), (1, -1), (-1, 0), (0, -1), (-1, 1)}))
         with pytest.raises(InconsistencyError):
             _positive_functional(gens)
         with pytest.raises(InconsistencyError):
             extract_simple_roots(gens)
-        # (2, 1) is the one tight ray: the LP is feasible, and only the check
-        # on every ray rejects its phi
+        # (2, 1) is the one irreducible generator: the LP is feasible, and
+        # only the check on every generator rejects its phi
         with pytest.raises(InconsistencyError):
             _positive_functional(tuple(sorted(gens + ((2, 1),))))
-        # the hexagon in the plane z = 0 below the one tight ray (0, 0, 1):
-        # the LP's phi vanishes on the hexagon
+        # the hexagon in the plane z = 0 below the one irreducible generator
+        # (0, 0, 1): the LP's phi vanishes on the hexagon
         lifted = tuple(sorted([g + (0,) for g in gens] + [(0, 0, 1)]))
         with pytest.raises(InconsistencyError):
             _positive_functional(lifted)
 
     def test_functional_rejects_unpointed_after_pruning(self):
         # (1,1) = (1,0) + (0,1), (-1,1) = (-1,0) + (0,1) and (0,1) = (1,0) + (-1,1)
-        # are pruned, leaving the line through (1,0) and (-1,0)
+        # are sums of two generators, so only the line through the irreducible
+        # (1,0) and (-1,0) is left
         gens = ((1, 0), (-1, 0), (0, 1), (1, 1), (-1, 1))
         with pytest.raises(InconsistencyError):
             positive_functional_by_all_subsets(gens)
