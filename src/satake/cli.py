@@ -262,23 +262,20 @@ def _default_bound(datum: str) -> int:
 @click.option("--dump", "dump_file", required=True, type=click.Path(exists=False),
               help="semiring dump file")
 @click.option("--kmax", type=int, default=4, show_default=True)
-@click.option("--strict", is_flag=True, default=False,
-              help="escalate unresolved truncation events to exit 4")
 @_common_options
-def reconstruct(dump_file: str, kmax: int, strict: bool, fmt: str, out: str | None) -> None:
+def reconstruct(dump_file: str, kmax: int, fmt: str, out: str | None) -> None:
     """Recover a based root datum from an anonymized semiring dump."""
     path = Path(dump_file)
     if not path.exists():
         raise ParseError(f"no such dump file: {dump_file}")
     text = _read_text(path)
     sr = semiring_from_json(text)
-    cfg = ReconstructionConfig(k_max=kmax, strict=strict)
-    recovered = reconstruct_root_datum(sr, cfg)
+    recovered = reconstruct_root_datum(sr, ReconstructionConfig(k_max=kmax))
     rows = [{"id": x, "weight": _fmt_weight(w)}
             for x, w in sorted(recovered.labeling.items())]
     report = Report(
         command="reconstruct",
-        params={"kmax": kmax, "strict": strict},
+        params={"kmax": kmax},
         inputs={"dump": str(path), "dump_sha256": _digest(text)},
         rows=rows,
         summary={
@@ -286,7 +283,6 @@ def reconstruct(dump_file: str, kmax: int, strict: bool, fmt: str, out: str | No
             "cartan_matrix": [list(r) for r in cartan_matrix(recovered.datum)],
             "cartan_type": cartan_type(recovered.datum),
             "labeled": len(recovered.labeling),
-            "warnings": len(recovered.warnings),
             "log": list(recovered.log),
         },
     )
@@ -309,8 +305,7 @@ def verify_duality(datum: str, bound: int | None, kmax: int, seed: int,
         bound = _default_bound(datum)
     dual = dual_root_datum(rd)
     sr, _ = dump_semiring(dual, bound, seed)
-    cfg = ReconstructionConfig(k_max=kmax, strict=False)
-    recovered = reconstruct_root_datum(sr, cfg)
+    recovered = reconstruct_root_datum(sr, ReconstructionConfig(k_max=kmax))
     iso = based_iso(recovered.datum, dual)
     if iso is None:
         raise InconsistencyError(

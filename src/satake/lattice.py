@@ -225,7 +225,9 @@ def dominant_representative(rd: RootDatum, lam: Weight) -> tuple[Weight, WeylWor
     violating index, so the word is deterministic.  apply_word(rd, word, lam)
     equals the returned weight.
     """
-    _, coeffs, word = _fold_labels(cartan_matrix(rd), _labels(rd, lam))
+    cartan = cartan_matrix(rd)
+    cartan_tables(cartan)  # raises off finite type, where the fold need not end
+    _, coeffs, word = _fold_labels(cartan, _labels(rd, lam))
     return _subtract_roots(rd, lam, coeffs), word
 
 
@@ -244,6 +246,7 @@ def weyl_orbit(rd: RootDatum, lam: Weight) -> tuple[Weight, ...]:
     """The W-orbit of a weight, sorted for determinism, walked on labels from
     the fold of lam, whose depth relative to lam is the fold's coefficients."""
     cartan = cartan_matrix(rd)
+    cartan_tables(cartan)  # raises off finite type, where the orbit need not be finite
     labels, coeffs, _ = _fold_labels(cartan, _labels(rd, lam))
     orbit = _label_orbit(cartan, tuple(labels), tuple(coeffs))
     return tuple(sorted(_subtract_roots(rd, lam, depth) for depth in orbit.values()))

@@ -272,6 +272,8 @@ def lp_feasible_point(rows: Sequence[Sequence[int]],
         enter = next((j for j in range(n + m) if obj[j] > 0), None)
         if enter is None:
             break
+        # some entry of the column is positive, or x[enter] could grow
+        # without bound and so would the objective, -sum(artificials) <= 0
         leave = None
         for i, row in enumerate(tab):
             a = row[enter]
@@ -284,8 +286,6 @@ def lp_feasible_point(rows: Sequence[Sequence[int]],
                 best = tab[leave][-1] * a
                 if lhs < best or (lhs == best and basis[i] < basis[leave]):
                     leave = i
-        if leave is None:
-            return None  # unreachable for a phase-1 objective; defensive
         pivot_row = tab[leave]
         p = pivot_row[enter]
         for i, row in enumerate(tab):

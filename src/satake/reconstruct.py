@@ -16,7 +16,7 @@ import itertools
 import json
 import random
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter, or_
 from types import MappingProxyType
@@ -48,15 +48,10 @@ ProductEntry = tuple[tuple[tuple[str, int], ...], bool]  # sorted (id, multiplic
 
 @dataclass(frozen=True)
 class ReconstructionConfig:
-    """Bounds for the universally quantified comparisons.
-
-    ``k_max`` caps the tensor-power exponent; ``strict`` escalates any
-    inconclusive event left at the end of a reconstruction into an error
-    instead of a report warning.
-    """
+    """Bounds for the universally quantified comparisons: ``k_max`` caps
+    the tensor-power exponent."""
 
     k_max: int = 4
-    strict: bool = False
 
     def __post_init__(self) -> None:
         if _count(self.k_max, "k_max") < 2:
@@ -334,13 +329,12 @@ def recover_sum(sr: AbstractSemiring, cfg: ReconstructionConfig, a: str, b: str)
 @dataclass(frozen=True)
 class MonoidRecovery:
     """Group completion of the certified part of the id monoid: the
-    embedding of every id it labels (the unit at 0) into Z^rank, the
-    relations a + b = c behind it, and the seed sums left ambiguous."""
+    embedding of every id it labels (the unit at 0) into Z^rank and the
+    relations a + b = c behind it."""
 
     embedding: dict[str, tuple[int, ...]]
     rank: int
     relations: tuple[tuple[str, str, str], ...]
-    skipped: tuple[str, ...]
 
 
 def recover_monoid(sr: AbstractSemiring, cfg: ReconstructionConfig,
@@ -350,7 +344,8 @@ def recover_monoid(sr: AbstractSemiring, cfg: ReconstructionConfig,
     Seed stage: certify sums among the small (twice-expandable) ids through
     the order evidence, each elimination backed by a ``_verdict`` True at
     ``min_grade``, and present the group completion of
-    those relations by Smith normal form.  Character lattices are
+    those relations by Smith normal form.  A sum the window leaves
+    ambiguous is left to the bootstrap stage.  Character lattices are
     torsion-free, so torsion here signals corrupted input.
 
     Bootstrap stage: a complete product of two labeled ids has its maximal
@@ -364,7 +359,6 @@ def recover_monoid(sr: AbstractSemiring, cfg: ReconstructionConfig,
     small = [x for x in sr.ids if x != sr.unit and sr.power(x, 2)[1]]
     small_set = set(small) | {sr.unit}
     relations: dict[tuple[str, str, str], None] = {}
-    unresolved: list[tuple[str, str]] = []
     for i, a in enumerate(small):
         for b in small[i:]:
             if not sr.product_table.get((a, b), (None, False))[1]:
@@ -372,7 +366,6 @@ def recover_monoid(sr: AbstractSemiring, cfg: ReconstructionConfig,
             try:
                 c = _certified_sum(sr, cfg, a, b, min_grade=min_grade)
             except InconclusiveError:
-                unresolved.append((a, b))
                 continue
             if c not in small_set:
                 # a sum landing outside the twice-expandable range would
@@ -431,16 +424,7 @@ def recover_monoid(sr: AbstractSemiring, cfg: ReconstructionConfig,
                 rev[target] = t
                 relations[(a, b, t)] = None
                 changed = True
-
-    resolved = {(a, b) for a, b, _ in relations}
-    skipped = [f"seed sum({a},{b}) ambiguous under truncation"
-               for a, b in unresolved if (a, b) not in resolved]
-    return MonoidRecovery(
-        embedding=embedding,
-        rank=rank,
-        relations=tuple(relations),
-        skipped=tuple(skipped),
-    )
+    return MonoidRecovery(embedding=embedding, rank=rank, relations=tuple(relations))
 
 
 def recover_Qplus(sr: AbstractSemiring, monoid: MonoidRecovery) -> tuple[tuple[int, ...], ...]:
@@ -579,7 +563,6 @@ class RecoveredDatum:
     datum: RootDatum
     labeling: dict[str, Weight]
     log: tuple[str, ...]
-    warnings: tuple[str, ...] = field(default=())
 
 
 def verify_reconstruction(sr: AbstractSemiring, recovered: RecoveredDatum) -> list[str]:
@@ -641,7 +624,7 @@ def _reconstruct_at_grade(sr: AbstractSemiring, cfg: ReconstructionConfig,
     for x, w in sorted(monoid.embedding.items()):
         if not is_dominant(datum, w):
             raise InconsistencyError(f"labeled id {x} embeds to a non-dominant weight")
-    recovered = RecoveredDatum(datum, dict(monoid.embedding), tuple(log), warnings=monoid.skipped)
+    recovered = RecoveredDatum(datum, dict(monoid.embedding), tuple(log))
     mismatches = verify_reconstruction(sr, recovered)
     if mismatches:
         detail = "; ".join(mismatches[:5])
@@ -660,22 +643,22 @@ def reconstruct_root_datum(sr: AbstractSemiring, cfg: ReconstructionConfig) -> R
     coroots, datum assembly, and the product-table self check.
 
     Seeds are retried at descending certification grades; a result is only
-    accepted when every labeled product recomputed from the recovered datum
-    matches the dump, so a permissive seed can never smuggle in a wrong
-    datum.  The error of the most conservative attempt is reported when all
-    grades fail.
+    accepted when every id is labeled and every labeled product recomputed
+    from the recovered datum matches the dump, so a permissive seed can
+    never smuggle in a wrong datum.  An accepted result has a relation for
+    every complete product of two non-unit ids, ambiguous seed sums
+    included: the bootstrap ends with a pass over the complete labeling, in
+    which each such product finds its labeled sum among its terms or
+    raises.  The error of the most conservative attempt is reported when
+    all grades fail.
     """
     first_error: Exception | None = None
     for grade in range(cfg.k_max, 1, -1):
         try:
-            recovered = _reconstruct_at_grade(sr, cfg, grade)
+            return _reconstruct_at_grade(sr, cfg, grade)
         except (InconclusiveError, InconsistencyError) as exc:
             if first_error is None:
                 first_error = exc
-            continue
-        if cfg.strict and recovered.warnings:
-            raise InconclusiveError("strict mode: " + "; ".join(recovered.warnings[:5]))
-        return recovered
     if first_error is None:
         raise DomainError("k_max must be at least 2")
     raise first_error

@@ -39,7 +39,6 @@ from satake.reconstruct import (
     dump_semiring,
     recover_monoid,
     reconstruct_root_datum,
-    semiring_from_json,
 )
 from satake.semiring import (
     prv_multiplicity,
@@ -251,18 +250,10 @@ def test_c7_negative_controls(tmp_path: Path):
     proc = subprocess.run(SATAKE + ["dump", "--datum", "SL3", "--bound", "4",
                                     "--out", str(shrunk)], capture_output=True, text=True)
     assert proc.returncode == 0
-    proc = subprocess.run(SATAKE + ["reconstruct", "--dump", str(shrunk), "--strict"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 4, (proc.returncode, proc.stderr)
-    # and never a wrong datum without --strict either: exit 0 must come with
-    # a datum based-isomorphic to SL3; here the window is too small, so it
-    # stays inconclusive
+    # the window is too small to certify a sum, so it stays inconclusive
     proc = subprocess.run(SATAKE + ["reconstruct", "--dump", str(shrunk)],
                           capture_output=True, text=True)
-    assert proc.returncode in (0, 4)
-    if proc.returncode == 0:
-        recovered = reconstruct_root_datum(semiring_from_json(shrunk.read_text()), ReconstructionConfig())
-        assert based_iso(recovered.datum, FIXTURES["SL3"].datum) is not None
+    assert proc.returncode == 4, (proc.returncode, proc.stderr)
     _announce(7, "negative controls", started)
 
 

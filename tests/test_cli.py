@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,10 +13,14 @@ from satake.fixtures import FIXTURES
 from satake.lattice import datum_to_json, dual_root_datum
 
 SATAKE = [sys.executable, "-m", "satake.cli"]
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*args, expect=0):
-    proc = subprocess.run(SATAKE + list(args), capture_output=True, text=True)
+def run_cli(*args, expect=0, cwd=None):
+    # a run in another directory finds the package by an absolute path
+    env = None if cwd is None else {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(SATAKE + list(args), capture_output=True, text=True, cwd=cwd, env=env)
     assert proc.returncode == expect, (proc.returncode, proc.stderr, proc.stdout)
     return proc.stdout
 
@@ -101,9 +106,11 @@ def test_exit_code_domain():
 
 
 def test_exit_code_inconclusive_strict(tmp_path: Path):
+    # the window is too small to certify a sum; reconstruct takes no --strict
     dump_file = tmp_path / "small.json"
     run_cli("dump", "--datum", "SL3", "--bound", "4", "--out", str(dump_file))
-    run_cli("reconstruct", "--dump", str(dump_file), "--strict", expect=4)
+    run_cli("reconstruct", "--dump", str(dump_file), expect=4)
+    run_cli("reconstruct", "--dump", str(dump_file), "--strict", expect=2)
 
 
 def test_exit_code_corruption(tmp_path: Path):
@@ -277,10 +284,17 @@ def test_json_reports_deterministic():
     (("decompose", "--datum", "Sp4", "--mu", "1,1", "--mu", "2,0"), "f7acdd2597c972cb"),
     (("decompose", "--datum", "G2", "--mu", "2,1", "--mu", "5,3", "--mu", "3,2"), "0ffcec9314e62a00"),
     (("decompose", "--datum", "GL2", "--mu", "2,1", "--mu", "1,0"), "3ae6c0014fed3119"),
-], ids=["prv-SL2", "prv-Sp4", "prv-G2", "decompose-Sp4", "decompose-G2", "decompose-GL2"])
+    (("reconstruct", "--dump", "SL3.json"), "d50d7fffa415d09d"),
+    (("reconstruct", "--dump", "G2.json"), "647cebbeeebef909"),
+], ids=["prv-SL2", "prv-Sp4", "prv-G2", "decompose-Sp4", "decompose-G2", "decompose-GL2",
+        "reconstruct-SL3", "reconstruct-G2"])
 @pytest.mark.hashseed
-def test_pinned_report_digests(args, digest):
-    out = run_cli(*args, "--format", "json")
+def test_pinned_report_digests(args, digest, tmp_path: Path):
+    # a reconstruct report echoes its dump path, so the fixture's dump (its
+    # default bound, seed 0) is read by a relative name
+    if args[0] == "reconstruct":
+        run_cli("dump", "--datum", Path(args[2]).stem, "--out", str(tmp_path / args[2]))
+    out = run_cli(*args, "--format", "json", cwd=tmp_path)
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 

@@ -52,6 +52,7 @@ from satake.lattice import (
     weyl_group_order,
     weyl_orbit,
 )
+from satake.shadow import SatakeContext, stratum
 
 
 class TestValidation:
@@ -81,10 +82,19 @@ class TestValidation:
             validate_datum(rd)
 
     def test_tables_reject_affine(self):
-        # orbit saturation never ends off finite type: the tables must refuse
+        # orbit saturation never ends off finite type: the tables must refuse,
+        # and so must the fold and the orbit walk, which need not end either
         rd = RootDatum(2, ((2, -2), (-2, 2)), ((1, 0), (0, 1)))
-        with pytest.raises(InvalidDatumError, match="not finite type"):
-            coroot_height(rd, (1, 1))
+        calls = [
+            lambda: coroot_height(rd, (1, 1)),
+            lambda: dominant_representative(rd, (1, -3)),
+            lambda: weyl_orbit(rd, (1, 0)),
+            lambda: conv_hull_leq(rd, (0, 0), (1, 1)),
+            lambda: stratum(SatakeContext.for_group(dual_root_datum(rd)), (1, 1), (1, -3)),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidDatumError, match="not finite type"):
+                call()
 
     def test_validation_does_not_build_tables(self):
         rd = RootDatum(3, ((2, 0, 0), (0, 0, 2)), ((1, 0, 0), (0, 0, 1)))

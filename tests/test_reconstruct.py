@@ -307,18 +307,18 @@ class TestDump:
         assert hashlib.sha256(semiring_to_json(sr).encode()).hexdigest()[:16] == digest
 
     @pytest.mark.parametrize("rd, bound, digest", [
-        (dual_root_datum(FIXTURES["G2"].datum), 32, "1283eb81af763c6c"),
-        (dual_root_datum(FIXTURES["GL2"].datum), 8, "24dccc3c85034fc0"),
-        (SL4, 16, "7807983c9c4d8f07"),
-        (SL4, 20, "a3b4723b22406831"),
-        (from_cartan(finite_type("A", 4)), 22, "e2724318da770b8d"),
+        (dual_root_datum(FIXTURES["G2"].datum), 32, "87ca31ae542929a7"),
+        (dual_root_datum(FIXTURES["GL2"].datum), 8, "df4bfe9471a73623"),
+        (SL4, 16, "cb9b3c092769db58"),
+        (SL4, 20, "ab95f4dd9289ea56"),
+        (from_cartan(finite_type("A", 4)), 22, "681dd0c180775ac9"),
     ], ids=["G2^-32", "GL2^-8", "SL4-16", "SL4-20", "SL5-22"])
     @pytest.mark.hashseed
     def test_pinned_reconstruction_digests(self, rd, bound, digest):
         sr, _ = dump_semiring(rd, bound, seed=0)
         rec = reconstruct_root_datum(sr, CFG)
         doc = {"roots": rec.datum.simple_roots, "coroots": rec.datum.simple_coroots,
-               "labeling": sorted(rec.labeling.items()), "log": rec.log, "warnings": rec.warnings}
+               "labeling": sorted(rec.labeling.items()), "log": rec.log}
         assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16] == digest
         assert based_iso(rec.datum, rd) is not None
 
@@ -531,16 +531,16 @@ class TestMonoid:
             assert truth[c] == expected
 
     @pytest.mark.parametrize("rd, bound, digest", [
-        (dual_root_datum(FIXTURES["GL2"].datum), 8, "24178c7ec6f67406"),
-        (dual_root_datum(FIXTURES["SL3"].datum), 30, "c903f1a0e59d7db0"),
-        (dual_root_datum(FIXTURES["Sp4"].datum), 20, "f7dd90fa259c16c8"),
-        (dual_root_datum(FIXTURES["G2"].datum), 32, "351944199c8a4c53"),
-        (SL4, 16, "38bdb7631a5fd4a3"),
+        (dual_root_datum(FIXTURES["GL2"].datum), 8, "eacda6ac65785f59"),
+        (dual_root_datum(FIXTURES["SL3"].datum), 30, "1ff3d2468037e420"),
+        (dual_root_datum(FIXTURES["Sp4"].datum), 20, "7678f88b3695e5e8"),
+        (dual_root_datum(FIXTURES["G2"].datum), 32, "59923bd4a9186597"),
+        (SL4, 16, "7a04893058f3123e"),
     ], ids=["GL2^-8", "SL3^-30", "Sp4^-20", "G2^-32", "SL4-16"])
     @pytest.mark.hashseed
     def test_pinned_monoid_and_sum_digests(self, rd, bound, digest):
         # at grades 4, 3 and 2: the monoid (embedding, rank, relations in
-        # order, skipped) and the certified sum of every pair of
+        # order) and the certified sum of every pair of
         # twice-expandable ids, or the class and message of the error raised
         sr, _ = dump_semiring(rd, bound, seed=0)
         small = [x for x in sr.ids if sr.power(x, 2)[1]]
@@ -548,8 +548,7 @@ class TestMonoid:
         for grade in (4, 3, 2):
             try:
                 monoid = recover_monoid(sr, CFG, min_grade=grade)
-                doc.append([sorted(monoid.embedding.items()), monoid.rank,
-                            monoid.relations, monoid.skipped])
+                doc.append([sorted(monoid.embedding.items()), monoid.rank, monoid.relations])
             except (InconclusiveError, InconsistencyError) as exc:
                 doc.append([type(exc).__name__, str(exc)])
             for i, a in enumerate(small):
@@ -678,6 +677,30 @@ class TestKnownDefects:
             return
         assert based_iso(recovered.datum, SL4) is not None
 
+    @pytest.mark.xfail(strict=True, raises=InconsistencyError,
+                       reason="the clean GL2^ dump at bound 8 is reported as inconsistent at k_max 2")
+    def test_clean_gl2_dual_dump_is_not_inconsistent_at_kmax_2(self):
+        # k_max 4 and 3 reconstruct the dual from the same dump
+        dual = dual_root_datum(datum("GL2"))
+        sr, _ = dump_semiring(dual, 8, seed=0)
+        try:
+            recovered = reconstruct_root_datum(sr, ReconstructionConfig(k_max=2))
+        except InconclusiveError:
+            return
+        assert based_iso(recovered.datum, dual) is not None
+
+    @pytest.mark.xfail(strict=True, raises=InconsistencyError,
+                       reason="the clean SL4 dump at bound 24 is reported as inconsistent at k_max 4")
+    def test_clean_sl4_dump_is_not_inconsistent_at_bound_24(self):
+        # grade 4 certifies too much free rank; k_max 3 reconstructs A3 from
+        # the same dump
+        sr, _ = dump_semiring(SL4, 24, seed=0)
+        try:
+            recovered = reconstruct_root_datum(sr, CFG)
+        except InconclusiveError:
+            return
+        assert based_iso(recovered.datum, SL4) is not None
+
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="based_iso scans a bounded box of solutions and misses this pair in one order")
     def test_based_iso_finds_both_orders_with_central_torus(self):
@@ -755,7 +778,7 @@ class TestNegativeControls:
     def test_shrunken_dump_inconclusive(self):
         sr, _ = dump_semiring(datum("SL3"), 4, seed=0)
         with pytest.raises(InconclusiveError):
-            reconstruct_root_datum(sr, ReconstructionConfig(strict=True))
+            reconstruct_root_datum(sr, ReconstructionConfig())
 
     def test_no_grade_to_try_is_a_domain_error(self):
         # a config forced past its own k_max check tries no grade: a package
@@ -770,13 +793,6 @@ class TestNegativeControls:
         for k_max in (2.5, "4"):
             with pytest.raises(DomainError, match="must be integers"):
                 ReconstructionConfig(k_max=k_max)
-
-    def test_strict_never_flips_verdicts(self):
-        sr, truth = dump_semiring(datum("SL2"), 6, seed=0)
-        strictcfg = ReconstructionConfig(strict=True)
-        for a in sr.ids:
-            for b in sr.ids:
-                assert recover_preceq(sr, CFG, a, b) == recover_preceq(sr, strictcfg, a, b)
 
 
 class TestVerify:
@@ -997,7 +1013,7 @@ class TestExtraction:
             points += [v] + [tuple(x - j * a for x, a in zip(double, alpha)) for j in range(steps + 1)]
         points = list(dict.fromkeys(points))[:12]
         monoid = MonoidRecovery(embedding={f"x{i:03d}": p for i, p in enumerate(points)},
-                                rank=rank, relations=(), skipped=())
+                                rank=rank, relations=())
         assert coroot_fit_outcome(extract_simple_coroots, monoid, alpha) == \
             coroot_fit_outcome(simple_coroot_by_fractions, monoid, alpha)
 
@@ -1005,7 +1021,7 @@ class TestExtraction:
         # the samples (0,0) -> 0, (1,0) -> 2, (2,0) -> 0 disagree, but they
         # span rank 1 of 2: too small a window, not a corrupted one
         embedding = {f"x{i}": p for i, p in enumerate([(0, 0), (1, 0), (2, 0), (4, 0)])}
-        monoid = MonoidRecovery(embedding=embedding, rank=2, relations=(), skipped=())
+        monoid = MonoidRecovery(embedding=embedding, rank=2, relations=())
         expected = (InconclusiveError, "window too small to determine a coroot")
         assert coroot_fit_outcome(extract_simple_coroots, monoid, (1, 0)) == expected
         assert coroot_fit_outcome(simple_coroot_by_fractions, monoid, (1, 0)) == expected
