@@ -559,7 +559,10 @@ class DatumTables:
     ``denominator``.  With R the simple roots as rows, K = denominator I -
     R^T span_rows vanishes exactly on the roots' rational span, and
     ``off_span_rows`` keeps its nonzero rows (none when the roots span the
-    lattice, as for semisimple data)."""
+    lattice, as for semisimple data).  ``weight_rows`` is R^T A^-1 times
+    ``denominator`` in the canonical node order: the weight of top - Q whose
+    canonical labels are top's minus gap is top - weight_rows gap /
+    denominator, as A^-1 gap is its depth."""
 
     positive_roots_with_coroots: tuple[tuple[Weight, Weight], ...]
     two_rho: Weight
@@ -570,6 +573,7 @@ class DatumTables:
     span_rows: tuple[tuple[int, ...], ...]
     off_span_rows: tuple[tuple[int, ...], ...]
     denominator: int
+    weight_rows: tuple[tuple[int, ...], ...]
 
 
 def _combination(rank: int, coeffs: Sequence[int], basis: Sequence[Weight]) -> Weight:
@@ -581,9 +585,9 @@ def _combination(rank: int, coeffs: Sequence[int], basis: Sequence[Weight]) -> W
 def datum_tables(rd: RootDatum) -> DatumTables:
     """Positive roots and coroots as vectors (root sum k_i alpha_i, coroot
     sum n_i alpha_i^vee from the Cartan tables), 2rho, 2rho^vee and the
-    Smith form of the root lattice, the datum in canonical node order and the
-    integer map onto the roots' span.  Raises InvalidDatumError unless of
-    finite type."""
+    Smith form of the root lattice, the datum in canonical node order, the
+    integer map onto the roots' span and the map from canonical labels to
+    weights.  Raises InvalidDatumError unless of finite type."""
     shared = cartan_tables(cartan_matrix(rd))
     positive = sorted((_combination(rd.rank, k, rd.simple_roots),
                        _combination(rd.rank, n, rd.simple_coroots)) for k, n in shared.roots)
@@ -607,6 +611,9 @@ def datum_tables(rd: RootDatum) -> DatumTables:
         span_rows=span,
         off_span_rows=tuple(row for row in off_span if any(row)),
         denominator=shared.denominator,
+        # canonical node j is node order[j] of rd
+        weight_rows=tuple(tuple(sum(alpha[p] * row[j] for alpha, row in zip(rd.simple_roots, shared.inverse_rows))
+                                for j in order) for p in range(rd.rank)),
     )
 
 

@@ -10,12 +10,13 @@ on the lattice basis, so the kernel runs on labels and its caches are keyed
 by (Cartan matrix, labels), as in LiE and Stembridge (MSJ Memoirs 11).  The
 Cartan matrix is taken in its canonical node order
 (``lattice.cartan_tables``): the entry points ``weight_multiplicities``,
-``weyl_dim``, ``tensor_decompose_list`` and ``product_table`` read labels
-and depths through ``datum_tables(rd).canonical``, the datum with its simple
-roots in that order, and so return the same weights in the datum's own
-basis.  Data that share a Cartan matrix up to the numbering of its nodes, in
-any lattice basis, share every diagram and product: a dumped datum and the
-one reconstructed from its dump, whose simple roots come back sorted, do.
+``weyl_dim``, ``tensor_decompose_list``, ``power_decompose`` and
+``product_table`` read labels and depths through
+``datum_tables(rd).canonical``, the datum with its simple roots in that
+order, and so return the same weights in the datum's own basis.  Data that
+share a Cartan matrix up to the numbering of its nodes, in any lattice
+basis, share every diagram and product: a dumped datum and the one
+reconstructed from its dump, whose simple roots come back sorted, do.
 
 - ``_label_diagram`` runs Freudenthal's recursion over the dominant weights
   below lam from ``lattice._dominant_depths``, with the invariant form on
@@ -30,11 +31,15 @@ one reconstructed from its dump, whose simple roots come back sorted, do.
   with ``lattice._fold_labels``; the products of a dump repeat almost every
   fold.  The Freudenthal inner fold in ``_label_diagram`` and
   ``dominant_representative`` still call ``_fold_labels`` directly.
-- ``tensor_decompose_list`` multiplies a list of factors on labels and turns
-  labels into weights once, at the end: a constituent of V_w1 ⊗ ... ⊗ V_wn
-  lies in w1 + ... + wn - Q, where its labels fix it.  ``tensor_decompose``,
-  powers and PRV go through it, so ``_label_product`` is the only product
-  cache.
+- ``tensor_decompose_list`` multiplies a list of factors on labels, one
+  ``_times`` step per factor, and turns labels into weights once, at the
+  end (``_weights``): a constituent of V_w1 ⊗ ... ⊗ V_wn lies in
+  w1 + ... + wn - Q, where its labels fix it, and the ``weight_rows`` of
+  ``datum_tables`` give that weight in one matrix-vector product.
+  ``tensor_decompose`` and PRV go through it.  ``power_decompose`` takes
+  V^k from ``_label_power``, which caches each power on labels and extends
+  the cached V^(k-1) by one ``_times`` step, so products are cached twice:
+  pairs in ``_label_product`` and powers in ``_label_power``.
 
 ``product_table`` builds the all-pairs table of a weight list, which both
 the forward dump and the reconstruction self-check read, without building a
@@ -65,12 +70,11 @@ they come (``_product_terms``).
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, itemgetter, sub
-from typing import Sequence
+from operator import add, itemgetter, mul
+from typing import Iterable, Sequence
 
 from .errors import DomainError, InconsistencyError
 from .lattice import (
-    CartanTables,
     RootDatum,
     Symmetries,
     Weight,
@@ -271,14 +275,6 @@ def _product_terms(cartan: Cartan, a: Labels, b: Labels) -> tuple[tuple[Labels, 
     return _label_product(cartan, a, b) if a <= b else _label_product(cartan, b, a)
 
 
-def _weight_below(rd: RootDatum, tables: CartanTables, top: Weight, gap: Labels) -> Weight:
-    """The weight in top - Q whose labels are top's minus gap: top -
-    sum(d_i alpha_i) has labels labels(top) - A d, so its depth is
-    d = A^-1 gap."""
-    depth = [sum(r * g for r, g in zip(row, gap)) // tables.denominator for row in tables.inverse_rows]
-    return _subtract_roots(rd, top, depth)
-
-
 def tensor_decompose(rd: RootDatum, lam: Weight, mu: Weight) -> Decomposition:
     """Decompose V_lam ⊗ V_mu by the shift-reflect (Klimyk) rule: walk the
     weight diagram of the smaller factor, add 1 to each Dynkin label of
@@ -386,12 +382,56 @@ def product_table(rd: RootDatum, weights: Sequence[Weight]
     return table
 
 
+def _times(cartan: Cartan, terms: Iterable[tuple[Labels, int]], b: Labels) -> tuple[tuple[Labels, int], ...]:
+    """terms ⊗ V_b on labels: (labels, multiplicity) of every constituent."""
+    acc: dict[Labels, int] = {}
+    for a, ma in terms:
+        for c, mc in _product_terms(cartan, a, b):
+            acc[c] = acc.get(c, 0) + ma * mc
+    return tuple(acc.items())
+
+
+@lru_cache(maxsize=4096)
+def _label_power(cartan: Cartan, labels: Labels, k: int) -> tuple[tuple[Labels, int], ...]:
+    """V_labels^k on labels: ``_times`` of V_labels^(k-1) and V_labels.
+    Asked for k = 0, 1, ... in turn, each call finds k - 1 cached, so the
+    recursion stays one frame deep."""
+    if k == 0:
+        return (((0,) * len(cartan), 1),)
+    return _times(cartan, _label_power(cartan, labels, k - 1), labels)
+
+
+def _weights(rd: RootDatum, top: Weight, terms: Iterable[tuple[Labels, int]]) -> Decomposition:
+    """The decomposition, sorted by weight, whose constituents lie in top - Q
+    and have the given canonical labels: the one with labels top's minus
+    gap is top - weight_rows gap / denominator (``lattice.DatumTables``)."""
+    tables = datum_tables(rd)
+    top_labels = _labels(tables.canonical, top)
+    d = tables.denominator
+    rows = tables.weight_rows
+    # d top - rows gap = base + rows labels, so a constituent costs one mat-vec
+    base = [d * t - sum(map(mul, row, top_labels)) for t, row in zip(top, rows)]
+    return dict(sorted((tuple([(b + sum(map(mul, row, labels))) // d for b, row in zip(base, rows)]), m)
+                       for labels, m in terms))
+
+
 def power_decompose(rd: RootDatum, lam: Weight, k: int) -> Decomposition:
-    """k-fold tensor power of V_lam, by iterated decomposition."""
-    if _count(k, "k") < 0:
+    """k-fold tensor power of V_lam, sorted by weight.  V^j is the cached
+    V^(j-1) times V_lam (``_label_power``, keyed by the canonical Cartan
+    matrix, labels and j).  V^0, ..., V^k are asked for in turn, so each
+    finds the one below it cached: a call costs one product step per power
+    not yet cached, and no recursion goes deeper than one frame, whatever k
+    and whatever the cache has evicted."""
+    k = _count(k, "k")
+    if k < 0:
         raise DomainError("tensor power needs k >= 0")
     _dominant_labels(rd, lam)
-    return tensor_decompose_list(rd, [tuple(lam)] * k)
+    canon = datum_tables(rd).canonical
+    labels = _labels(canon, lam)
+    cartan = cartan_matrix(canon)
+    for j in range(k + 1):
+        terms = _label_power(cartan, labels, j)
+    return _weights(rd, tuple(k * x for x in lam), terms)
 
 
 def tensor_decompose_list(rd: RootDatum, weights: Sequence[Weight]) -> Decomposition:
@@ -402,18 +442,10 @@ def tensor_decompose_list(rd: RootDatum, weights: Sequence[Weight]) -> Decomposi
     canon = datum_tables(rd).canonical
     cartan = cartan_matrix(canon)
     factors = [_dominant_labels(canon, w) for w in weights]
-    acc: dict[Labels, int] = {(0,) * len(cartan): 1}
+    terms: tuple[tuple[Labels, int], ...] = (((0,) * len(cartan), 1),)
     for b in factors:
-        nxt: dict[Labels, int] = {}
-        for a, ma in acc.items():
-            for c, mc in _product_terms(cartan, a, b):
-                nxt[c] = nxt.get(c, 0) + ma * mc
-        acc = nxt
-    top = tuple(sum(w[i] for w in weights) for i in range(rd.rank))
-    top_labels = _labels(canon, top)
-    tables = cartan_tables(cartan)
-    return dict(sorted((_weight_below(canon, tables, top, tuple(map(sub, top_labels, labels))), m)
-                       for labels, m in acc.items()))
+        terms = _times(cartan, terms, b)
+    return _weights(rd, tuple(sum(w[i] for w in weights) for i in range(rd.rank)), terms)
 
 
 def prv_multiplicity(rd: RootDatum, mus: Sequence[Weight], words: Sequence[WeylWord]) -> tuple[Weight, int]:

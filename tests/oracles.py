@@ -36,6 +36,9 @@ the atoms found before each.  The doubled-fold oracle
 is the Klimyk product keyed by weights, walking the weight diagram from
 ``weight_multiplicities``, folding twice the rho-shifted labels and halving
 each target, the reference for the label-keyed ``_label_product``; the
+depth oracle turns a constituent's labels into its weight in two passes, a
+depth A^-1 gap and then a subtraction of simple roots, the reference for
+the one matrix ``weight_rows`` of ``lattice.datum_tables``; the
 ``json.dumps`` writer is the reference for the dump writer.  The full
 self-check diff compares every labeled product term by term, the reference
 for the mismatches that ``verify_reconstruction`` gives by diffing only the
@@ -70,6 +73,8 @@ from satake.lattice import (
     _fold_labels,
     _subtract_roots,
     cartan_matrix,
+    cartan_tables,
+    datum_tables,
     dual_root_datum,
     is_dominant,
     leq_dominance,
@@ -652,6 +657,16 @@ def tensor_by_doubled_fold(rd: RootDatum, lam: Weight, mu: Weight) -> tuple[tupl
         if m < 0:
             raise InconsistencyError("negative multiplicity from shift-reflect fold")
     return tuple(sorted((k, m) for k, m in acc.items() if m))
+
+
+def weight_below_by_depth(rd: RootDatum, top: Weight, gap: Sequence[int]) -> Weight:
+    """The weight in top - Q whose canonical labels are top's minus gap:
+    top - sum(d_i alpha_i) over the canonical simple roots has labels
+    labels(top) - A d, so its depth is d = A^-1 gap."""
+    canon = datum_tables(rd).canonical
+    tables = cartan_tables(cartan_matrix(canon))
+    depth = [sum(r * g for r, g in zip(row, gap)) // tables.denominator for row in tables.inverse_rows]
+    return _subtract_roots(canon, top, depth)
 
 
 def semiring_to_json_by_dumps(sr: AbstractSemiring) -> str:

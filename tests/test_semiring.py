@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 from itertools import product
+from operator import mul, sub
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,6 +14,7 @@ import oracles
 from oracles import character_by_weyl_formula, character_product_bruteforce, tensor_by_doubled_fold
 from test_classification import (B3, C3, D4, FINITE, block_sum, canonical_matrix, diagram_automorphisms,
                                  finite_type, from_cartan)
+from satake.cli import sample_pool
 from satake.errors import DomainError, InconsistencyError
 from satake.lattice import (
     RootDatum,
@@ -31,7 +33,9 @@ from satake.reconstruct import dump_semiring
 from satake.semiring import (
     _chamber,
     _label_diagram,
+    _label_power,
     _label_product,
+    _weights,
     power_decompose,
     product_table,
     prv_multiplicity,
@@ -213,6 +217,18 @@ def test_product_matches_doubled_fold(rd, data):
         assert (count, total) == (len(dec), sum(dec.values()))
 
 
+def _list_by_doubled_fold(rd: RootDatum, weights) -> dict:
+    """V_w1 ⊗ ... ⊗ V_wn by iterating the doubled-fold reference."""
+    want = {(0,) * rd.rank: 1}
+    for w in weights:
+        acc: dict = {}
+        for nu, m in want.items():
+            for c, mc in tensor_by_doubled_fold(rd, nu, w):
+                acc[c] = acc.get(c, 0) + m * mc
+        want = acc
+    return want
+
+
 @pytest.mark.parametrize("rd", ALL_DATA + [GL3, TORUS2, TORUS0], ids=lambda rd: rd.name)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
@@ -221,18 +237,27 @@ def test_list_matches_doubled_fold(rd, data):
     # are where turning the accumulated labels into weights can go wrong
     window = dominant_window(rd, 6)
     weights = data.draw(st.lists(st.sampled_from(window), max_size=4))
-    want = {(0,) * rd.rank: 1}
-    for w in weights:
-        acc: dict = {}
-        for nu, m in want.items():
-            for c, mc in tensor_by_doubled_fold(rd, nu, w):
-                acc[c] = acc.get(c, 0) + m * mc
-        want = acc
     dec = tensor_decompose_list(rd, weights)
-    assert dec == want
+    assert dec == _list_by_doubled_fold(rd, weights)
     assert list(dec) == sorted(dec)
     lam = data.draw(st.sampled_from(window))
     assert power_decompose(rd, lam, len(weights)) == tensor_decompose_list(rd, [lam] * len(weights))
+
+
+@pytest.mark.parametrize("rd", ALL_DATA + [GL3, TORUS2, TORUS0], ids=lambda rd: rd.name)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_weight_rows_match_depth_reference(rd, data):
+    # a constituent with canonical labels top's minus gap, for a random
+    # gap = A d of top - Q, gets its weight from one matrix
+    canon = datum_tables(rd).canonical
+    cartan = cartan_matrix(canon)
+    top = tuple(data.draw(st.lists(st.integers(-30, 30), min_size=rd.rank, max_size=rd.rank)))
+    depth = data.draw(st.lists(st.integers(-12, 12), min_size=len(cartan), max_size=len(cartan)))
+    gap = [sum(map(mul, row, depth)) for row in cartan]
+    want = oracles.weight_below_by_depth(rd, top, gap)
+    assert want == _subtract_roots(canon, top, depth)
+    assert _weights(rd, top, [(tuple(map(sub, _labels(canon, top), gap)), 1)]) == {want: 1}
 
 
 def _change_basis(rd: RootDatum, p, p_inv) -> RootDatum:
@@ -459,6 +484,37 @@ class TestPower:
         # a float exponent used to raise a bare TypeError
         with pytest.raises(DomainError, match="must be integers"):
             power_decompose(datum("SL3"), (1, 0), 2.0)
+
+    def test_domain_errors_before_any_cache(self):
+        # a negative k or a non-dominant weight is a DomainError, also on a
+        # datum not of finite type, and leaves the power cache untouched
+        affine = RootDatum(2, ((2, -2), (-2, 2)), ((1, 0), (0, 1)))
+        before = _label_power.cache_info()
+        for rd, lam, k in [(affine, (-1, 0), 2), (datum("SL3"), (1, -1), 2), (datum("SL3"), (1, 0), -1)]:
+            with pytest.raises(DomainError):
+                power_decompose(rd, lam, k)
+        assert _label_power.cache_info() == before
+
+    def test_independent_of_cache_state(self, fixture_datum):
+        # V^k extends the cached V^(k-1): asked out of order from a cold
+        # cache, each power is the iterated reference, and a caller that
+        # mutates the returned dict changes no later result
+        rd = fixture_datum
+        lam = max(sample_pool(rd))
+        _label_power.cache_clear()
+        for k in (4, 1, 3, 0, 2):
+            want = _list_by_doubled_fold(rd, [lam] * k)
+            got = power_decompose(rd, lam, k)
+            assert got == want and list(got) == sorted(got), k
+            got.clear()
+            assert power_decompose(rd, lam, k) == want, k
+
+    def test_large_k_past_cache_size(self):
+        # V^5000 runs 5001 powers through a cache of 4096, and a bare
+        # recursion from it would overflow the interpreter stack
+        assert power_decompose(TORUS2, (1, -2), 5000) == {(5000, -10000): 1}
+        assert _label_power.cache_info().currsize == _label_power.cache_info().maxsize
+        assert power_decompose(datum("SL2"), (1,), 3) == {(1,): 2, (3,): 1}
 
 
 class TestPRV:

@@ -38,3 +38,27 @@ def test_no_fraction_in_the_pipeline():
             or isinstance(node, ast.Attribute) and node.attr == "Fraction"
             or isinstance(node, ast.alias) and "Fraction" in (node.name, node.asname))]
     assert hits == []
+
+
+def test_every_lru_cache_has_an_integer_maxsize():
+    # lru_cache holds its keys and results strongly: with no explicit
+    # positive integer maxsize (or as functools.cache) a cache grows for the
+    # life of the process
+    bounded, hits = 0, []
+    for path in LIBRARY:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if name not in ("lru_cache", "cache"):
+                continue
+            call = calls.get(id(node))
+            keywords = [] if call is None or call.args else call.keywords
+            if (name == "lru_cache" and [kw.arg for kw in keywords] == ["maxsize"]
+                    and isinstance(keywords[0].value, ast.Constant)
+                    and type(keywords[0].value.value) is int and keywords[0].value.value > 0):
+                bounded += 1
+            else:
+                hits.append(f"{path.name}:{node.lineno}")
+    assert hits == []
+    assert bounded
