@@ -44,7 +44,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import gcd, lcm
 from operator import index, mul
 from typing import Sequence
@@ -194,6 +194,20 @@ def _vector(rd: RootDatum, v: Sequence) -> tuple[int, ...]:
         raise DomainError(f"weight entries must be integers: {exc}") from exc
 
 
+def _weight_cache(fn):
+    """fn(rd, weight) behind an lru_cache keyed by the weight read through
+    ``_vector``, so a float equal to an integer entry never finds that
+    entry's result; ``cache_info`` and ``cache_clear`` stay on the name."""
+    cached = lru_cache(maxsize=65536)(fn)
+
+    @wraps(fn)
+    def read(rd: RootDatum, lam: Sequence) -> tuple[Weight, ...]:
+        return cached(rd, _vector(rd, lam))
+
+    read.cache_info, read.cache_clear = cached.cache_info, cached.cache_clear
+    return read
+
+
 def _count(value, name: str) -> int:
     """A bound or exponent read with ``operator.index``; raises DomainError
     on a non-integer, which would otherwise pass or raise a bare TypeError."""
@@ -241,7 +255,7 @@ def _subtract_roots(rd: RootDatum, v: Sequence[int], coeffs: Sequence[int]) -> W
     return tuple(out)
 
 
-@lru_cache(maxsize=65536)
+@_weight_cache
 def weyl_orbit(rd: RootDatum, lam: Weight) -> tuple[Weight, ...]:
     """The W-orbit of a weight, sorted for determinism, walked on labels from
     the fold of lam, whose depth relative to lam is the fold's coefficients."""
@@ -648,7 +662,7 @@ def dominant_window(rd: RootDatum, bound: int) -> tuple[Weight, ...]:
     return tuple(_box_points([(-bound, bound)] * rd.rank, cuts))
 
 
-@lru_cache(maxsize=65536)
+@_weight_cache
 def dominant_below(rd: RootDatum, mu: Weight) -> tuple[Weight, ...]:
     """All dominant weights lam with lam <= mu, sorted.  mu must be dominant."""
     labels = _dominant_labels(rd, mu)

@@ -108,11 +108,7 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], list
         for k in range(m):
             u[i][k] += c * u[j][k]
 
-    def col_add(i: int, j: int, c: int) -> None:
-        if c == 0:
-            return
-        for row in d:
-            row[i] += c * row[j]
+    def v_add(i: int, j: int, c: int) -> None:
         col = v_cols[i]
         for k, x in v_cols[j].items():
             y = col.get(k, 0) + c * x
@@ -120,6 +116,13 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], list
                 col[k] = y
             else:
                 del col[k]
+
+    def col_add(i: int, j: int, c: int) -> None:
+        if c == 0:
+            return
+        for row in d:
+            row[i] += c * row[j]
+        v_add(i, j, c)
 
     def row_swap(i: int, j: int) -> None:
         d[i], d[j] = d[j], d[i]
@@ -166,14 +169,20 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], list
                 if d[i][t] != 0:
                     row_swap(t, i)
                 continue
-            j = next((j for j in range(t + 1, n) if d[t][j] != 0), None)
-            if j is not None:
-                q = d[t][j] // d[t][t]
-                col_add(j, t, -q)
-                if d[t][j] != 0:
-                    col_swap(t, j)
-                continue
-            break
+            # column t is now zero off row t, so clearing d[t][j] changes
+            # only that entry and v, and the scan resumes after an exact clear
+            row = d[t]
+            for j in range(t + 1, n):
+                if row[j]:
+                    q = row[j] // row[t]
+                    if q:
+                        row[j] -= q * row[t]
+                        v_add(j, t, -q)
+                    if row[j]:
+                        col_swap(t, j)
+                        break
+            else:
+                break
         if d[t][t] < 0:
             row_negate(t)
         return True

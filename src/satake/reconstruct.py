@@ -77,7 +77,8 @@ class AbstractSemiring:
     every ``evidence(a, b, ...)``.
 
     Every stage reads a product as its ``product_table`` entry; ``product``
-    returns a dict copy.  The row, power, column and evidence caches are
+    returns a dict copy.  Entries share one tuple per distinct (id,
+    multiplicity) term.  The row, power, column and evidence caches are
     owned by this class, filled lazily, and only ever grow; entries are
     immutable once written.
     """
@@ -90,6 +91,8 @@ class AbstractSemiring:
             raise ParseError("semiring unit is not among the ids")
         self._products: dict[tuple[str, str], ProductEntry] = {}
         id_set = self.id_set
+        # one tuple per distinct (id, multiplicity) term, shared by every entry
+        term = {}.setdefault
         for ab, (terms, complete) in products.items():
             a, b = ab
             if a not in id_set or b not in id_set:
@@ -97,7 +100,7 @@ class AbstractSemiring:
             key = ab if a <= b else (b, a)
             if not id_set.issuperset(terms) or min(terms.values(), default=1) < 1:
                 raise ParseError(f"product ({a},{b}) has terms outside the id set")
-            entry = (tuple(sorted(terms.items())), bool(complete))
+            entry = (tuple([term(t, t) for t in sorted(terms.items())]), bool(complete))
             prior = self._products.setdefault(key, entry)
             if prior is not entry and prior != entry:
                 raise ParseError(f"conflicting product entries for ({a},{b})")
@@ -718,31 +721,36 @@ def based_iso(rd1: RootDatum, rd2: RootDatum) -> tuple[tuple[int, ...], ...] | N
     return None
 
 
-def _json_array(items: list[str], indent: str) -> str:
-    """Encoded items, each led by a newline and its indentation, as a json
-    array in the ``indent=2`` layout closed at the given indentation."""
-    return f'[{",".join(items)}\n{indent}]' if items else "[]"
-
-
 def semiring_to_json(sr: AbstractSemiring) -> str:
     """The dump file: the bytes ``json.dumps(doc, indent=2, sort_keys=True)``
     gives for {"ids", "products": [{"a", "b", "complete", "terms": [{"id",
     "mult"}]}], "unit"}, written directly because with ``indent`` the stdlib
-    falls back to its pure-Python encoder.  Each id is quoted once, and each
-    distinct (id, multiplicity) term is written once."""
+    falls back to its pure-Python encoder.  Each id is quoted once, each
+    distinct (id, multiplicity) term is written once, and the file is one
+    join of a flat list of pieces: a header per product and the shared
+    term texts, each followed by a comma that the array's close replaces."""
     quote = dict(zip(sr.ids, map(encode_basestring_ascii, sr.ids)))
     table = sr.product_table.items()
     distinct = set(itertools.chain.from_iterable(terms for _, (terms, _) in table))
     term_text = {(t, m): f'\n        {{\n          "id": {quote[t]},\n          "mult": {m}\n        }}'
                  for t, m in distinct}
-    products = [
-        f'\n    {{\n      "a": {quote[a]},\n      "b": {quote[b]},\n'
-        f'      "complete": {"true" if complete else "false"},\n'
-        f'      "terms": {_json_array(list(map(term_text.__getitem__, terms)), "      ")}\n    }}'
-        for (a, b), (terms, complete) in table]
-    ids = _json_array([f"\n    {q}" for q in quote.values()], "  ")
-    return (f'{{\n  "ids": {ids},\n  "products": {_json_array(products, "  ")},\n'
-            f'  "unit": {quote[sr.unit]}\n}}\n')
+    pieces = ['{\n  "ids": [']
+    for q in quote.values():
+        pieces += (f"\n    {q}", ",")
+    pieces[-1] = '\n  ],\n  "products": ['
+    for (a, b), (terms, complete) in table:
+        pieces.append(f'\n    {{\n      "a": {quote[a]},\n      "b": {quote[b]},\n'
+                      f'      "complete": {"true" if complete else "false"},\n      "terms": [')
+        for t in terms:
+            pieces += (term_text[t], ",")
+        if terms:
+            pieces[-1] = "\n      ]\n    }"
+        else:
+            pieces.append("]\n    }")
+        pieces.append(",")
+    # the unit's products make ids and products nonempty
+    pieces[-1] = f'\n  ],\n  "unit": {quote[sr.unit]}\n}}\n'
+    return "".join(pieces)
 
 
 def semiring_from_json(text: str) -> AbstractSemiring:

@@ -11,7 +11,7 @@ by (Cartan matrix, labels), as in LiE and Stembridge (MSJ Memoirs 11).  The
 Cartan matrix is taken in its canonical node order
 (``lattice.cartan_tables``): the entry points ``weight_multiplicities``,
 ``weyl_dim``, ``tensor_decompose_list``, ``power_decompose`` and
-``product_table`` read labels and depths through
+``product_table`` read labels through
 ``datum_tables(rd).canonical``, the datum with its simple roots in that
 order, and so return the same weights in the datum's own basis.  Data that
 share a Cartan matrix up to the numbering of its nodes, in any lattice
@@ -22,8 +22,9 @@ reconstructed from its dump, whose simple roots come back sorted, do.
   below lam from ``lattice._dominant_depths``, with the invariant form on
   labels from ``lattice.cartan_tables``, and expands each to its orbit with
   ``lattice._label_orbit`` (``dominant_below`` and ``weyl_orbit`` share
-  both).  It carries each weight of V_lam as its labels and its depth d, the
-  weight being lam - sum(d_i alpha_i).
+  both).  It keeps V_lam as two columns, the labels of each weight and its
+  multiplicity; ``weight_multiplicities`` reads weights off the labels with
+  ``_weights``.
 - ``_label_product`` is the Brauer-Klimyk product: the rho-shift adds 1 to
   each label, and each term's shifted labels go through the chamber memo
   of the Cartan matrix (``_chamber``), which maps them to the labels and
@@ -39,7 +40,8 @@ reconstructed from its dump, whose simple roots come back sorted, do.
   ``tensor_decompose`` and PRV go through it.  ``power_decompose`` takes
   V^k from ``_label_power``, which caches each power on labels and extends
   the cached V^(k-1) by one ``_times`` step, so products are cached twice:
-  pairs in ``_label_product`` and powers in ``_label_power``.
+  pairs in ``_label_product`` and powers in ``_label_power``.  Diagrams,
+  products and powers are all (labels, multiplicities) column pairs.
 
 ``product_table`` builds the all-pairs table of a weight list, which both
 the forward dump and the reconstruction self-check read, without building a
@@ -70,8 +72,8 @@ they come (``_product_terms``).
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, itemgetter, mul
-from typing import Iterable, Sequence
+from operator import add, mul
+from typing import Sequence
 
 from .errors import DomainError, InconsistencyError
 from .lattice import (
@@ -85,7 +87,6 @@ from .lattice import (
     _fold_labels,
     _label_orbit,
     _labels,
-    _subtract_roots,
     apply_word,
     cartan_matrix,
     cartan_tables,
@@ -98,6 +99,8 @@ Decomposition = dict[Weight, int]
 WeightTable = dict[Weight, int]
 Cartan = tuple[tuple[int, ...], ...]
 Labels = tuple[int, ...]
+# constituents or weights beside their multiplicities, one entry each
+Terms = tuple[tuple[Labels, ...], tuple[int, ...]]
 
 
 def _reads(symmetries: Symmetries, labels: Labels) -> tuple[tuple[tuple[Labels, ...], ...], ...]:
@@ -134,9 +137,9 @@ def _image_permutation(symmetries: Symmetries, walks: tuple[tuple[int, ...], ...
 
 
 @lru_cache(maxsize=4096)
-def _label_diagram(cartan: Cartan, labels: Labels) -> tuple[tuple[Labels, tuple[int, ...], int], ...]:
-    """The weight diagram of the irreducible with the given labels, as
-    (labels, depth, multiplicity) for every weight.
+def _label_diagram(cartan: Cartan, labels: Labels) -> Terms:
+    """The weight diagram of the irreducible with the given labels, as two
+    columns: the labels of every weight and its multiplicity.
 
     Freudenthal: m(nu) (|lam+rho|^2 - |nu+rho|^2) = 2 sum over positive
     roots alpha and k >= 1 of m(nu + k alpha) (nu + k alpha, alpha), taken
@@ -145,9 +148,9 @@ def _label_diagram(cartan: Cartan, labels: Labels) -> tuple[tuple[Labels, tuple[
     bounds k; its multiplicity is that of its folded labels.
 
     A diagram automorphism p of the Cartan matrix permutes the nodes, and
-    with them the labels and depths of every diagram, so labels that are
-    not their own least image (``_least_image``) get the diagram of that
-    image, permuted back.
+    with them the labels of every diagram, so labels that are not their own
+    least image (``_least_image``) get the diagram of that image, permuted
+    back.
     """
     tables = cartan_tables(cartan)
     if tables.symmetries:
@@ -156,8 +159,8 @@ def _label_diagram(cartan: Cartan, labels: Labels) -> tuple[tuple[Labels, tuple[
         least = tuple([labels[x] for x in perm])
         if least != labels:
             back = sorted(range(len(perm)), key=perm.__getitem__)
-            return tuple((tuple([w[x] for x in back]), tuple([d[x] for x in back]), m)
-                         for w, d, m in _label_diagram(cartan, least))
+            weights, mults = _label_diagram(cartan, least)
+            return tuple([tuple([w[x] for x in back]) for w in weights]), mults
     roots = tuple(zip(tables.roots, tables.root_labels, tables.root_norms))
 
     def shifted_norm(nu: Labels) -> int:
@@ -192,19 +195,22 @@ def _label_diagram(cartan: Cartan, labels: Labels) -> tuple[tuple[Labels, tuple[
         if rem != 0 or value <= 0:
             raise InconsistencyError("Freudenthal recursion produced a non-multiplicity")
         mult[nu] = value
-    diagram = []
+    weights: list[Labels] = []
+    mults: list[int] = []
     for nu, m in mult.items():
-        diagram.extend((w, d, m) for w, d in _label_orbit(cartan, nu, depths[nu]).items())
-    return tuple(diagram)
+        orbit = _label_orbit(cartan, nu, depths[nu])
+        weights.extend(orbit)
+        mults.extend([m] * len(orbit))
+    return tuple(weights), tuple(mults)
 
 
 def weight_multiplicities(rd: RootDatum, lam: Weight) -> WeightTable:
     """Full weight diagram of the irreducible with highest weight lam, by
-    Freudenthal recursion over the dominant weights below lam."""
+    Freudenthal recursion over the dominant weights below lam, sorted by
+    weight; each weight of the diagram lies in lam - Q, so ``_weights``
+    reads it off its labels."""
     canon = datum_tables(rd).canonical
-    labels = _dominant_labels(canon, lam)
-    return dict(sorted((_subtract_roots(canon, lam, d), m)
-                       for _, d, m in _label_diagram(cartan_matrix(canon), labels)))
+    return _weights(rd, lam, _label_diagram(cartan_matrix(canon), _dominant_labels(canon, lam)))
 
 
 @lru_cache(maxsize=65536)
@@ -239,8 +245,9 @@ def _chamber(cartan: Cartan) -> dict[Labels, tuple[Labels, int] | None]:
 
 
 @lru_cache(maxsize=65536)
-def _label_product(cartan: Cartan, a: Labels, b: Labels) -> tuple[tuple[Labels, int], ...]:
-    """V_a ⊗ V_b on labels: (labels, multiplicity) of every constituent.
+def _label_product(cartan: Cartan, a: Labels, b: Labels) -> Terms:
+    """V_a ⊗ V_b on labels, as two columns: the labels of every constituent
+    and its multiplicity.
 
     Walks the weight diagram of the smaller factor and looks up each term's
     rho-shifted labels in the chamber memo; a miss folds them once with
@@ -254,7 +261,7 @@ def _label_product(cartan: Cartan, a: Labels, b: Labels) -> tuple[tuple[Labels, 
     shift = tuple(x + 1 for x in a)
     chamber = _chamber(cartan)
     acc: dict[Labels, int] = {}
-    for nu, _, m in _label_diagram(cartan, b):
+    for nu, m in zip(*_label_diagram(cartan, b)):
         labels = tuple(map(add, shift, nu))
         try:
             entry = chamber[labels]
@@ -265,12 +272,14 @@ def _label_product(cartan: Cartan, a: Labels, b: Labels) -> tuple[tuple[Labels, 
         if entry is not None:
             constituent, sign = entry
             acc[constituent] = acc.get(constituent, 0) + sign * m
-    if any(m < 0 for m in acc.values()):
+    if min(acc.values(), default=0) < 0:
         raise InconsistencyError("negative multiplicity from shift-reflect fold")
-    return tuple((labels, m) for labels, m in acc.items() if m)
+    if 0 in acc.values():
+        acc = {labels: m for labels, m in acc.items() if m}
+    return tuple(acc), tuple(acc.values())
 
 
-def _product_terms(cartan: Cartan, a: Labels, b: Labels) -> tuple[tuple[Labels, int], ...]:
+def _product_terms(cartan: Cartan, a: Labels, b: Labels) -> Terms:
     """_label_product under one key for both orders of the factors."""
     return _label_product(cartan, a, b) if a <= b else _label_product(cartan, b, a)
 
@@ -375,44 +384,47 @@ def product_table(rd: RootDatum, weights: Sequence[Weight]
             if index is None:
                 index = indexes[cls] = {images[k]: k for k in members[cls]}
             a, b = images[i], images[j]
-            terms = _label_product(cartan, a, b) if a <= b else _label_product(cartan, b, a)
+            constituents, mults = _label_product(cartan, a, b) if a <= b else _label_product(cartan, b, a)
             get = index.get
-            found = sorted([(k, m) for nu, m in terms if (k := get(nu)) is not None])
-            table[(i, j)] = (tuple(found), len(terms), sum(map(itemgetter(1), terms)))
+            found = sorted([(k, m) for nu, m in zip(constituents, mults) if (k := get(nu)) is not None])
+            table[(i, j)] = (tuple(found), len(constituents), sum(mults))
     return table
 
 
-def _times(cartan: Cartan, terms: Iterable[tuple[Labels, int]], b: Labels) -> tuple[tuple[Labels, int], ...]:
-    """terms ⊗ V_b on labels: (labels, multiplicity) of every constituent."""
+def _times(cartan: Cartan, terms: Terms, b: Labels) -> Terms:
+    """terms ⊗ V_b on labels, as (constituents, multiplicities) columns."""
     acc: dict[Labels, int] = {}
-    for a, ma in terms:
-        for c, mc in _product_terms(cartan, a, b):
+    for a, ma in zip(*terms):
+        for c, mc in zip(*_product_terms(cartan, a, b)):
             acc[c] = acc.get(c, 0) + ma * mc
-    return tuple(acc.items())
+    return tuple(acc), tuple(acc.values())
 
 
 @lru_cache(maxsize=4096)
-def _label_power(cartan: Cartan, labels: Labels, k: int) -> tuple[tuple[Labels, int], ...]:
-    """V_labels^k on labels: ``_times`` of V_labels^(k-1) and V_labels.
-    Asked for k = 0, 1, ... in turn, each call finds k - 1 cached, so the
-    recursion stays one frame deep."""
+def _label_power(cartan: Cartan, labels: Labels, k: int) -> Terms:
+    """V_labels^k on labels as (constituents, multiplicities) columns:
+    ``_times`` of V_labels^(k-1) and V_labels.  Asked for k = 0, 1, ... in
+    turn, each call finds k - 1 cached, so the recursion stays one frame
+    deep."""
     if k == 0:
-        return (((0,) * len(cartan), 1),)
+        return ((0,) * len(cartan),), (1,)
     return _times(cartan, _label_power(cartan, labels, k - 1), labels)
 
 
-def _weights(rd: RootDatum, top: Weight, terms: Iterable[tuple[Labels, int]]) -> Decomposition:
+def _weights(rd: RootDatum, top: Weight, terms: Terms) -> Decomposition:
     """The decomposition, sorted by weight, whose constituents lie in top - Q
-    and have the given canonical labels: the one with labels top's minus
-    gap is top - weight_rows gap / denominator (``lattice.DatumTables``)."""
+    and have the given canonical labels and multiplicities (two columns):
+    the one with labels top's minus gap is top - weight_rows gap /
+    denominator (``lattice.DatumTables``)."""
     tables = datum_tables(rd)
     top_labels = _labels(tables.canonical, top)
     d = tables.denominator
     rows = tables.weight_rows
     # d top - rows gap = base + rows labels, so a constituent costs one mat-vec
     base = [d * t - sum(map(mul, row, top_labels)) for t, row in zip(top, rows)]
-    return dict(sorted((tuple([(b + sum(map(mul, row, labels))) // d for b, row in zip(base, rows)]), m)
-                       for labels, m in terms))
+    labels, mults = terms
+    return dict(sorted(zip([tuple([(b + sum(map(mul, row, nu))) // d for b, row in zip(base, rows)])
+                            for nu in labels], mults)))
 
 
 def power_decompose(rd: RootDatum, lam: Weight, k: int) -> Decomposition:
@@ -442,7 +454,7 @@ def tensor_decompose_list(rd: RootDatum, weights: Sequence[Weight]) -> Decomposi
     canon = datum_tables(rd).canonical
     cartan = cartan_matrix(canon)
     factors = [_dominant_labels(canon, w) for w in weights]
-    terms: tuple[tuple[Labels, int], ...] = (((0,) * len(cartan), 1),)
+    terms: Terms = ((0,) * len(cartan),), (1,)
     for b in factors:
         terms = _times(cartan, terms, b)
     return _weights(rd, tuple(sum(w[i] for w in weights) for i in range(rd.rank)), terms)

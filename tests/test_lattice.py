@@ -207,6 +207,21 @@ class TestReflections:
         with pytest.raises(DomainError, match="must be integers"):
             query(datum("SL3"))
 
+    @pytest.mark.parametrize("query", [weyl_orbit, dominant_below], ids=["weyl_orbit", "dominant_below"])
+    @pytest.mark.parametrize("first", ["int", "float"])
+    def test_float_weight_never_reads_the_cache(self, query, first):
+        # 1.0 == 1 and hash(1.0) == hash(1): a cache keyed by the weight as
+        # given answered (1.0, 1) with the integer result once (1, 1) had run
+        rd = datum("SL3")
+        integer, floating = (1, 1), (1.0, 1)
+        query.cache_clear()
+        for weight in [integer, floating] if first == "int" else [floating, integer]:
+            if weight is integer:
+                assert query(rd, weight) == query.__wrapped__(rd, integer)
+            else:
+                with pytest.raises(DomainError, match="must be integers"):
+                    query(rd, weight)
+
     def test_orbits(self):
         assert set(weyl_orbit(datum("SL2"), (1,))) == {(1,), (-1,)}
         assert set(weyl_orbit(datum("SL3"), (1, 0))) == {(1, 0), (-1, 1), (0, -1)}

@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import lp_feasible_point_by_fractions, smith_normal_form_dense
+from satake import reconstruct
+from satake.fixtures import get_fixture
+from satake.lattice import dual_root_datum
 from satake.linalg import (
     det_int,
     identity_matrix,
@@ -94,6 +98,24 @@ def relation_matrices(draw):
     return [list(row) for row in zip(*columns)]
 
 
+def seed_relation_matrix(rd, bound: int, seed: int) -> list[list[int]]:
+    """The relation matrix that monoid recovery hands to the Smith form at
+    grade 4, for the seeded dump of rd at the given bound."""
+    sr, _ = reconstruct.dump_semiring(rd, bound, seed)
+    caught = []
+
+    def spy(a):
+        caught.append([list(row) for row in a])
+        return smith_normal_form(a)
+
+    with mock.patch.object(reconstruct, "smith_normal_form", spy):
+        reconstruct.recover_monoid(sr, reconstruct.ReconstructionConfig(), min_grade=4)
+    return caught[0]
+
+
+# GL2^-8: 34 ids by 218 certified sums, the widest seed matrix of the fixtures
+GL2_DUAL_RELATIONS = seed_relation_matrix(dual_root_datum(get_fixture("GL2").datum), 8, 0)
+
 small_matrices = st.integers(1, 5).flatmap(
     lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=1, max_size=5))
 
@@ -102,9 +124,11 @@ small_matrices = st.integers(1, 5).flatmap(
 @given(st.one_of(small_matrices, relation_matrices()))
 @example([[6, -3, 5, -3], [2, 4, -2, 0], [6, -4, 2, -5]])
 @example([[0, 0], [0, 0]])
+@example(GL2_DUAL_RELATIONS)
 def test_smith_normal_form_matches_dense_reference(a):
-    # the sparse columns of v and the early pivot stop change no step, so
-    # the same (d, u, v) comes out; the recovered data depend on u
+    # the sparse columns of v, the early pivot stop and clearing a pivot row
+    # in place change no step, so the same (d, u, v) comes out; the
+    # recovered data depend on u
     assert smith_normal_form(a) == smith_normal_form_dense(a)
 
 

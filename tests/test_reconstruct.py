@@ -223,6 +223,26 @@ class TestDump:
         assert '"terms": []' in text and text.isascii()
         assert semiring_from_json(text).product_table == sr.product_table
 
+    @pytest.mark.hashseed
+    @pytest.mark.parametrize("rd, bound", [(datum("GL2"), 1), (RootDatum(0, (), ()), 3)], ids=["GL2-1", "torus"])
+    def test_writer_matches_json_dumps_on_small_dumps(self, rd, bound):
+        # GL2 at bound 1 has products with no term in the window; the torus
+        # dump has one id, so every array holds a single item
+        sr, _ = dump_semiring(rd, bound, seed=0)
+        empty = [ab for ab, (terms, _) in sr.product_table.items() if not terms]
+        assert empty if rd.rank else sr.ids == (sr.unit,)
+        assert semiring_to_json(sr) == semiring_to_json_by_dumps(sr)
+
+    def test_entries_share_one_tuple_per_term(self):
+        # each distinct (id, multiplicity) term is one object, whether the
+        # entries came from the dump or from its json
+        sr, _ = dump_semiring(datum("SL3"), 12, seed=0)
+        for semiring in (sr, semiring_from_json(semiring_to_json(sr))):
+            terms = [t for entry, _ in semiring.product_table.values() for t in entry]
+            shared = {}
+            assert all(shared.setdefault(t, t) is t for t in terms)
+            assert len(shared) < len(terms)
+
     def test_malformed_json(self):
         with pytest.raises(ParseError):
             semiring_from_json("{\"unit\": \"a\"}")

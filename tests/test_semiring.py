@@ -257,7 +257,22 @@ def test_weight_rows_match_depth_reference(rd, data):
     gap = [sum(map(mul, row, depth)) for row in cartan]
     want = oracles.weight_below_by_depth(rd, top, gap)
     assert want == _subtract_roots(canon, top, depth)
-    assert _weights(rd, top, [(tuple(map(sub, _labels(canon, top), gap)), 1)]) == {want: 1}
+    assert _weights(rd, top, ((tuple(map(sub, _labels(canon, top), gap)),), (1,))) == {want: 1}
+
+
+@pytest.mark.parametrize("rd", ALL_DATA + [GL3, TORUS2], ids=lambda rd: rd.name)
+def test_label_caches_hold_columns(rd):
+    # diagrams, products and powers are (labels, multiplicities): two
+    # tuples of equal length, not one tuple per weight or constituent
+    canon = datum_tables(rd).canonical
+    cartan = cartan_matrix(canon)
+    window = [_labels(canon, w) for w in dominant_window(rd, 4)]
+    results = [_label_diagram(cartan, x) for x in window]
+    results += [_label_product(cartan, x, y) for x in window[:4] for y in window[:4] if x <= y]
+    results += [_label_power(cartan, window[-1], k) for k in range(4)]
+    for result in results:
+        assert len(result) == 2 and all(type(column) is tuple for column in result)
+        assert len(result[0]) == len(result[1]) > 0
 
 
 def _change_basis(rd: RootDatum, p, p_inv) -> RootDatum:
@@ -292,9 +307,10 @@ def test_label_caches_shared_across_bases(data):
         assert cartan_matrix(rd) == cartan_matrix(group[0])
         assert weight_multiplicities(rd, lam) == character_by_weyl_formula(rd, lam), (rd.name, lam)
         assert tensor_decompose(rd, lam, mu) == dict(tensor_by_doubled_fold(rd, lam, mu)), (rd.name, lam, mu)
-        doms = {_subtract_roots(rd, lam, depth)
-                for labels, depth, _ in _label_diagram(cartan_matrix(rd), _labels(rd, lam))
-                if min(labels) >= 0}
+        canon = datum_tables(rd).canonical
+        labels, _ = _label_diagram(cartan_matrix(canon), _labels(canon, lam))
+        dominant = [nu for nu in labels if min(nu) >= 0]
+        doms = set(_weights(rd, lam, (dominant, (1,) * len(dominant))))
         assert doms == set(dominant_below(rd, lam))
 
 
@@ -344,8 +360,8 @@ def test_products_follow_node_permutation(family, n):
     window = _label_window(n, 2)
     for i, x in enumerate(window):
         for y in window[i:]:
-            want = {move(c): m for c, m in _label_product(cartan, x, y)}
-            assert dict(_label_product(permuted, move(x), move(y))) == want, (p, x, y)
+            want = {move(c): m for c, m in zip(*_label_product(cartan, x, y))}
+            assert dict(zip(*_label_product(permuted, move(x), move(y)))) == want, (p, x, y)
 
 
 @pytest.mark.parametrize("rd", ALL_DATA + [GL3], ids=lambda rd: rd.name)
