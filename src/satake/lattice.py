@@ -36,7 +36,8 @@ when all its labels are >= 0, and the reflection s_i subtracts labels[i]
 times column i of the Cartan matrix.  ``dominant_representative`` and the
 Freudenthal recursion and Klimyk product in ``semiring`` share that fold,
 and ``weyl_orbit`` and the weight diagrams share one orbit walk on labels,
-``_label_orbit``.
+``_label_orbit``.  Labels fix a weight of top - Q, and every weight these
+and ``semiring`` compute comes back from labels through ``_weights_below``.
 """
 from __future__ import annotations
 
@@ -46,8 +47,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, wraps
 from math import gcd, lcm
-from operator import index, mul
-from typing import Sequence
+from operator import index, mul, sub
+from typing import Iterable, Sequence
 
 from .errors import DomainError, InvalidDatumError, ParseError, json_value
 from .linalg import lp_feasible_point, smith_normal_form
@@ -145,39 +146,36 @@ def reflect(rd: RootDatum, i: int, lam: Weight) -> Weight:
         raise DomainError(f"Weyl letters must be integers, not {i!r}") from exc
     if not 0 <= i < rd.semisimple_rank:
         raise DomainError(f"Weyl letter {i} out of range")
-    return _subtract_roots(rd, lam, [0] * i + [_labels(rd, lam)[i]])
+    lam = _vector(rd, lam)
+    c = sum(map(mul, lam, rd.simple_coroots[i]))
+    return tuple([x - c * a for x, a in zip(lam, rd.simple_roots[i])])
 
 
 def apply_word(rd: RootDatum, word: Sequence[int], lam: Weight) -> Weight:
     """Apply a Weyl word, rightmost letter first: word=(i, j) acts as s_i s_j."""
-    v = tuple(lam)
+    v = _vector(rd, lam)
     for letter in reversed(word):
         v = reflect(rd, letter, v)
     return v
 
 
-def _fold_labels(cartan: Sequence[Sequence[int]], labels: Sequence[int]
-                 ) -> tuple[list[int], list[int], WeylWord]:
+def _fold_labels(cartan: Sequence[Sequence[int]], labels: Sequence[int]) -> tuple[list[int], WeylWord]:
     """Fold Dynkin labels into the dominant chamber.
 
     Reflects at the first negative label i by index until none is left: s_i
-    sends label j to labels[j] - c * A[j][i] with c = labels[i], and moves
-    the weight by -c alpha_i.  Returns the final labels, the coefficients c_i
-    with folded weight = weight - sum(c_i alpha_i), and the word (rightmost
-    letter applied first).
+    sends label j to labels[j] - labels[i] * A[j][i].  Returns the final
+    labels and the word (rightmost letter applied first).
     """
     labels = list(labels)
-    coeffs = [0] * len(labels)
     applied: list[int] = []
     while True:
         for i, c in enumerate(labels):
             if c < 0:
                 break
         else:
-            return labels, coeffs, tuple(reversed(applied))
+            return labels, tuple(reversed(applied))
         for j, row in enumerate(cartan):
             labels[j] -= c * row[i]
-        coeffs[i] += c
         applied.append(i)
 
 
@@ -220,7 +218,7 @@ def _count(value, name: str) -> int:
 def _labels(rd: RootDatum, lam: Weight) -> tuple[int, ...]:
     """The Dynkin labels of a weight: its pairings with the simple coroots."""
     lam = _vector(rd, lam)
-    return tuple(sum(map(mul, lam, cov)) for cov in rd.simple_coroots)
+    return tuple([sum(map(mul, lam, cov)) for cov in rd.simple_coroots])
 
 
 def _dominant_labels(rd: RootDatum, lam: Weight) -> tuple[int, ...]:
@@ -236,55 +234,56 @@ def dominant_representative(rd: RootDatum, lam: Weight) -> tuple[Weight, WeylWor
 
     The fold runs on Dynkin labels (one pairing per simple coroot, then one
     Cartan column per reflection) and always reflects at the smallest
-    violating index, so the word is deterministic.  apply_word(rd, word, lam)
-    equals the returned weight.
+    violating index, so the word is deterministic.  The representative is
+    the weight whose labels are lam's minus that gap (``_weights_below``),
+    and apply_word(rd, word, lam) equals it.
     """
     cartan = cartan_matrix(rd)
     cartan_tables(cartan)  # raises off finite type, where the fold need not end
-    _, coeffs, word = _fold_labels(cartan, _labels(rd, lam))
-    return _subtract_roots(rd, lam, coeffs), word
+    labels = _labels(rd, lam)
+    folded, word = _fold_labels(cartan, labels)
+    if not word:  # lam is dominant
+        return tuple(lam), word
+    return _weights_below(rd, lam, [tuple(map(sub, labels, folded))])[0], word
 
 
-def _subtract_roots(rd: RootDatum, v: Sequence[int], coeffs: Sequence[int]) -> Weight:
-    """v - sum(c_i alpha_i) over the simple roots."""
-    out = list(v)
-    for c, alpha in zip(coeffs, rd.simple_roots):
-        if c:
-            for k, a in enumerate(alpha):
-                out[k] -= c * a
-    return tuple(out)
+def _weights_below(rd: RootDatum, top: Sequence[int], gaps: Iterable[Sequence[int]]) -> list[Weight]:
+    """The weights in top - Q whose labels are top's minus each gap: top -
+    weight_rows gap / denominator (``DatumTables``), one mat-vec each.  The
+    one place where labels become weights."""
+    tables = datum_tables(rd)
+    d, rows = tables.denominator, tables.weight_rows
+    out = []
+    for gap in gaps:
+        out.append(tuple([t - sum(map(mul, row, gap)) // d for t, row in zip(top, rows)]))
+    return out
 
 
 @_weight_cache
 def weyl_orbit(rd: RootDatum, lam: Weight) -> tuple[Weight, ...]:
     """The W-orbit of a weight, sorted for determinism, walked on labels from
-    the fold of lam, whose depth relative to lam is the fold's coefficients."""
+    lam's own labels."""
     cartan = cartan_matrix(rd)
     cartan_tables(cartan)  # raises off finite type, where the orbit need not be finite
-    labels, coeffs, _ = _fold_labels(cartan, _labels(rd, lam))
-    orbit = _label_orbit(cartan, tuple(labels), tuple(coeffs))
-    return tuple(sorted(_subtract_roots(rd, lam, depth) for depth in orbit.values()))
+    labels = _labels(rd, lam)
+    gaps = [tuple(map(sub, labels, nu)) for nu in _label_orbit(cartan, labels)]
+    return tuple(sorted(_weights_below(rd, lam, gaps)))
 
 
-def _label_orbit(cartan: Sequence[Sequence[int]], labels: tuple[int, ...], depth: tuple[int, ...]
-                 ) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """The W-orbit of a weight with the given labels and depth d below some
-    base, as a map from labels (which fix a weight of the orbit) to depth in
-    breadth-first order: s_i subtracts label i times column i of the Cartan
-    matrix and deepens the weight by label i at i."""
-    orbit = {labels: depth}
-    frontier = [labels]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i, c in enumerate(v):
-                if c:
-                    w = tuple(x - c * row[i] for x, row in zip(v, cartan))
-                    if w not in orbit:
-                        d = orbit[v]
-                        orbit[w] = d[:i] + (d[i] + c,) + d[i + 1:]
-                        nxt.append(w)
-        frontier = nxt
+def _label_orbit(cartan: Sequence[Sequence[int]], labels: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The labels of the W-orbit of a weight with the given labels (labels
+    fix a weight of the orbit), in breadth-first order: s_i subtracts label
+    i times column i of the Cartan matrix, so reflecting at every nonzero
+    label reaches the whole orbit."""
+    orbit = [labels]
+    seen = {labels}
+    for v in orbit:
+        for i, c in enumerate(v):
+            if c:
+                w = tuple(x - c * row[i] for x, row in zip(v, cartan))
+                if w not in seen:
+                    seen.add(w)
+                    orbit.append(w)
     return orbit
 
 
@@ -574,9 +573,10 @@ class DatumTables:
     R^T span_rows vanishes exactly on the roots' rational span, and
     ``off_span_rows`` keeps its nonzero rows (none when the roots span the
     lattice, as for semisimple data).  ``weight_rows`` is R^T A^-1 times
-    ``denominator`` in the canonical node order: the weight of top - Q whose
-    canonical labels are top's minus gap is top - weight_rows gap /
-    denominator, as A^-1 gap is its depth."""
+    ``denominator`` in the datum's own node order: the weight of top - Q
+    whose labels are top's minus gap is top - weight_rows gap /
+    denominator, as A^-1 gap is its coordinates below top in the simple
+    roots (``_weights_below``)."""
 
     positive_roots_with_coroots: tuple[tuple[Weight, Weight], ...]
     two_rho: Weight
@@ -600,8 +600,8 @@ def datum_tables(rd: RootDatum) -> DatumTables:
     """Positive roots and coroots as vectors (root sum k_i alpha_i, coroot
     sum n_i alpha_i^vee from the Cartan tables), 2rho, 2rho^vee and the
     Smith form of the root lattice, the datum in canonical node order, the
-    integer map onto the roots' span and the map from canonical labels to
-    weights.  Raises InvalidDatumError unless of finite type."""
+    integer map onto the roots' span and the map from labels to weights.
+    Raises InvalidDatumError unless of finite type."""
     shared = cartan_tables(cartan_matrix(rd))
     positive = sorted((_combination(rd.rank, k, rd.simple_roots),
                        _combination(rd.rank, n, rd.simple_coroots)) for k, n in shared.roots)
@@ -625,9 +625,8 @@ def datum_tables(rd: RootDatum) -> DatumTables:
         span_rows=span,
         off_span_rows=tuple(row for row in off_span if any(row)),
         denominator=shared.denominator,
-        # canonical node j is node order[j] of rd
-        weight_rows=tuple(tuple(sum(alpha[p] * row[j] for alpha, row in zip(rd.simple_roots, shared.inverse_rows))
-                                for j in order) for p in range(rd.rank)),
+        weight_rows=tuple(_combination(s, [alpha[p] for alpha in rd.simple_roots], shared.inverse_rows)
+                          for p in range(rd.rank)),
     )
 
 
@@ -666,8 +665,8 @@ def dominant_window(rd: RootDatum, bound: int) -> tuple[Weight, ...]:
 def dominant_below(rd: RootDatum, mu: Weight) -> tuple[Weight, ...]:
     """All dominant weights lam with lam <= mu, sorted.  mu must be dominant."""
     labels = _dominant_labels(rd, mu)
-    return tuple(sorted(_subtract_roots(rd, mu, depth)
-                        for depth, _ in _dominant_depths(cartan_matrix(rd), labels)))
+    gaps = [tuple(map(sub, labels, nu)) for _, nu in _dominant_depths(cartan_matrix(rd), labels)]
+    return tuple(sorted(_weights_below(rd, mu, gaps)))
 
 
 def saturation_set(rd: RootDatum, mu: Weight) -> tuple[Weight, ...]:

@@ -23,8 +23,7 @@ reconstructed from its dump, whose simple roots come back sorted, do.
   labels from ``lattice.cartan_tables``, and expands each to its orbit with
   ``lattice._label_orbit`` (``dominant_below`` and ``weyl_orbit`` share
   both).  It keeps V_lam as two columns, the labels of each weight and its
-  multiplicity; ``weight_multiplicities`` reads weights off the labels with
-  ``_weights``.
+  multiplicity.
 - ``_label_product`` is the Brauer-Klimyk product: the rho-shift adds 1 to
   each label, and each term's shifted labels go through the chamber memo
   of the Cartan matrix (``_chamber``), which maps them to the labels and
@@ -33,15 +32,18 @@ reconstructed from its dump, whose simple roots come back sorted, do.
   fold.  The Freudenthal inner fold in ``_label_diagram`` and
   ``dominant_representative`` still call ``_fold_labels`` directly.
 - ``tensor_decompose_list`` multiplies a list of factors on labels, one
-  ``_times`` step per factor, and turns labels into weights once, at the
-  end (``_weights``): a constituent of V_w1 ⊗ ... ⊗ V_wn lies in
-  w1 + ... + wn - Q, where its labels fix it, and the ``weight_rows`` of
-  ``datum_tables`` give that weight in one matrix-vector product.
-  ``tensor_decompose`` and PRV go through it.  ``power_decompose`` takes
-  V^k from ``_label_power``, which caches each power on labels and extends
-  the cached V^(k-1) by one ``_times`` step, so products are cached twice:
-  pairs in ``_label_product`` and powers in ``_label_power``.  Diagrams,
-  products and powers are all (labels, multiplicities) column pairs.
+  ``_times`` step per factor.  ``tensor_decompose`` and PRV go through it.
+  ``power_decompose`` takes V^k from ``_label_power``, which caches each
+  power on labels and extends the cached V^(k-1) by one ``_times`` step,
+  so products are cached twice: pairs in ``_label_product`` and powers in
+  ``_label_power``.  Diagrams, products and powers are all (labels,
+  multiplicities) column pairs.
+- ``_weights`` turns labels into weights once per result, for
+  ``weight_multiplicities``, lists and powers: every weight of V_lam lies
+  in lam - Q, and every constituent of V_w1 ⊗ ... ⊗ V_wn in
+  w1 + ... + wn - Q, where its labels fix it.  It hands the gaps below
+  that top weight to ``lattice._weights_below`` on the canonical datum,
+  whose own node order is the canonical one, and sorts the result.
 
 ``product_table`` builds the all-pairs table of a weight list, which both
 the forward dump and the reconstruction self-check read, without building a
@@ -72,7 +74,7 @@ they come (``_product_terms``).
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, mul
+from operator import add, sub
 from typing import Sequence
 
 from .errors import DomainError, InconsistencyError
@@ -87,6 +89,7 @@ from .lattice import (
     _fold_labels,
     _label_orbit,
     _labels,
+    _weights_below,
     apply_word,
     cartan_matrix,
     cartan_tables,
@@ -170,9 +173,7 @@ def _label_diagram(cartan: Cartan, labels: Labels) -> Terms:
 
     top = shifted_norm(labels)
     mult: dict[Labels, int] = {}
-    depths: dict[Labels, tuple[int, ...]] = {}
     for depth, nu in sorted(_dominant_depths(cartan, labels), key=lambda e: (sum(e[0]), e[0])):
-        depths[nu] = depth
         if not any(depth):
             mult[nu] = 1
             continue
@@ -198,7 +199,7 @@ def _label_diagram(cartan: Cartan, labels: Labels) -> Terms:
     weights: list[Labels] = []
     mults: list[int] = []
     for nu, m in mult.items():
-        orbit = _label_orbit(cartan, nu, depths[nu])
+        orbit = _label_orbit(cartan, nu)
         weights.extend(orbit)
         mults.extend([m] * len(orbit))
     return tuple(weights), tuple(mults)
@@ -266,7 +267,7 @@ def _label_product(cartan: Cartan, a: Labels, b: Labels) -> Terms:
         try:
             entry = chamber[labels]
         except KeyError:
-            folded, _, word = _fold_labels(cartan, labels)
+            folded, word = _fold_labels(cartan, labels)
             entry = chamber[labels] = None if 0 in folded else (
                 tuple([x - 1 for x in folded]), -1 if len(word) % 2 else 1)
         if entry is not None:
@@ -413,18 +414,13 @@ def _label_power(cartan: Cartan, labels: Labels, k: int) -> Terms:
 
 def _weights(rd: RootDatum, top: Weight, terms: Terms) -> Decomposition:
     """The decomposition, sorted by weight, whose constituents lie in top - Q
-    and have the given canonical labels and multiplicities (two columns):
-    the one with labels top's minus gap is top - weight_rows gap /
-    denominator (``lattice.DatumTables``)."""
-    tables = datum_tables(rd)
-    top_labels = _labels(tables.canonical, top)
-    d = tables.denominator
-    rows = tables.weight_rows
-    # d top - rows gap = base + rows labels, so a constituent costs one mat-vec
-    base = [d * t - sum(map(mul, row, top_labels)) for t, row in zip(top, rows)]
+    and have the given canonical labels and multiplicities (two columns),
+    each weight read off its labels by ``lattice._weights_below``."""
+    canon = datum_tables(rd).canonical
+    top_labels = _labels(canon, top)
     labels, mults = terms
-    return dict(sorted(zip([tuple([(b + sum(map(mul, row, nu))) // d for b, row in zip(base, rows)])
-                            for nu in labels], mults)))
+    gaps = [tuple(map(sub, top_labels, nu)) for nu in labels]
+    return dict(sorted(zip(_weights_below(canon, top, gaps), mults)))
 
 
 def power_decompose(rd: RootDatum, lam: Weight, k: int) -> Decomposition:

@@ -30,6 +30,12 @@ SL2_PGL2 = RootDatum(2, ((2, 0), (0, 1)), ((1, 0), (0, 2)), name="SL2xPGL2")
 # roots' span from its transpose: (1, 1) lies off this datum's root span
 A1SKEW = RootDatum(2, ((2, 0),), ((1, 1),), name="A1skew")
 A1SKEW_DUAL = dual_root_datum(A1SKEW)
+# B3 in the basis dual to its coroots, numbered along the diagram with the
+# short root last (``test_classification.from_cartan`` of ``finite_type("B",
+# 3)``): its canonical node order is (2, 1, 0), so its own label order and
+# the canonical one that ``semiring`` reads differ, in rank 3
+B3_REVERSED = RootDatum(3, ((2, -1, 0), (-1, 2, -2), (0, -1, 2)),
+                        ((1, 0, 0), (0, 1, 0), (0, 0, 1)), name="B3")
 EDGE_DATA = [GL3, TORUS2, TORUS0, A1SKEW, A1SKEW_DUAL]
 
 

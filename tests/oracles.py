@@ -5,9 +5,10 @@ orbit-sum quotient (full Weyl group enumeration plus exact Laurent-polynomial
 division), sharing no code path with the Freudenthal recursion or the
 shift-reflect product it checks; its Weyl group enumeration
 ``weyl_elements`` (matrices closed under the simple reflections) is also the
-reference for ``weyl_orbit``, which walks orbits on labels from a fold.  The
-box oracle filters a whole coordinate box, the reference for both
-enumerations of ``lattice._box_points``: ``dominant_window`` directly, and
+reference for ``weyl_orbit``, which walks orbits on labels from the
+weight's own labels.  The box oracle filters a whole coordinate box, the
+reference for both enumerations of ``lattice._box_points``:
+``dominant_window`` directly, and
 ``dominant_below`` (the depth box) as the box's dominant weights below the
 top weight.  The reflection oracle folds a weight vector one reflection at
 a time, the reference for the Dynkin-label fold behind
@@ -38,9 +39,13 @@ is the Klimyk product keyed by weights, walking the weight diagram from
 each target, the reference for the label-keyed ``_label_product``; the
 depth oracle turns a constituent's labels into its weight in two passes, a
 depth A^-1 gap and then a subtraction of simple roots, the reference for
-the one matrix ``weight_rows`` of ``lattice.datum_tables``; the
-``json.dumps`` writer is the reference for the dump writer.  The full
-self-check diff compares every labeled product term by term, the reference
+the one matrix ``weight_rows`` of ``lattice.datum_tables`` behind
+``lattice._weights_below``.  The depth oracle owns the depth path, which
+no library function takes: ``_subtract_roots`` and the fold that keeps its
+coefficients (``_fold_with_coefficients``), which the doubled-fold oracle
+also uses to find each target.  The ``json.dumps`` writer is the reference
+for the dump writer.  The full self-check diff compares every labeled
+product term by term, the reference
 for the mismatches that ``verify_reconstruction`` gives by diffing only the
 products whose term tuple differs.  The ``Fraction`` simplex is the rational tableau that the integer tableau of
 ``linalg.lp_feasible_point`` scales, pivot for pivot, so its point is the
@@ -70,8 +75,6 @@ from satake.lattice import (
     Weight,
     WeylWord,
     _dominant_labels,
-    _fold_labels,
-    _subtract_roots,
     cartan_matrix,
     cartan_tables,
     datum_tables,
@@ -634,6 +637,35 @@ def _half(vec: tuple[int, ...]) -> Weight:
     return tuple(c // 2 for c in vec)
 
 
+def _subtract_roots(rd: RootDatum, v: Sequence[int], coeffs: Sequence[int]) -> Weight:
+    """v - sum(c_i alpha_i) over the simple roots."""
+    out = list(v)
+    for c, alpha in zip(coeffs, rd.simple_roots):
+        for k, a in enumerate(alpha):
+            out[k] -= c * a
+    return tuple(out)
+
+
+def _fold_with_coefficients(cartan: Sequence[Sequence[int]], labels: Sequence[int]
+                            ) -> tuple[list[int], list[int], WeylWord]:
+    """Fold Dynkin labels into the dominant chamber at the first negative
+    label, keeping the coefficients c_i with folded weight = weight -
+    sum(c_i alpha_i): s_i moves the weight by -labels[i] alpha_i.  Returns
+    the final labels, the coefficients and the word (rightmost letter
+    first)."""
+    labels = list(labels)
+    coeffs = [0] * len(labels)
+    applied: list[int] = []
+    while min(labels, default=0) < 0:
+        i = next(i for i, c in enumerate(labels) if c < 0)
+        c = labels[i]
+        for j, row in enumerate(cartan):
+            labels[j] -= c * row[i]
+        coeffs[i] += c
+        applied.append(i)
+    return labels, coeffs, tuple(reversed(applied))
+
+
 def tensor_by_doubled_fold(rd: RootDatum, lam: Weight, mu: Weight) -> tuple[tuple[Weight, int], ...]:
     """V_lam ⊗ V_mu as sorted (highest weight, multiplicity) pairs: fold
     2(lam + nu) + 2rho on labels for every weight nu of the smaller factor,
@@ -646,7 +678,7 @@ def tensor_by_doubled_fold(rd: RootDatum, lam: Weight, mu: Weight) -> tuple[tupl
     for nu, m in weight_multiplicities(rd, mu).items():
         # 2(lam + nu) + 2rho has labels 2 <lam + nu, alpha_i^vee> + 2; its
         # fold minus 2rho is 2(lam + nu) - sum(c_i alpha_i), twice the target
-        labels, coeffs, word = _fold_labels(
+        labels, coeffs, word = _fold_with_coefficients(
             cartan, [2 * pairing(lam, cov) + 2 * pairing(nu, cov) + 2 for cov in rd.simple_coroots])
         if 0 in labels:
             continue  # on a wall: cancels

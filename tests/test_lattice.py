@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import A1SKEW, A1SKEW_DUAL, ALL_DATA, EDGE_DATA, GL3, SL4, TORUS0, TORUS2, datum
+from conftest import A1SKEW, A1SKEW_DUAL, ALL_DATA, B3_REVERSED, EDGE_DATA, GL3, SL4, TORUS0, TORUS2, datum
 from oracles import (
     _apply,
     class_by_smith_form,
@@ -207,6 +207,14 @@ class TestReflections:
         with pytest.raises(DomainError, match="must be integers"):
             query(datum("SL3"))
 
+    @pytest.mark.parametrize("lam, match", [((1, 2, 3), "does not have length 2"), ((0.5, 1), "must be integers")],
+                             ids=["wrong-length", "float"])
+    @pytest.mark.parametrize("word", [(), (0,)], ids=["empty", "one-letter"])
+    def test_apply_word_reads_its_weight(self, word, lam, match):
+        # the empty word used to hand lam back unread
+        with pytest.raises(DomainError, match=match):
+            apply_word(datum("SL3"), word, lam)
+
     @pytest.mark.parametrize("query", [weyl_orbit, dominant_below], ids=["weyl_orbit", "dominant_below"])
     @pytest.mark.parametrize("first", ["int", "float"])
     def test_float_weight_never_reads_the_cache(self, query, first):
@@ -342,7 +350,7 @@ def test_dominant_window_matches_box(rd):
         assert list(dominant_window(rd, bound)) == dominant_box(rd, bound, height=bound), bound
 
 
-@pytest.mark.parametrize("rd", ALL_DATA + [GL3, TORUS2, TORUS0], ids=lambda rd: rd.name)
+@pytest.mark.parametrize("rd", ALL_DATA + [GL3, TORUS2, TORUS0, A1SKEW, B3_REVERSED], ids=lambda rd: rd.name)
 def test_dominant_below_matches_box(rd):
     # lam <= mu lies at depth d_j <= <mu, w_j>, at most half mu's coroot
     # height of 6, so each coordinate of lam is within cap of the origin
@@ -353,7 +361,7 @@ def test_dominant_below_matches_box(rd):
         assert list(dominant_below(rd, mu)) == [w for w in box if leq_dominance(rd, w, mu)], mu
 
 
-@pytest.mark.parametrize("rd", ALL_DATA + [GL3], ids=lambda rd: rd.name)
+@pytest.mark.parametrize("rd", ALL_DATA + [GL3, A1SKEW, B3_REVERSED], ids=lambda rd: rd.name)
 @settings(max_examples=60, deadline=None)
 @given(vec=st.lists(st.integers(-12, 12), min_size=3, max_size=3))
 def test_dominant_representative_matches_reflection(rd, vec):
@@ -363,11 +371,11 @@ def test_dominant_representative_matches_reflection(rd, vec):
     assert apply_word(rd, word, lam) == rep
 
 
-@pytest.mark.parametrize("rd", ALL_DATA + [GL3, TORUS2], ids=lambda rd: rd.name)
+@pytest.mark.parametrize("rd", ALL_DATA + [GL3, TORUS2, A1SKEW, B3_REVERSED], ids=lambda rd: rd.name)
 @settings(max_examples=40, deadline=None)
 @given(vec=st.lists(st.integers(-6, 6), min_size=3, max_size=3))
 def test_weyl_orbit_matches_group_elements(rd, vec):
-    # any weight, dominant or not: the orbit walk starts from its fold
+    # any weight, dominant or not: the orbit walk starts from its own labels
     lam = tuple(vec[:rd.rank])
     assert weyl_orbit(rd, lam) == tuple(sorted({_apply(g, lam) for g, _ in weyl_elements(rd)}))
 

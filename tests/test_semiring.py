@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_DATA, GL3, SL2_PGL2, SL4, TORUS0, TORUS2, datum
+from conftest import A1SKEW, ALL_DATA, B3_REVERSED, GL3, SL2_PGL2, SL4, TORUS0, TORUS2, datum
 import oracles
 from oracles import character_by_weyl_formula, character_product_bruteforce, tensor_by_doubled_fold
 from test_classification import (B3, C3, D4, FINITE, block_sum, canonical_matrix, diagram_automorphisms,
@@ -19,7 +19,7 @@ from satake.errors import DomainError, InconsistencyError
 from satake.lattice import (
     RootDatum,
     _labels,
-    _subtract_roots,
+    _weights_below,
     cartan_matrix,
     datum_tables,
     dominant_below,
@@ -244,19 +244,22 @@ def test_list_matches_doubled_fold(rd, data):
     assert power_decompose(rd, lam, len(weights)) == tensor_decompose_list(rd, [lam] * len(weights))
 
 
-@pytest.mark.parametrize("rd", ALL_DATA + [GL3, TORUS2, TORUS0], ids=lambda rd: rd.name)
+@pytest.mark.parametrize("rd", ALL_DATA + [GL3, TORUS2, TORUS0, A1SKEW, B3_REVERSED], ids=lambda rd: rd.name)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_weight_rows_match_depth_reference(rd, data):
-    # a constituent with canonical labels top's minus gap, for a random
-    # gap = A d of top - Q, gets its weight from one matrix
+    # a weight with labels top's minus gap, for a random gap = A d of top -
+    # Q, gets its weight from one matrix: rd's own rows in its own node
+    # order, and the canonical rows that semiring reads
     canon = datum_tables(rd).canonical
-    cartan = cartan_matrix(canon)
     top = tuple(data.draw(st.lists(st.integers(-30, 30), min_size=rd.rank, max_size=rd.rank)))
-    depth = data.draw(st.lists(st.integers(-12, 12), min_size=len(cartan), max_size=len(cartan)))
-    gap = [sum(map(mul, row, depth)) for row in cartan]
-    want = oracles.weight_below_by_depth(rd, top, gap)
-    assert want == _subtract_roots(canon, top, depth)
+    for own in (rd, canon):
+        cartan = cartan_matrix(own)
+        depth = data.draw(st.lists(st.integers(-12, 12), min_size=len(cartan), max_size=len(cartan)))
+        gap = [sum(map(mul, row, depth)) for row in cartan]
+        want = oracles._subtract_roots(own, top, depth)
+        assert _weights_below(own, top, [gap]) == [want]
+    assert want == oracles.weight_below_by_depth(rd, top, gap)
     assert _weights(rd, top, ((tuple(map(sub, _labels(canon, top), gap)),), (1,))) == {want: 1}
 
 

@@ -1,7 +1,10 @@
-"""Checks on the library's source text, walked as syntax trees."""
+"""Checks on the library's source text, walked as syntax trees, and on the
+library names that the benchmark's tracer reads."""
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 LIBRARY = sorted((Path(__file__).resolve().parents[1] / "src" / "satake").glob("*.py"))
@@ -62,3 +65,19 @@ def test_every_lru_cache_has_an_integer_maxsize():
                 hits.append(f"{path.name}:{node.lineno}")
     assert hits == []
     assert bounded
+
+
+def test_benchmark_tracer_finds_its_names():
+    # the benchmark's tracer wraps its layers and reads its caches by name,
+    # so a rename in the library would otherwise surface only in a traced run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = {module: importlib.import_module(f"satake.{module}") for module in tracing.LAYERS}
+    missing = [f"{module}.{fn}" for module, fns in tracing.LAYERS.items() for fn in fns
+               if not callable(getattr(modules[module], fn, None))]
+    assert missing == []
+    for name in tracing.CACHES:
+        cached = getattr(modules["lattice"], name)
+        assert callable(cached.cache_info) and callable(cached.cache_clear), name
